@@ -277,7 +277,11 @@ def _single_bubble_objective(
         return L + sum(s)
 
     bound = L + 3.0 * math.sqrt(V) + 1.0
-    witness = (0.0, 2.0 * V / (_SQ3 * L) + 0.1)
+    # with x2 = 0, x4 is real from x1 = sqrt(L^2 + 4V/sqrt(3)) - L on and
+    # x5 = x1 - x4 stays >= 0 up to x1 = 2V/(sqrt(3) L); take the middle
+    x1_lo = math.sqrt(L * L + 4.0 * V / _SQ3) - L
+    x1_hi = 2.0 * V / (_SQ3 * L)
+    witness = (0.5 * (x1_lo + x1_hi), 0.0)
     box = BoxSpec(
         lower=(0.0, 0.0),
         upper=(bound, bound),
@@ -467,7 +471,7 @@ def _chk_oracle_embedded(rng: Lcg) -> tuple[bool, str]:
         _, got = grid_refine_min(objective, box, grid=64, refine_iters=60)
         want = embedded.minimize_rho1(a)[2]
         if abs(got - want) > 1e-5:
-            return False, f"oracle {_fmt(got)} vs scan minimum {_fmt(want)} at alpha={_fmt(a)}"
+            return False, f"oracle {_fmt(got)} vs convex minimum {_fmt(want)} at alpha={_fmt(a)}"
     return True, ""
 
 

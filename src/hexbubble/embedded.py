@@ -15,9 +15,12 @@ The pair's perimeter with the outer cell holding volume 1 is
                  + (9 L1^2 + 8 sqrt(3) alpha)/(6 L1) - L1,
 
 minimized in L2 at L2*(L1) = sqrt(8 sqrt(3) + 3 L1^2)/3 and then in L1
-numerically.  rho2 swaps which cell holds which volume; its minimum has
-the L2 >= L1 clamp active for alpha <= 2/3, giving the closed form
-L1 = L2 = sqrt(8 sqrt(3)(1+alpha)/15).
+by a root-find on the monotone derivative of the strictly convex
+sqrt(8 sqrt(3) + 3 L1^2) + L1/2 + 4 sqrt(3) alpha/(3 L1).  rho2 swaps
+which cell holds which volume; its minimum has the L2 >= L1 clamp active
+for alpha <= 2/3, giving the closed form L1 = L2 = sqrt(8 sqrt(3)(1+alpha)/15),
+and above 2/3 reduces to the same convex form with the roles of the
+volumes exchanged.
 """
 
 from __future__ import annotations
@@ -26,27 +29,19 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
-from .hexnorm import SQRT3, PolyChain, make_chain
+from .hexnorm import DEDUP_TOL, SQRT3, PolyChain, make_chain
 from .oracle import BoxSpec, grid_refine_min
-from .singlebubble import MIN_SIDE
+from .singlebubble import MIN_SIDE, check_alpha
 
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-GOLDEN_TOL = 1e-10
-SCAN_POINTS = 1000
+# cap on safeguarded Newton steps; from the left end of the bracket the
+# iteration takes 6-8 of them on (0, 1]
+NEWTON_MAX_ITER = 60
 
 ROUTE_RHO1 = "rho1"  # outer cell holds volume 1
 ROUTE_RHO2 = "rho2"  # outer cell holds volume alpha
 
 # diagonal tolerance for the case-2 check
 DIAG_TOL = 1e-6
-
-
-def _check_alpha(alpha: float) -> None:
-    if not math.isfinite(alpha) or not (0.0 < alpha <= 1.0):
-        raise ValueError("volume ratio must lie in (0, 1]")
 
 
 def inner_hexagon(L: float, V: float) -> tuple[tuple[float, ...], float]:
@@ -95,7 +90,7 @@ def outer_notched(
 
 def rho1(L1: float, L2: float, alpha: float) -> float:
     """Pair perimeter, outer cell volume 1, inner cell volume alpha."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     _, outer = outer_notched(L1, L2, 1.0)
     _, inner = inner_hexagon(L1, alpha)
     return outer + inner - L1
@@ -103,7 +98,7 @@ def rho1(L1: float, L2: float, alpha: float) -> float:
 
 def rho2(L1: float, L2: float, alpha: float) -> float:
     """Pair perimeter with the volumes swapped (outer alpha, inner 1)."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     _, outer = outer_notched(L1, L2, alpha)
     _, inner = inner_hexagon(L1, 1.0)
     return outer + inner - L1
@@ -114,46 +109,47 @@ def rho1_optimal_L2(L1: float) -> float:
     return math.sqrt(8.0 * SQRT3 + 3.0 * L1 * L1) / 3.0
 
 
-def _golden_min(
-    f: Callable[[float], float], a: float, b: float, tol: float = GOLDEN_TOL
-) -> tuple[float, float]:
-    c = b - INV_PHI * (b - a)
-    d = a + INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - INV_PHI * (b - a)
-            fc = f(c)
+def _convex_min(a: float, c: float, hi: float) -> tuple[float, float]:
+    """(L*, f(L*)) for f(L) = sqrt(a + 3 L^2) + L/2 + c/L on (0, hi].
+
+    f'(L) = 3L/sqrt(a + 3L^2) + 1/2 - c/L^2 is strictly increasing and
+    concave.  Its first term lies in [0, sqrt(3)), so the root sits in
+    [sqrt(c/(1/2 + sqrt(3))), sqrt(2c)).  By concavity a Newton step from
+    below the root never passes it, so the iteration starts at the left
+    end and climbs; a step that leaves the shrinking sign bracket (only
+    rounding can cause one) is replaced by bisection (Brent 1973).  When
+    f' is still nonpositive at hi the constrained minimum is hi itself.
+    """
+
+    def f(L: float) -> float:
+        return math.sqrt(a + 3.0 * L * L) + 0.5 * L + c / L
+
+    def df(L: float) -> float:
+        return 3.0 * L / math.sqrt(a + 3.0 * L * L) + 0.5 - c / (L * L)
+
+    def d2f(L: float) -> float:
+        return 3.0 * a / math.sqrt(a + 3.0 * L * L) ** 3 + 2.0 * c / L ** 3
+
+    if df(hi) <= 0.0:
+        return hi, f(hi)
+    lo = math.sqrt(c / (0.5 + SQRT3))
+    up = min(hi, math.sqrt(2.0 * c))
+    x = lo
+    for _ in range(NEWTON_MAX_ITER):
+        d = df(x)
+        if d == 0.0:
+            break
+        if d < 0.0:
+            lo = x
         else:
-            a, c, fc = c, d, fd
-            d = a + INV_PHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
+            up = x
+        step = x - d / d2f(x)
+        if not lo <= step <= up:
+            step = 0.5 * (lo + up)
+        x, dx = step, step - x
+        if abs(dx) <= 2.0 * math.ulp(x):
+            break
     return x, f(x)
-
-
-def _scan_golden_min(
-    f_vec: Callable[[np.ndarray], np.ndarray],
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-) -> tuple[float, float]:
-    # dense scan, then refine every local valley; multiple valleys are all
-    # polished and the best kept, so no unimodality assumption is needed
-    xs = np.linspace(lo, hi, SCAN_POINTS)
-    vals = f_vec(xs)
-    best_x, best_f = float(xs[-1]), float(vals[-1])
-    for i in range(SCAN_POINTS):
-        left = vals[i - 1] if i > 0 else math.inf
-        right = vals[i + 1] if i < SCAN_POINTS - 1 else math.inf
-        if vals[i] <= left and vals[i] <= right:
-            a = float(xs[max(0, i - 1)])
-            b = float(xs[min(SCAN_POINTS - 1, i + 1)])
-            x, fx = _golden_min(f, a, b)
-            if fx < best_f:
-                best_x, best_f = x, fx
-    return best_x, best_f
 
 
 def minimize_rho1(alpha: float) -> tuple[float, float, float]:
@@ -163,26 +159,15 @@ def minimize_rho1(alpha: float) -> tuple[float, float, float]:
     intersected with {L1 <= L2*(L1)}, i.e. L1 <= sqrt(4 sqrt(3)/3); on
     the clamped diagonal beyond that bound rho1 is strictly increasing,
     so nothing is lost.  At L2*(L1) the outer term collapses to
-    sqrt(8 sqrt(3) + 3 L1^2).
+    sqrt(8 sqrt(3) + 3 L1^2), leaving the convex
+    sqrt(8 sqrt(3) + 3 L1^2) + L1/2 + 4 sqrt(3) alpha/(3 L1).
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     hi = min(
         math.sqrt(8.0 * SQRT3 * alpha / 3.0),
         math.sqrt(4.0 * SQRT3 / 3.0),
     )
-    lo = hi * 1e-3
-
-    def g_vec(L: np.ndarray) -> np.ndarray:
-        return (
-            np.sqrt(8.0 * SQRT3 + 3.0 * L * L)
-            + (9.0 * L * L + 8.0 * SQRT3 * alpha) / (6.0 * L)
-            - L
-        )
-
-    def g(L: float) -> float:
-        return float(g_vec(np.asarray(L)))
-
-    L1, value = _scan_golden_min(g_vec, g, lo, hi)
+    L1, value = _convex_min(8.0 * SQRT3, 4.0 * SQRT3 * alpha / 3.0, hi)
     return L1, rho1_optimal_L2(L1), value
 
 
@@ -192,10 +177,10 @@ def rho2_minimum(alpha: float) -> tuple[float, float, float]:
     For alpha <= 2/3 the L2 >= L1 clamp is active and the closed form
     L1 = L2 = sqrt(8 sqrt(3)(1+alpha)/15) with value
     2 sqrt(10 (1+alpha))/3^(1/4) is exact.  Above 2/3 the minimizer
-    detaches from the diagonal and is located numerically on the curve
-    L2 = sqrt((8 sqrt(3) alpha + 3 L1^2)/9).
+    detaches from the diagonal and is located by the same convex
+    root-find as rho1, on the curve L2 = sqrt((8 sqrt(3) alpha + 3 L1^2)/9).
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if alpha <= 2.0 / 3.0:
         L = math.sqrt(8.0 * SQRT3 * (1.0 + alpha) / 15.0)
         value = 2.0 * math.sqrt(10.0 * (1.0 + alpha)) / 3.0 ** 0.25
@@ -206,19 +191,7 @@ def rho2_minimum(alpha: float) -> tuple[float, float, float]:
     # i.e. L1 <= sqrt(4 sqrt(3) alpha / 3).  The diagonal branch beyond is
     # increasing for alpha > 2/3, so the junction endpoint covers it.
     hi = math.sqrt(4.0 * SQRT3 * alpha / 3.0)
-    lo = hi * 1e-3
-
-    def h_vec(L: np.ndarray) -> np.ndarray:
-        return (
-            np.sqrt(8.0 * SQRT3 * alpha + 3.0 * L * L)
-            + (9.0 * L * L + 8.0 * SQRT3) / (6.0 * L)
-            - L
-        )
-
-    def h(L: float) -> float:
-        return float(h_vec(np.asarray(L)))
-
-    L1, value = _scan_golden_min(h_vec, h, lo, hi)
+    L1, value = _convex_min(8.0 * SQRT3 * alpha, 4.0 * SQRT3 / 3.0, hi)
     L2 = math.sqrt((8.0 * SQRT3 * alpha + 3.0 * L1 * L1) / 9.0)
     return L1, max(L1, L2), value
 
@@ -258,7 +231,7 @@ def case2_report(alpha: float) -> dict[str, dict[str, float | bool]]:
     and the swapped-volume version.  Each entry carries the minimizer and
     whether it sits on the L2 = L1 diagonal.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     objectives = _case2_objectives(alpha)
     report: dict[str, dict[str, float | bool]] = {}
     for name, fn in objectives.items():
@@ -306,7 +279,7 @@ def notch_skew_perimeter(L1: float, L2: float, alpha: float, delta: float) -> fl
     rho1 + delta^2 (L2 - 2 L1)/(4 L1 L2), so the symmetric notch is a
     strict local minimum iff L2 >= 2 L1.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if abs(delta) >= min(L1, L2 - L1):
         raise ValueError("skew out of range")
     w60 = (L1 - delta) / 2.0
@@ -353,6 +326,11 @@ def embedded_geometry(
     anchoring shift; the inner cell pokes east out of it.
     """
     (x1, *_), _ = inner_hexagon(L1, inner_volume)
+    if x1 <= DEDUP_TOL:
+        # make_chain would drop (x1, 0) and (0, 2h) as duplicates of their
+        # predecessors, tilting the glued sides off the lattice by ~x1/L1;
+        # a side that short is collapsed here instead
+        x1 = 0.0
     (y1, y2, *_), _ = outer_notched(L1, L2, outer_volume)
     q = L1 / 4.0
     h = SQRT3 * L1 / 4.0
@@ -391,7 +369,7 @@ def embedded_minimum(alpha: float) -> EmbeddedSolution:
     evaluated anyway and kept if it ever undercut.  geometry_a is always
     the volume-1 cell.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     l1a, l2a, va = minimize_rho1(alpha)
     l1b, l2b, vb = rho2_minimum(alpha)
     if va <= vb:

@@ -20,17 +20,17 @@ implemented and cross-checked in the tests.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
-
-import numpy as np
+from typing import Callable, NamedTuple, Optional
 
 from .hexnorm import SQRT3, PlanePoint, PolyChain
 from .singlebubble import (
     MIN_SIDE,
     REGIME_FOUR,
     REGIME_SIX,
+    check_alpha,
     is_six_sided,
     optimal_perimeter,
     solve_fixed_side,
@@ -48,11 +48,6 @@ BRANCH_UNEQUAL = "unequal-candidate"
 BRANCH_EQUAL = "equal-p3"
 
 
-def _check_alpha(alpha: float) -> None:
-    if not math.isfinite(alpha) or not (0.0 < alpha <= 1.0):
-        raise ValueError("volume ratio must lie in (0, 1]")
-
-
 class KissingRegime(NamedTuple):
     """Six-sided flags for the two glued cells."""
 
@@ -61,13 +56,13 @@ class KissingRegime(NamedTuple):
 
 
 def kissing_regime(L1: float, L2: float, alpha: float) -> KissingRegime:
-    _check_alpha(alpha)
+    check_alpha(alpha)
     return KissingRegime(is_six_sided(L1, 1.0), is_six_sided(L2, alpha))
 
 
 def kissing_perimeter(L1: float, L2: float, alpha: float) -> float:
     """Glued-pair perimeter with each cell in its active regime."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     return (
         optimal_perimeter(L1, 1.0)
         + optimal_perimeter(L2, alpha)
@@ -127,7 +122,7 @@ def unequal_candidates(alpha: float) -> list[CandidateRow]:
     plain six-sided volume-1 cell with an indicator-carrying volume-alpha
     cell survive, and only below alpha = 1/8.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     rows: list[CandidateRow] = []
     for (form1, i1), (form2, i2) in _ROWS:
         L1 = _stationary_side(form1, i1, 1.0)
@@ -144,7 +139,7 @@ def unequal_candidates(alpha: float) -> list[CandidateRow]:
 
 def small_alpha_closed_form(alpha: float) -> float:
     """Perimeter of the admissible unequal candidate: 2*3^(1/4)(sqrt(2)+sqrt(alpha))."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     return 2.0 * 3.0 ** 0.25 * (math.sqrt(2.0) + math.sqrt(alpha))
 
 
@@ -160,7 +155,7 @@ def equal_perimeters(
     trapezoids; each value is present exactly when its radicands are
     nonnegative.  P3 always exists.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if not math.isfinite(L) or L < MIN_SIDE:
         raise ValueError(f"side must be >= {MIN_SIDE}")
     u1 = math.sqrt((3.0 * L * L + 4.0 * SQRT3) / 21.0)
@@ -186,7 +181,7 @@ def p3_minimizer(alpha: float) -> tuple[float, float]:
     dP3/dL = L/u1 + L/u2 - 3 rises strictly from -3 to 2*sqrt(7) - 3 > 0,
     so a sign-change bisection on [1e-8, 10] is exact to its tolerance.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     lo, hi = 1e-8, 10.0
     flo = _p3_derivative(lo, alpha)
     fhi = _p3_derivative(hi, alpha)
@@ -205,6 +200,13 @@ def p3_minimizer(alpha: float) -> tuple[float, float]:
 # --- degree-8 polynomial route ----------------------------------------------
 
 
+def _horner(cs: tuple[float, ...], x: float) -> float:
+    acc = 0.0
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
 @dataclass(frozen=True)
 class Poly8:
     """Dense degree-8 polynomial, coefficients ascending (c0..c8), c8 != 0."""
@@ -220,10 +222,7 @@ class Poly8:
             raise ValueError("leading coefficient must be finite and nonzero")
 
     def __call__(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coefficients, x)
 
 
 def build_degree8(alpha: float) -> Poly8:
@@ -234,55 +233,68 @@ def build_degree8(alpha: float) -> Poly8:
     gives p = 4 L^4 Q / 441 - (Q/49 - R/21)^2, an even polynomial whose
     positive real root is the P3 minimizer.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     s = SQRT3 * (1.0 + alpha)
-    q = np.array([48.0 * alpha, 0.0, 12.0 * s, 0.0, 9.0])
-    r = np.array([0.0, 0.0, 4.0 * s, 0.0, 6.0])
-    term1 = (4.0 / 441.0) * np.concatenate([np.zeros(4), q])
-    inner = q / 49.0 - r / 21.0
-    term2 = np.convolve(inner, inner)
-    return Poly8(tuple(term1 - term2))
+    q = (48.0 * alpha, 0.0, 12.0 * s, 0.0, 9.0)
+    r = (0.0, 0.0, 4.0 * s, 0.0, 6.0)
+    term1 = (0.0,) * 4 + tuple(4.0 / 441.0 * qi for qi in q)
+    inner = [qi / 49.0 - ri / 21.0 for qi, ri in zip(q, r)]
+    # inner * inner; every odd coefficient sums products with an exact
+    # 0.0 factor, so it stays exactly 0.0
+    term2 = [
+        sum(inner[i] * inner[k - i] for i in range(max(0, k - 4), min(k, 4) + 1))
+        for k in range(9)
+    ]
+    return Poly8(tuple(t1 - t2 for t1, t2 in zip(term1, term2)))
+
+
+def _bisect_root(p: Callable[[float], float], a: float, b: float, fa: float) -> float:
+    # p(a) = fa and p(b) differ in sign; shrink to ~1e-13 relative width
+    for _ in range(200):
+        m = 0.5 * (a + b)
+        if b - a <= 1e-13 * max(1.0, abs(m)):
+            return m
+        fm = p(m)
+        if fm == 0.0:
+            return m
+        if (fm < 0.0) == (fa < 0.0):
+            a, fa = m, fm
+        else:
+            b = m
+    return 0.5 * (a + b)
+
+
+def _roots_in(cs: tuple[float, ...], lo: float, hi: float) -> list[float]:
+    # roots in [lo, hi] of the polynomial with ascending coefficients cs
+    # (leading one nonzero): p is monotone between consecutive roots of p',
+    # found the same way one degree down, so each piece holds at most one
+    if len(cs) == 1:
+        return []
+    deriv = tuple(i * c for i, c in enumerate(cs) if i > 0)
+    p = functools.partial(_horner, cs)
+    knots = [lo, *_roots_in(deriv, lo, hi), hi]
+    vals = [p(x) for x in knots]
+    roots = [x for x, v in zip(knots, vals) if v == 0.0]
+    for a, b, fa, fb in zip(knots, knots[1:], vals, vals[1:]):
+        if fa != 0.0 and fb != 0.0 and (fa < 0.0) != (fb < 0.0):
+            roots.append(_bisect_root(p, a, b, fa))
+    return sorted(roots)
 
 
 def poly_real_roots(p: Poly8) -> list[float]:
-    """Sorted real roots, located by dense sign scan plus bisection.
+    """Sorted real roots, isolated between the critical points.
 
-    The scan covers the Cauchy bound 1 + max|c_i|/|c_8|; each sign change
-    is bisected to ~1e-13 relative accuracy.  (Roots of even multiplicity
-    would not change sign; the stationarity polynomial has none.)
+    The critical points are the real roots of p', found recursively down
+    to a constant, inside the Cauchy bound 1 + max|c_i|/|c_8|.  p is
+    monotone between consecutive ones, so each sign change there is one
+    root, bisected to ~1e-13 relative accuracy.  A root of even
+    multiplicity is found only when p vanishes exactly at its critical
+    point; the stationarity polynomial has none.
     """
-    cs = np.array(p.coefficients)
-    bound = 1.0 + float(np.max(np.abs(cs[:-1]))) / abs(float(cs[-1]))
-    xs = np.linspace(-bound, bound, 4001)
-    vals = np.polynomial.polynomial.polyval(xs, cs)
-
-    roots: list[float] = []
-
-    def bisect(a: float, b: float, fa: float) -> float:
-        for _ in range(200):
-            m = 0.5 * (a + b)
-            if b - a <= 1e-13 * max(1.0, abs(m)):
-                return m
-            fm = p(m)
-            if fm == 0.0:
-                return m
-            if (fm < 0.0) == (fa < 0.0):
-                a, fa = m, fm
-            else:
-                b = m
-        return 0.5 * (a + b)
-
-    for i in range(len(xs) - 1):
-        va, vb = float(vals[i]), float(vals[i + 1])
-        if va == 0.0:
-            roots.append(float(xs[i]))
-        elif (va < 0.0) != (vb < 0.0):
-            roots.append(bisect(float(xs[i]), float(xs[i + 1]), va))
-    if float(vals[-1]) == 0.0:
-        roots.append(float(xs[-1]))
-
+    cs = p.coefficients
+    bound = 1.0 + max(abs(c) for c in cs[:-1]) / abs(cs[-1])
     deduped: list[float] = []
-    for x in sorted(roots):
+    for x in _roots_in(cs, -bound, bound):
         if not deduped or x - deduped[-1] > 1e-9 * max(1.0, abs(x)):
             deduped.append(x)
     return deduped
@@ -333,7 +345,7 @@ def kissing_minimum(alpha: float) -> KissingSolution:
     wins; at and above it the diagonal P3 minimizer does.  The two agree
     at the handoff, where the candidate collapses onto the diagonal.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if alpha < HANDOFF_ALPHA * (1.0 - HANDOFF_TOL):
         L1 = _stationary_side(REGIME_SIX, 0, 1.0)
         L2 = _stationary_side(REGIME_SIX, 1, alpha)

@@ -29,6 +29,17 @@ REGIME_FOUR = "four-sided"
 MIN_SIDE = 1e-8
 
 
+def check_alpha(alpha: float) -> None:
+    """Reject anything but a real volume ratio in (0, 1].
+
+    bool is an int subclass, so True would otherwise pass as alpha = 1.
+    """
+    if isinstance(alpha, bool):
+        raise ValueError("volume ratio must be a real number, not bool")
+    if not math.isfinite(alpha) or not (0.0 < alpha <= 1.0):
+        raise ValueError("volume ratio must lie in (0, 1]")
+
+
 def _check_inputs(L: float, V: float) -> None:
     if not (math.isfinite(L) and math.isfinite(V)):
         raise ValueError("L and V must be finite")

@@ -9,12 +9,12 @@ changes sign exactly once on (0, 1).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import embedded as embedded_mod
 from . import kissing as kissing_mod
 from .hexnorm import PolyChain
+from .singlebubble import check_alpha
 
 CASE_EMBEDDED = "embedded"
 CASE_KISSING = "kissing"
@@ -25,11 +25,6 @@ TIE_TOL = 1e-9
 
 ALPHA0_BRACKET = (0.1, 0.3)
 ALPHA0_TOL = 1e-9
-
-
-def _check_alpha(alpha: float) -> None:
-    if not math.isfinite(alpha) or not (0.0 < alpha <= 1.0):
-        raise ValueError("volume ratio must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -56,7 +51,7 @@ class DoubleBubbleResult:
 
 def embedded_value(alpha: float) -> float:
     """Embedded-case optimal perimeter (no geometry construction)."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     return min(
         embedded_mod.minimize_rho1(alpha)[2],
         embedded_mod.rho2_minimum(alpha)[2],
@@ -65,7 +60,7 @@ def embedded_value(alpha: float) -> float:
 
 def kissing_value(alpha: float) -> float:
     """Kissing-case optimal perimeter (no geometry construction)."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if alpha < kissing_mod.HANDOFF_ALPHA * (1.0 - kissing_mod.HANDOFF_TOL):
         return kissing_mod.small_alpha_closed_form(alpha)
     return kissing_mod.p3_minimizer(alpha)[1]
@@ -108,7 +103,7 @@ def solve(alpha: float) -> DoubleBubbleResult:
     kissing side is the unequal-candidate closed form, which is surfaced
     separately in `candidates`.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     emb = embedded_mod.embedded_minimum(alpha)
     kis = kissing_mod.kissing_minimum(alpha)
     candidates: dict[str, float] = {
@@ -166,8 +161,8 @@ def find_alpha0(
 
 def sweep(alpha_min: float, alpha_max: float, steps: int) -> list[DoubleBubbleResult]:
     """solve() on an inclusive grid of `steps` ratios."""
-    _check_alpha(alpha_min)
-    _check_alpha(alpha_max)
+    check_alpha(alpha_min)
+    check_alpha(alpha_max)
     if alpha_min > alpha_max:
         raise ValueError("alpha_min must not exceed alpha_max")
     if steps < 1:

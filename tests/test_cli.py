@@ -1,5 +1,6 @@
 """Command-line surface: formats, determinism, seeds, and exit codes."""
 
+import io
 import json
 import os
 import shutil
@@ -109,6 +110,14 @@ def test_verify_full_passes(capsys):
     code, out, _ = run_cli(["verify", "--suite", "full", "--seed", "0"], capsys)
     assert code == 0
     assert "result: PASS (16/16)" in out
+
+
+@pytest.mark.parametrize("seed", [20, 35, 50, 103, 114, 199, 232, 241, 249, 264, 368])
+def test_verify_quick_passes_where_the_fixed_side_witness_was_infeasible(seed):
+    # these seeds draw a long side with a small volume, where the former
+    # witness (0, 2V/(sqrt(3) L) + 0.1) had x5 < 0
+    out = io.StringIO()
+    assert cli.run_verify("quick", seed, out) == 0, out.getvalue()
 
 
 def test_verify_seed_env_override(monkeypatch, capsys):
@@ -227,6 +236,18 @@ def _assert_help(proc):
     assert "solve" in proc.stdout and "verify" in proc.stdout
 
 
+def _run_child(args, cwd):
+    """Run a fresh interpreter with the hexbubble under test importable."""
+    src_dir = Path(hexbubble.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src_dir), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd
+    )
+
+
 def test_console_script_help(tmp_path):
     if sys.version_info >= (3, 11):
         import tomllib
@@ -245,18 +266,25 @@ def test_console_script_help(tmp_path):
 
     # Run it against the copy of hexbubble under test, so the check needs no
     # install step and no executable on PATH.
-    src_dir = Path(hexbubble.__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(src_dir), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "--help"],
-        capture_output=True, text=True, env=env, cwd=tmp_path,
-    )
-    _assert_help(proc)
+    _assert_help(_run_child(["-c", script, "--help"], tmp_path))
 
     # An installed copy, where there is one, must behave the same.
     installed = shutil.which("hexbubble")
     if installed is not None:
         _assert_help(subprocess.run([installed, "--help"], capture_output=True, text=True))
+
+
+def test_module_entry_point_help(tmp_path):
+    _assert_help(_run_child(["-m", "hexbubble", "--help"], tmp_path))
+
+
+def test_solve_does_not_import_numpy(tmp_path):
+    script = (
+        "import sys, hexbubble\n"
+        "hexbubble.solve(0.3)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    proc = _run_child(["-c", script], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+

@@ -199,14 +199,14 @@ def test_optimal_outer_width():
 
 def test_minimize_rho1_frozen():
     L1, L2, v = minimize_rho1(0.05)
-    assert abs(L1 - 0.3796147314539706) <= 1e-9
-    assert abs(L2 - 1.2600144837598595) <= 1e-9
+    assert abs(L1 - 0.37961473025679093) <= 1e-9
+    assert abs(L2 - 1.2600144836396316) <= 1e-9
     assert abs(v - 4.274027773985185) <= 1e-9
     assert abs(minimize_rho1(0.1)[2] - 4.533601577654296) <= 1e-9
     assert abs(minimize_rho1(0.5)[2] - 5.759384589252168) <= 1e-9
     L1, L2, v = minimize_rho1(1.0)
-    assert abs(L1 - 1.288641809422863) <= 1e-9
-    assert abs(L2 - 1.4467664942334493) <= 1e-9
+    assert abs(L1 - 1.2886417926018074) <= 1e-9
+    assert abs(L2 - 1.4467664892392513) <= 1e-9
     assert abs(v - 6.776740633605563) <= 1e-9
 
 
@@ -258,8 +258,8 @@ def test_rho2_closed_form_below_two_thirds():
 
 def test_rho2_frozen_above_two_thirds():
     L1, L2, v = rho2_minimum(0.8)
-    assert abs(L1 - 1.2618108214201484) <= 1e-9
-    assert abs(L2 - 1.327555180506206) <= 1e-9
+    assert abs(L1 - 1.2618108058491007) <= 1e-9
+    assert abs(L2 - 1.3275551755728978) <= 1e-9
     assert abs(v - 6.443798619922418) <= 1e-9
     assert L2 > L1
 
@@ -286,9 +286,25 @@ def test_rho2_oracle_above_two_thirds():
 def test_volume_routes_coincide_at_equal_volumes():
     a = minimize_rho1(1.0)
     b = rho2_minimum(1.0)
-    assert a[0] == b[0]  # identical objective, identical golden iterates
+    assert a[0] == b[0]  # identical a, c and hi, so identical Newton iterates
     assert a[2] == b[2]
     assert abs(a[1] - b[1]) <= 1e-15  # sqrt(x)/3 vs sqrt(x/9), one ulp
+
+
+def test_convex_minimizers_are_stationary():
+    # both 1-D objectives are sqrt(a + 3 L^2) + L/2 + c/L; their derivative
+    # vanishes at the reported L1 up to rounding
+    def slope(L, a, c):
+        return 3.0 * L / math.sqrt(a + 3.0 * L * L) + 0.5 - c / (L * L)
+
+    rng = Lcg(263)
+    for _ in range(50):
+        alpha = 10.0 ** (-12.0 * rng.uniform())  # log-uniform in (1e-12, 1]
+        L1 = minimize_rho1(alpha)[0]
+        assert abs(slope(L1, 8.0 * SQRT3, 4.0 * SQRT3 * alpha / 3.0)) <= 1e-12
+        beta = 1.0 - rng.uniform() / 3.0  # in (2/3, 1], the interior rho2 branch
+        L1 = rho2_minimum(beta)[0]
+        assert abs(slope(L1, 8.0 * SQRT3 * beta, 4.0 * SQRT3 / 3.0)) <= 1e-12
 
 
 def test_rho1_route_never_loses():
@@ -415,6 +431,16 @@ def test_embedded_round_trip():
         sol = embedded_minimum(alpha)
         assert abs(polygon_area(sol.geometry_a) - 1.0) <= 1e-9
         assert abs(polygon_area(sol.geometry_b) - alpha) <= 1e-9
+        total, joint = double_bubble_perimeter(sol.geometry_a, sol.geometry_b)
+        assert abs(total - sol.perimeter) <= 1e-9
+        assert abs(joint - sol.L1) <= 1e-9
+
+
+def test_tiny_ratio_geometry_measures_its_perimeter():
+    # below ~5e-13 the inner cell's horizontal sides are shorter than the
+    # chain's vertex-merge tolerance; the glued sides must stay on the lattice
+    for alpha in (1.2528889e-13, 3.8872128e-13, 4.4017538e-13, 1e-12):
+        sol = embedded_minimum(alpha)
         total, joint = double_bubble_perimeter(sol.geometry_a, sol.geometry_b)
         assert abs(total - sol.perimeter) <= 1e-9
         assert abs(joint - sol.L1) <= 1e-9

@@ -279,6 +279,22 @@ def test_degree8_random_alpha():
         assert abs(positive[0] - L) <= 1e-8
 
 
+def test_poly_real_roots_of_a_general_poly8():
+    # six real roots (two of them 1e-3 apart) and one complex pair
+    real = [-4.0, -0.5, 0.999, 1.0, 2.0, 3.0]
+    cs = [1.0]
+    for factor in [(-r, 1.0) for r in real] + [(1.0, 0.0, 1.0)]:
+        out = [0.0] * (len(cs) + len(factor) - 1)
+        for i, a in enumerate(cs):
+            for j, b in enumerate(factor):
+                out[i + j] += a * b
+        cs = out
+    roots = poly_real_roots(Poly8(tuple(cs)))
+    assert len(roots) == len(real)
+    assert all(abs(got - want) <= 1e-9 for got, want in zip(roots, real))
+    assert poly_real_roots(Poly8((1.0, 0.0, 4.0, 0.0, 6.0, 0.0, 4.0, 0.0, 1.0))) == []
+
+
 def test_poly8_validation():
     with pytest.raises(ValueError, match="9 coefficients"):
         Poly8((1.0,) * 8)

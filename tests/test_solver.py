@@ -4,8 +4,9 @@ import math
 
 import pytest
 
+from hexbubble.embedded import minimize_rho1
 from hexbubble.hexnorm import PolyChain, double_bubble_perimeter, polygon_area
-from hexbubble.kissing import small_alpha_closed_form
+from hexbubble.kissing import kissing_minimum, small_alpha_closed_form
 from hexbubble.solver import (
     CASE_BOTH,
     CASE_EMBEDDED,
@@ -191,3 +192,12 @@ def test_alpha_validation():
     for bad in (0.0, -0.1, 1.5, math.inf):
         with pytest.raises(ValueError, match="ratio"):
             solve(bad)
+
+
+def test_bool_ratio_rejected():
+    # bool is an int subclass; True must not pass as alpha = 1
+    for fn in (solve, embedded_value, kissing_value, minimize_rho1, kissing_minimum):
+        with pytest.raises(ValueError, match="not bool"):
+            fn(True)
+    with pytest.raises(ValueError, match="not bool"):
+        sweep(0.5, True, 3)
