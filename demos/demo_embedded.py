@@ -4,6 +4,7 @@ Run: python3 demos/demo_embedded.py
 """
 
 from hexbubble.embedded import (
+    embedded_geometry,
     embedded_minimum,
     inner_hexagon,
     minimize_rho1,
@@ -53,8 +54,9 @@ def main() -> None:
     print()
     sol = embedded_minimum(alpha)
     print(f"full solution at alpha = {alpha}: perimeter = {sol.perimeter:.12f}")
-    print(f"  host vertices:  {len(sol.geometry_a.vertices)}")
-    print(f"  inner vertices: {len(sol.geometry_b.vertices)}")
+    host, inner = embedded_geometry(sol.L1, sol.L2, 1.0, alpha)
+    print(f"  host vertices:  {len(host.vertices)}")
+    print(f"  inner vertices: {len(inner.vertices)}")
     print("  (three vertices coincide: the notch mouth and wedge tip)")
 
 

@@ -3,158 +3,31 @@
 Given two volumes 1 and alpha in (0, 1], the package computes the pair
 of polygonal cells minimizing total boundary length under the norm whose
 unit ball is the regular hexagon, using closed forms cross-checked
-against brute-force search.  See README.md for the tour.
+against brute-force search.  See README.md for the tour; every other
+name lives in its own module (hexnorm, singlebubble, kissing, embedded,
+solver, oracle, cli).
 """
 
-from .hexnorm import (
-    GEOM_TOL,
-    HexRegion,
-    LATTICE_DIRECTIONS,
-    PlanePoint,
-    PolyChain,
-    SQRT3,
-    circumscribing_hexagon,
-    double_bubble_perimeter,
-    geodesic_path,
-    hex_norm,
-    make_chain,
-    point_in_polygon,
-    polygon_area,
-    polyline_length,
-    sextant,
-)
-from .singlebubble import (
-    REGIME_FOUR,
-    REGIME_SIX,
-    SingleBubbleSolution,
-    fixed_side_polygon,
-    is_six_sided,
-    isoperimetric_optimum,
-    optimal_perimeter,
-    perimeter_P1,
-    perimeter_P2,
-    solve_fixed_side,
-    x4_from_volume,
-)
-from .kissing import (
-    BRANCH_EQUAL,
-    BRANCH_UNEQUAL,
-    CandidateRow,
-    KissingRegime,
-    KissingSolution,
-    Poly8,
-    build_degree8,
-    equal_perimeters,
-    kissing_geometry,
-    kissing_minimum,
-    kissing_perimeter,
-    kissing_regime,
-    p3_minimizer,
-    poly_real_roots,
-    small_alpha_closed_form,
-    unequal_candidates,
-)
-from .embedded import (
-    EmbeddedSolution,
-    case2_check,
-    case2_report,
-    embedded_geometry,
-    embedded_minimum,
-    inner_hexagon,
-    minimize_rho1,
-    notch_skew_perimeter,
-    outer_notched,
-    rho1,
-    rho1_optimal_L2,
-    rho2,
-    rho2_minimum,
-)
 from .solver import (
     CASE_BOTH,
     CASE_EMBEDDED,
     CASE_KISSING,
     DoubleBubbleResult,
     SolutionEntry,
-    build_figure_geometry,
-    embedded_value,
     find_alpha0,
-    kissing_value,
     solve,
     sweep,
 )
-from .oracle import BoxSpec, Lcg, grid_refine_min, perturb_local_min
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BRANCH_EQUAL",
-    "BRANCH_UNEQUAL",
-    "BoxSpec",
     "CASE_BOTH",
     "CASE_EMBEDDED",
     "CASE_KISSING",
-    "CandidateRow",
     "DoubleBubbleResult",
-    "EmbeddedSolution",
-    "GEOM_TOL",
-    "HexRegion",
-    "KissingRegime",
-    "KissingSolution",
-    "LATTICE_DIRECTIONS",
-    "Lcg",
-    "PlanePoint",
-    "Poly8",
-    "PolyChain",
-    "REGIME_FOUR",
-    "REGIME_SIX",
-    "SQRT3",
-    "SingleBubbleSolution",
     "SolutionEntry",
-    "build_degree8",
-    "build_figure_geometry",
-    "case2_check",
-    "case2_report",
-    "circumscribing_hexagon",
-    "double_bubble_perimeter",
-    "embedded_geometry",
-    "embedded_minimum",
-    "embedded_value",
-    "equal_perimeters",
     "find_alpha0",
-    "fixed_side_polygon",
-    "geodesic_path",
-    "grid_refine_min",
-    "hex_norm",
-    "inner_hexagon",
-    "is_six_sided",
-    "isoperimetric_optimum",
-    "kissing_geometry",
-    "kissing_minimum",
-    "kissing_perimeter",
-    "kissing_regime",
-    "kissing_value",
-    "make_chain",
-    "minimize_rho1",
-    "notch_skew_perimeter",
-    "optimal_perimeter",
-    "outer_notched",
-    "p3_minimizer",
-    "perimeter_P1",
-    "perimeter_P2",
-    "perturb_local_min",
-    "point_in_polygon",
-    "poly_real_roots",
-    "polygon_area",
-    "polyline_length",
-    "rho1",
-    "rho1_optimal_L2",
-    "rho2",
-    "rho2_minimum",
-    "sextant",
-    "small_alpha_closed_form",
     "solve",
-    "solve_fixed_side",
     "sweep",
-    "unequal_candidates",
-    "x4_from_volume",
 ]

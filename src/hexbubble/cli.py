@@ -3,7 +3,8 @@
 Numeric output carries 12 significant digits everywhere; JSON payloads
 store numbers as decimal strings so snapshots do not depend on float
 repr quirks.  Exit codes: 0 success, 1 verification failure, 2 usage or
-domain error, 3 I/O error.  HEXBUBBLE_SEED, when set, overrides --seed.
+domain error, 3 I/O error, 141 stdout closed by its reader.  HEXBUBBLE_SEED,
+when set, overrides --seed.
 """
 
 from __future__ import annotations
@@ -92,36 +93,20 @@ def _text_report(result: solver.DoubleBubbleResult) -> str:
 # ---------------------------------------------------------------- svg
 
 
-def _overlap_segment(
-    p1: PlanePoint, p2: PlanePoint, q1: PlanePoint, q2: PlanePoint, tol: float = 1e-9
-) -> Optional[tuple[PlanePoint, PlanePoint]]:
-    ux, uy = p2.x - p1.x, p2.y - p1.y
-    length = math.hypot(ux, uy)
-    if length < tol:
-        return None
-    ux, uy = ux / length, uy / length
-    for q in (q1, q2):
-        if abs((q.x - p1.x) * uy - (q.y - p1.y) * ux) > tol:
-            return None
-    t1 = (q1.x - p1.x) * ux + (q1.y - p1.y) * uy
-    t2 = (q2.x - p1.x) * ux + (q2.y - p1.y) * uy
-    lo = max(0.0, min(t1, t2))
-    hi = min(length, max(t1, t2))
-    if hi - lo <= tol:
-        return None
-    return (
-        PlanePoint(p1.x + lo * ux, p1.y + lo * uy),
-        PlanePoint(p1.x + hi * ux, p1.y + hi * uy),
-    )
-
-
 def _shared_segments(a: PolyChain, b: PolyChain) -> list[tuple[PlanePoint, PlanePoint]]:
+    """Boundary stretches the chains share, in any direction; unlike
+    double_bubble_perimeter this draws a non-lattice joint instead of raising."""
     segs = []
     for p1, p2 in a.edges():
         for q1, q2 in b.edges():
-            s = _overlap_segment(p1, p2, q1, q2)
-            if s is not None:
-                segs.append(s)
+            shared = hexnorm._edge_overlap(p1, p2, q1, q2)
+            if shared is None:
+                continue
+            ux, uy, lo, hi = shared
+            segs.append((
+                PlanePoint(p1.x + lo * ux, p1.y + lo * uy),
+                PlanePoint(p1.x + hi * ux, p1.y + hi * uy),
+            ))
     return segs
 
 
@@ -727,7 +712,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout has gone; point stdout at devnull so the
+        # interpreter's own flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE, as a shell reports it
+    sys.exit(code)
 
 
 if __name__ == "__main__":

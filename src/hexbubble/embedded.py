@@ -26,10 +26,9 @@ volumes exchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .hexnorm import DEDUP_TOL, SQRT3, PolyChain, make_chain
+from .hexnorm import DEDUP_TOL, SQRT3, PolyChain, anchored_pair, merge_vertices
 from .oracle import BoxSpec, grid_refine_min
 from .singlebubble import MIN_SIDE, check_alpha
 
@@ -304,17 +303,14 @@ def notch_skew_perimeter(L1: float, L2: float, alpha: float, delta: float) -> fl
 # --- full embedded optimum ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EmbeddedSolution:
+class EmbeddedSolution(NamedTuple):
+    """Parameters of the nested minimum; embedded_geometry builds its cells."""
+
     alpha: float
     L1: float
     L2: float
-    inner_sides: tuple[float, ...]  # x1..x6
-    outer_sides: tuple[float, ...]  # y1..y6
     perimeter: float
     route: str  # ROUTE_RHO1 or ROUTE_RHO2
-    geometry_a: PolyChain  # the volume-1 cell
-    geometry_b: PolyChain  # the volume-alpha cell
 
 
 def embedded_geometry(
@@ -327,7 +323,7 @@ def embedded_geometry(
     """
     (x1, *_), _ = inner_hexagon(L1, inner_volume)
     if x1 <= DEDUP_TOL:
-        # make_chain would drop (x1, 0) and (0, 2h) as duplicates of their
+        # the vertex merge would drop (x1, 0) and (0, 2h) as duplicates of their
         # predecessors, tilting the glued sides off the lattice by ~x1/L1;
         # a side that short is collapsed here instead
         x1 = 0.0
@@ -353,12 +349,8 @@ def embedded_geometry(
         (-y2 / 2.0 - y1, top),
         (-y2 / 2.0 - y1 - L2 / 4.0, top - SQRT3 * L2 / 4.0),
     ]
-    outer = make_chain(outer_pts, closed=True)
-    inner = make_chain(inner_pts, closed=True)
-    anchor = min(outer.vertices, key=lambda v: (v.x, v.y))
-    return (
-        outer.translated(-anchor.x, -anchor.y),
-        inner.translated(-anchor.x, -anchor.y),
+    return anchored_pair(
+        merge_vertices(outer_pts, closed=True), merge_vertices(inner_pts, closed=True)
     )
 
 
@@ -366,35 +358,10 @@ def embedded_minimum(alpha: float) -> EmbeddedSolution:
     """Best nested configuration: min of the rho1 and rho2 routes.
 
     rho1 (outer cell holds volume 1) wins throughout (0, 1]; rho2 is
-    evaluated anyway and kept if it ever undercut.  geometry_a is always
-    the volume-1 cell.
+    evaluated anyway and kept if it ever undercut.
     """
-    check_alpha(alpha)
     l1a, l2a, va = minimize_rho1(alpha)
     l1b, l2b, vb = rho2_minimum(alpha)
     if va <= vb:
-        L1, L2, value, route = l1a, l2a, va, ROUTE_RHO1
-        outer_volume, inner_volume = 1.0, alpha
-    else:
-        L1, L2, value, route = l1b, l2b, vb, ROUTE_RHO2
-        outer_volume, inner_volume = alpha, 1.0
-    inner_sides, _ = inner_hexagon(L1, inner_volume)
-    outer_sides, _ = outer_notched(L1, L2, outer_volume)
-    outer_chain, inner_chain = embedded_geometry(
-        L1, L2, outer_volume, inner_volume
-    )
-    if route == ROUTE_RHO1:
-        geo_a, geo_b = outer_chain, inner_chain
-    else:
-        geo_a, geo_b = inner_chain, outer_chain
-    return EmbeddedSolution(
-        alpha,
-        L1,
-        L2,
-        inner_sides,
-        outer_sides,
-        value,
-        route,
-        geo_a,
-        geo_b,
-    )
+        return EmbeddedSolution(alpha, l1a, l2a, va, ROUTE_RHO1)
+    return EmbeddedSolution(alpha, l1b, l2b, vb, ROUTE_RHO2)

@@ -115,15 +115,9 @@ class PolyChain:
         for i in range(count):
             yield vs[i], vs[(i + 1) % n]
 
-    def translated(self, dx: float, dy: float) -> "PolyChain":
-        return PolyChain(
-            tuple(PlanePoint(v.x + dx, v.y + dy) for v in self.vertices),
-            self.closed,
-        )
 
-
-def make_chain(points: Iterable[Sequence[float]], closed: bool) -> PolyChain:
-    """Build a chain, merging consecutive near-duplicate vertices.
+def merge_vertices(points: Iterable[Sequence[float]], closed: bool) -> list[PlanePoint]:
+    """Points as vertices, consecutive near-duplicates merged.
 
     For closed chains a repeated final vertex is dropped.  Degenerate side
     lengths (boundary cases of the solvers) thus collapse cleanly.
@@ -138,7 +132,24 @@ def make_chain(points: Iterable[Sequence[float]], closed: bool) -> PolyChain:
         first, last = pts[0], pts[-1]
         if abs(first.x - last.x) <= DEDUP_TOL and abs(first.y - last.y) <= DEDUP_TOL:
             pts.pop()
-    return PolyChain(tuple(pts), closed)
+    return pts
+
+
+def make_chain(points: Iterable[Sequence[float]], closed: bool) -> PolyChain:
+    """Build a chain through merge_vertices(points, closed)."""
+    return PolyChain(tuple(merge_vertices(points, closed)), closed)
+
+
+def anchored_pair(
+    a: Sequence[PlanePoint], b: Sequence[PlanePoint]
+) -> tuple[PolyChain, PolyChain]:
+    """Closed chains through two merged vertex lists (see merge_vertices),
+    shifted together so that chain A's leftmost-lowest vertex is the origin."""
+    ox, oy = min(a)  # PlanePoint orders by (x, y)
+    return (
+        PolyChain(tuple(PlanePoint(v.x - ox, v.y - oy) for v in a), closed=True),
+        PolyChain(tuple(PlanePoint(v.x - ox, v.y - oy) for v in b), closed=True),
+    )
 
 
 def geodesic_path(p: Sequence[float], q: Sequence[float]) -> PolyChain:
@@ -280,7 +291,14 @@ def double_bubble_perimeter(a: PolyChain, b: PolyChain) -> tuple[float, float]:
     joint = 0.0
     for pa, pb in a.edges():
         for qa, qb in b.edges():
-            joint += _edge_overlap(pa, pb, qa, qb)
+            shared = _edge_overlap(pa, pb, qa, qb)
+            if shared is None:
+                continue
+            ux, uy, lo, hi = shared
+            if _lattice_axis(ux, uy) is None:
+                raise ValueError("shared edge is not along a lattice direction")
+            # on lattice axes the D-length of an edge equals its Euclidean length
+            joint += hi - lo
     total = polyline_length(a) + polyline_length(b) - joint
     return total, joint
 
@@ -326,7 +344,7 @@ def _has_self_intersection(vs: tuple[PlanePoint, ...]) -> bool:
             c, d = vs[j], vs[(j + 1) % n]
             if _segments_cross(a, b, c, d):
                 return True
-            if _edge_overlap(a, b, c, d, _any_direction=True) > GEOM_TOL:
+            if _edge_overlap(a, b, c, d) is not None:
                 return True
     return False
 
@@ -371,31 +389,27 @@ def _lattice_axis(ux: float, uy: float) -> int | None:
 
 
 def _edge_overlap(
-    p1: PlanePoint,
-    p2: PlanePoint,
-    q1: PlanePoint,
-    q2: PlanePoint,
-    _any_direction: bool = False,
-) -> float:
+    p1: PlanePoint, p2: PlanePoint, q1: PlanePoint, q2: PlanePoint
+) -> tuple[float, float, float, float] | None:
+    """(ux, uy, lo, hi): the unit direction of p1->p2 and the stretch of it,
+    as distances from p1, that segment q1q2 runs along within GEOM_TOL;
+    None when that stretch is GEOM_TOL or shorter.  Any direction counts."""
     ux, uy = p2.x - p1.x, p2.y - p1.y
     vx, vy = q2.x - q1.x, q2.y - q1.y
     lu = math.hypot(ux, uy)
     lv = math.hypot(vx, vy)
     if lu == 0.0 or lv == 0.0:
-        return 0.0
+        return None
     ux, uy = ux / lu, uy / lu
     if abs(ux * vy - uy * vx) > GEOM_TOL * lv:
-        return 0.0  # not parallel
+        return None  # not parallel
     off = (q1.x - p1.x) * uy - (q1.y - p1.y) * ux
     if abs(off) > GEOM_TOL:
-        return 0.0  # parallel but not collinear
+        return None  # parallel but not collinear
     t1 = (q1.x - p1.x) * ux + (q1.y - p1.y) * uy
     t2 = (q2.x - p1.x) * ux + (q2.y - p1.y) * uy
     lo = max(0.0, min(t1, t2))
     hi = min(lu, max(t1, t2))
     if hi - lo <= GEOM_TOL:
-        return 0.0
-    if not _any_direction and _lattice_axis(ux, uy) is None:
-        raise ValueError("shared edge is not along a lattice direction")
-    # on lattice axes the D-length of an edge equals its Euclidean length
-    return hi - lo
+        return None
+    return ux, uy, lo, hi

@@ -25,12 +25,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from .hexnorm import SQRT3, PlanePoint, PolyChain
+from .hexnorm import SQRT3, PlanePoint, PolyChain, anchored_pair
 from .singlebubble import (
     MIN_SIDE,
     REGIME_FOUR,
     REGIME_SIX,
     check_alpha,
+    fixed_side_vertices,
     is_six_sided,
     optimal_perimeter,
     solve_fixed_side,
@@ -303,18 +304,15 @@ def poly_real_roots(p: Poly8) -> list[float]:
 # --- the full kissing optimum ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KissingSolution:
+class KissingSolution(NamedTuple):
+    """Parameters of the glued-pair minimum; kissing_geometry builds its cells."""
+
     alpha: float
     L1: float
     L2: float
     perimeter: float
     branch: str  # BRANCH_UNEQUAL or BRANCH_EQUAL
     row: Optional[int]  # 1-based candidate row for the unequal branch
-    sides_a: tuple[float, ...]
-    sides_b: tuple[float, ...]
-    geometry_a: PolyChain
-    geometry_b: PolyChain
 
 
 def kissing_geometry(
@@ -325,17 +323,14 @@ def kissing_geometry(
     with A's leftmost-lowest vertex at the origin."""
     sol_a = solve_fixed_side(L1, 1.0)
     sol_b = solve_fixed_side(L2, alpha)
-    a = sol_a.polygon()
     cx = (L1 - L2) / 2.0
-    mirrored = [PlanePoint(cx + v.x, -v.y) for v in sol_b.polygon().vertices]
-    b = PolyChain(tuple(reversed(mirrored)), closed=True)
-    anchor = min(a.vertices, key=lambda v: (v.x, v.y))
-    return (
-        a.translated(-anchor.x, -anchor.y),
-        b.translated(-anchor.x, -anchor.y),
-        sol_a.sides,
-        sol_b.sides,
-    )
+    # mirroring reverses B's orientation, so its vertices are read backwards
+    mirrored = [
+        PlanePoint(cx + v.x, -v.y)
+        for v in reversed(fixed_side_vertices(L2, sol_b.sides))
+    ]
+    chain_a, chain_b = anchored_pair(fixed_side_vertices(L1, sol_a.sides), mirrored)
+    return chain_a, chain_b, sol_a.sides, sol_b.sides
 
 
 def kissing_minimum(alpha: float) -> KissingSolution:
@@ -350,12 +345,6 @@ def kissing_minimum(alpha: float) -> KissingSolution:
         L1 = _stationary_side(REGIME_SIX, 0, 1.0)
         L2 = _stationary_side(REGIME_SIX, 1, alpha)
         perimeter = kissing_perimeter(L1, L2, alpha)
-        branch, row = BRANCH_UNEQUAL, 2
-    else:
-        L, perimeter = p3_minimizer(alpha)
-        L1 = L2 = L
-        branch, row = BRANCH_EQUAL, None
-    geo_a, geo_b, sides_a, sides_b = kissing_geometry(L1, L2, alpha)
-    return KissingSolution(
-        alpha, L1, L2, perimeter, branch, row, sides_a, sides_b, geo_a, geo_b
-    )
+        return KissingSolution(alpha, L1, L2, perimeter, BRANCH_UNEQUAL, 2)
+    L, perimeter = p3_minimizer(alpha)
+    return KissingSolution(alpha, L, L, perimeter, BRANCH_EQUAL, None)

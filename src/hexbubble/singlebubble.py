@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .hexnorm import SQRT3, LATTICE_DIRECTIONS, PlanePoint, PolyChain, make_chain
+from .hexnorm import SQRT3, LATTICE_DIRECTIONS, PlanePoint, PolyChain, merge_vertices
 
 REGIME_SIX = "six-sided"
 REGIME_FOUR = "four-sided"
@@ -74,8 +74,8 @@ class SingleBubbleSolution:
         return fixed_side_polygon(self.L, self.sides)
 
 
-def fixed_side_polygon(L: float, sides: tuple[float, ...]) -> PolyChain:
-    """Polygon from the fixed side plus the five free sides.
+def fixed_side_vertices(L: float, sides: tuple[float, ...]) -> list[PlanePoint]:
+    """Vertices of the polygon from the fixed side plus the five free sides.
 
     Zero-length sides collapse, so boundary-regime solutions come out as
     quadrilaterals without special-casing.
@@ -85,7 +85,12 @@ def fixed_side_polygon(L: float, sides: tuple[float, ...]) -> PolyChain:
         d = LATTICE_DIRECTIONS[k % 6]
         last = pts[-1]
         pts.append(PlanePoint(last.x + s * d.x, last.y + s * d.y))
-    return make_chain(pts, closed=True)
+    return merge_vertices(pts, closed=True)
+
+
+def fixed_side_polygon(L: float, sides: tuple[float, ...]) -> PolyChain:
+    """Closed chain through fixed_side_vertices(L, sides)."""
+    return PolyChain(tuple(fixed_side_vertices(L, sides)), closed=True)
 
 
 def is_six_sided(L: float, V: float) -> bool:

@@ -9,6 +9,7 @@ changes sign exactly once on (0, 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import embedded as embedded_mod
@@ -51,57 +52,43 @@ class DoubleBubbleResult:
 
 def embedded_value(alpha: float) -> float:
     """Embedded-case optimal perimeter (no geometry construction)."""
-    check_alpha(alpha)
-    return min(
-        embedded_mod.minimize_rho1(alpha)[2],
-        embedded_mod.rho2_minimum(alpha)[2],
-    )
+    return embedded_mod.embedded_minimum(alpha).perimeter
 
 
 def kissing_value(alpha: float) -> float:
     """Kissing-case optimal perimeter (no geometry construction)."""
-    check_alpha(alpha)
-    if alpha < kissing_mod.HANDOFF_ALPHA * (1.0 - kissing_mod.HANDOFF_TOL):
-        return kissing_mod.small_alpha_closed_form(alpha)
-    return kissing_mod.p3_minimizer(alpha)[1]
+    return kissing_mod.kissing_minimum(alpha).perimeter
 
 
-def _embedded_entry(sol: "embedded_mod.EmbeddedSolution") -> SolutionEntry:
-    if sol.route == embedded_mod.ROUTE_RHO1:
-        sides_a, sides_b = sol.outer_sides, sol.inner_sides
+def _embedded_entry(sol: embedded_mod.EmbeddedSolution) -> SolutionEntry:
+    # cell A holds volume 1: the outer cell on the rho1 route, else the inner
+    rho1 = sol.route == embedded_mod.ROUTE_RHO1
+    outer_volume, inner_volume = (1.0, sol.alpha) if rho1 else (sol.alpha, 1.0)
+    outer, inner = embedded_mod.embedded_geometry(
+        sol.L1, sol.L2, outer_volume, inner_volume
+    )
+    outer_sides, _ = embedded_mod.outer_notched(sol.L1, sol.L2, outer_volume)
+    inner_sides, _ = embedded_mod.inner_hexagon(sol.L1, inner_volume)
+    if rho1:
+        cells = (outer, inner, outer_sides, inner_sides)
     else:
-        sides_a, sides_b = sol.inner_sides, sol.outer_sides
-    return SolutionEntry(
-        CASE_EMBEDDED,
-        sol.geometry_a,
-        sol.geometry_b,
-        sides_a,
-        sides_b,
-        sol.L1,
-        sol.L2,
-        sol.L1,  # the welded notch sides sum to L1
-    )
+        cells = (inner, outer, inner_sides, outer_sides)
+    # the welded notch sides sum to L1, the joint length
+    return SolutionEntry(CASE_EMBEDDED, *cells, sol.L1, sol.L2, sol.L1)
 
 
-def _kissing_entry(sol: "kissing_mod.KissingSolution") -> SolutionEntry:
-    return SolutionEntry(
-        CASE_KISSING,
-        sol.geometry_a,
-        sol.geometry_b,
-        sol.sides_a,
-        sol.sides_b,
-        sol.L1,
-        sol.L2,
-        min(sol.L1, sol.L2),
-    )
+def _kissing_entry(sol: kissing_mod.KissingSolution) -> SolutionEntry:
+    cells = kissing_mod.kissing_geometry(sol.L1, sol.L2, sol.alpha)
+    return SolutionEntry(CASE_KISSING, *cells, sol.L1, sol.L2, min(sol.L1, sol.L2))
 
 
 def solve(alpha: float) -> DoubleBubbleResult:
     """Optimal double bubble at ratio alpha; ties within 1e-9 report both.
 
     The comparison set always holds both cases; below the 1/8 handoff the
-    kissing side is the unequal-candidate closed form, which is surfaced
-    separately in `candidates`.
+    kissing side is the unequal candidate, whose closed form is surfaced
+    separately in `candidates`.  Cells are built only for the reported
+    entries.
     """
     check_alpha(alpha)
     emb = embedded_mod.embedded_minimum(alpha)
@@ -141,8 +128,11 @@ def find_alpha0(
 
     Bisects the difference embedded_value - kissing_value, which is
     negative at the bracket's left end and positive at its right end;
-    raises if the bracket does not straddle the sign change.
+    raises if the bracket does not straddle the sign change, or if tol is
+    not positive and finite (the bisection could not reach it).
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be positive and finite")
 
     def g(a: float) -> float:
         return embedded_value(a) - kissing_value(a)
@@ -173,14 +163,3 @@ def sweep(alpha_min: float, alpha_max: float, steps: int) -> list[DoubleBubbleRe
         span = alpha_max - alpha_min
         alphas = [alpha_min + span * i / (steps - 1) for i in range(steps)]
     return [solve(a) for a in alphas]
-
-
-def build_figure_geometry(result: DoubleBubbleResult) -> tuple[PolyChain, PolyChain]:
-    """Geometry pair of the result's first solution, re-anchored so cell
-    A's leftmost-lowest vertex is the origin."""
-    entry = result.solutions[0]
-    anchor = min(entry.geometry_a.vertices, key=lambda v: (v.x, v.y))
-    return (
-        entry.geometry_a.translated(-anchor.x, -anchor.y),
-        entry.geometry_b.translated(-anchor.x, -anchor.y),
-    )

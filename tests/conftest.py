@@ -1,7 +1,10 @@
 """Shared helpers for the test suite."""
 
 import math
+import os
+from pathlib import Path
 
+import hexbubble
 from hexbubble.hexnorm import PolyChain, make_chain
 from hexbubble.oracle import Lcg
 
@@ -61,3 +64,13 @@ def golden_min_1d(f, a: float, b: float, iters: int = 200):
             fd = f(d)
     x = 0.5 * (a + b)
     return x, f(x)
+
+
+def child_env() -> dict:
+    """The environment with the hexbubble under test first on PYTHONPATH."""
+    src_dir = Path(hexbubble.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src_dir), env.get("PYTHONPATH")) if p
+    )
+    return env

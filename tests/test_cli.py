@@ -12,7 +12,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-import hexbubble
+from conftest import child_env
 from hexbubble import cli
 from hexbubble.solver import find_alpha0, solve
 
@@ -238,13 +238,8 @@ def _assert_help(proc):
 
 def _run_child(args, cwd):
     """Run a fresh interpreter with the hexbubble under test importable."""
-    src_dir = Path(hexbubble.__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(src_dir), env.get("PYTHONPATH")) if p
-    )
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd
+        [sys.executable, *args], capture_output=True, text=True, env=child_env(), cwd=cwd
     )
 
 
@@ -288,3 +283,27 @@ def test_solve_does_not_import_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
+
+@pytest.mark.skipif(os.name != "posix", reason="needs a POSIX pipe")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve", "--alpha", "0.3"],
+        ["solve", "--alpha", "0.3", "--format", "json"],
+        ["verify"],
+    ],
+)
+def test_closed_stdout_pipe_exits_quietly(args, tmp_path):
+    # the reader end is closed before the child starts, so every write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hexbubble", *args],
+            stdout=write_end, stderr=subprocess.PIPE, env=child_env(), cwd=tmp_path,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""

@@ -410,16 +410,17 @@ def test_skew_out_of_range():
 def test_embedded_minimum_geometry():
     sol = embedded_minimum(0.1)
     assert sol.route == ROUTE_RHO1
-    assert len(sol.geometry_a.vertices) == 8
-    assert len(sol.geometry_b.vertices) == 6
+    geometry_a, geometry_b = embedded_geometry(sol.L1, sol.L2, 1.0, 0.1)
+    assert len(geometry_a.vertices) == 8
+    assert len(geometry_b.vertices) == 6
     shared = sum(
         1
-        for va in sol.geometry_a.vertices
-        for vb in sol.geometry_b.vertices
+        for va in geometry_a.vertices
+        for vb in geometry_b.vertices
         if abs(va.x - vb.x) <= 1e-9 and abs(va.y - vb.y) <= 1e-9
     )
     assert shared == 3
-    total, joint = double_bubble_perimeter(sol.geometry_a, sol.geometry_b)
+    total, joint = double_bubble_perimeter(geometry_a, geometry_b)
     assert abs(total - sol.perimeter) <= 1e-9
     assert abs(joint - sol.L1) <= 1e-9
 
@@ -429,9 +430,10 @@ def test_embedded_round_trip():
     for _ in range(10):
         alpha = rng.uniform(0.02, 1.0)
         sol = embedded_minimum(alpha)
-        assert abs(polygon_area(sol.geometry_a) - 1.0) <= 1e-9
-        assert abs(polygon_area(sol.geometry_b) - alpha) <= 1e-9
-        total, joint = double_bubble_perimeter(sol.geometry_a, sol.geometry_b)
+        geometry_a, geometry_b = embedded_geometry(sol.L1, sol.L2, 1.0, alpha)
+        assert abs(polygon_area(geometry_a) - 1.0) <= 1e-9
+        assert abs(polygon_area(geometry_b) - alpha) <= 1e-9
+        total, joint = double_bubble_perimeter(geometry_a, geometry_b)
         assert abs(total - sol.perimeter) <= 1e-9
         assert abs(joint - sol.L1) <= 1e-9
 
@@ -441,7 +443,8 @@ def test_tiny_ratio_geometry_measures_its_perimeter():
     # chain's vertex-merge tolerance; the glued sides must stay on the lattice
     for alpha in (1.2528889e-13, 3.8872128e-13, 4.4017538e-13, 1e-12):
         sol = embedded_minimum(alpha)
-        total, joint = double_bubble_perimeter(sol.geometry_a, sol.geometry_b)
+        geometry_a, geometry_b = embedded_geometry(sol.L1, sol.L2, 1.0, alpha)
+        total, joint = double_bubble_perimeter(geometry_a, geometry_b)
         assert abs(total - sol.perimeter) <= 1e-9
         assert abs(joint - sol.L1) <= 1e-9
 

@@ -20,7 +20,7 @@ from hexbubble.hexnorm import (
 )
 from hexbubble.oracle import Lcg
 from hexbubble.singlebubble import fixed_side_polygon
-from hexbubble.kissing import kissing_minimum
+from hexbubble.kissing import kissing_geometry, kissing_minimum
 
 
 # ---------------------------------------------------------------- hex_norm
@@ -332,7 +332,8 @@ def test_double_bubble_partial_edge_overlap():
 
 def test_double_bubble_alpha_one_kissing_geometry_matches_p3():
     sol = kissing_minimum(1.0)
-    total, joint = double_bubble_perimeter(sol.geometry_a, sol.geometry_b)
+    geometry_a, geometry_b, _, _ = kissing_geometry(sol.L1, sol.L2, 1.0)
+    total, joint = double_bubble_perimeter(geometry_a, geometry_b)
     assert abs(total - sol.perimeter) <= 1e-9
     assert abs(joint - sol.L1) <= 1e-9
 
@@ -349,6 +350,13 @@ def test_double_bubble_rejects_non_lattice_shared_edge():
     b = make_chain([(1.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 1.0)], closed=True)
     with pytest.raises(ValueError, match="lattice"):
         double_bubble_perimeter(a, b)  # vertical shared edge
+
+
+def test_double_bubble_rejects_shared_edge_at_45_degrees():
+    a = make_chain([(0.0, 0.0), (1.0, 1.0), (0.0, 1.0)], closed=True)
+    b = make_chain([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)], closed=True)
+    with pytest.raises(ValueError, match="lattice"):
+        double_bubble_perimeter(a, b)
 
 
 def test_double_bubble_requires_closed_chains():
@@ -374,6 +382,12 @@ def test_single_vertex_open_chain_allowed():
 def test_self_intersecting_closed_chain_rejected():
     with pytest.raises(ValueError, match="simple"):
         make_chain([(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)], closed=True)
+
+
+def test_collinear_non_lattice_backtrack_rejected():
+    # the edge (2, 2)-(1, 1) runs back along the 45-degree first edge
+    with pytest.raises(ValueError, match="not simple"):
+        make_chain([(0.0, 0.0), (3.0, 3.0), (4.0, 3.0), (2.0, 2.0), (1.0, 1.0)], closed=True)
 
 
 def test_consecutive_duplicate_vertices_rejected():

@@ -310,9 +310,10 @@ def test_geometry_round_trip():
     for _ in range(10):
         alpha = rng.uniform(0.02, 1.0)
         sol = kissing_minimum(alpha)
-        assert abs(polygon_area(sol.geometry_a) - 1.0) <= 1e-9
-        assert abs(polygon_area(sol.geometry_b) - alpha) <= 1e-9
-        total, joint = double_bubble_perimeter(sol.geometry_a, sol.geometry_b)
+        geometry_a, geometry_b, _, _ = kissing_geometry(sol.L1, sol.L2, alpha)
+        assert abs(polygon_area(geometry_a) - 1.0) <= 1e-9
+        assert abs(polygon_area(geometry_b) - alpha) <= 1e-9
+        total, joint = double_bubble_perimeter(geometry_a, geometry_b)
         assert abs(total - sol.perimeter) <= 1e-9
         assert abs(joint - min(sol.L1, sol.L2)) <= 1e-9
 

@@ -191,8 +191,7 @@ def test_perturb_accepts_kissing_minimizer():
         return ga, gb
 
     assert perturb_local_min(
-        sol.geometry_a,
-        sol.geometry_b,
+        *rebuild((sol.L1, sol.L2)),
         rebuild,
         (sol.L1, sol.L2),
         trials=500,
@@ -226,19 +225,20 @@ def test_perturb_rejects_off_minimum_configuration():
 
 def test_perturb_eps_out_of_range_rejected():
     sol = kissing_minimum(1.0)
+    geometry_a, geometry_b, _, _ = kissing_geometry(sol.L1, sol.L2, 1.0)
     with pytest.raises(ValueError, match="eps"):
         perturb_local_min(
-            sol.geometry_a,
-            sol.geometry_b,
-            lambda p: (sol.geometry_a, sol.geometry_b),
+            geometry_a,
+            geometry_b,
+            lambda p: (geometry_a, geometry_b),
             (sol.L1, sol.L2),
             eps=0.1,
         )
     with pytest.raises(ValueError, match="eps"):
         perturb_local_min(
-            sol.geometry_a,
-            sol.geometry_b,
-            lambda p: (sol.geometry_a, sol.geometry_b),
+            geometry_a,
+            geometry_b,
+            lambda p: (geometry_a, geometry_b),
             (sol.L1, sol.L2),
             eps=0.0,
         )

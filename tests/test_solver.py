@@ -7,12 +7,12 @@ import pytest
 from hexbubble.embedded import minimize_rho1
 from hexbubble.hexnorm import PolyChain, double_bubble_perimeter, polygon_area
 from hexbubble.kissing import kissing_minimum, small_alpha_closed_form
+from hexbubble.singlebubble import fixed_side_polygon
 from hexbubble.solver import (
     CASE_BOTH,
     CASE_EMBEDDED,
     CASE_KISSING,
     DoubleBubbleResult,
-    build_figure_geometry,
     embedded_value,
     find_alpha0,
     kissing_value,
@@ -163,17 +163,46 @@ def test_solution_entry_joint_lengths():
 
 def test_build_figure_geometry():
     r = solve(0.4)
-    a, b = build_figure_geometry(r)
+    entry = r.solutions[0]
+    a, b = entry.geometry_a, entry.geometry_b
     anchor = min(a.vertices, key=lambda v: (v.x, v.y))
     assert abs(anchor.x) <= 1e-12 and abs(anchor.y) <= 1e-12
-    # translation only: vertex differences against the raw entry are constant
-    entry = r.solutions[0]
-    dxs = {round(u.x - v.x, 12) for u, v in zip(a.vertices, entry.geometry_a.vertices)}
-    dys = {round(u.y - v.y, 12) for u, v in zip(a.vertices, entry.geometry_a.vertices)}
+    # translation only: vertex differences against the unanchored cell are constant
+    raw = fixed_side_polygon(entry.L1, entry.sides_a)
+    dxs = {round(u.x - v.x, 12) for u, v in zip(a.vertices, raw.vertices)}
+    dys = {round(u.y - v.y, 12) for u, v in zip(a.vertices, raw.vertices)}
     assert len(dxs) == 1 and len(dys) == 1
     total, joint = double_bubble_perimeter(a, b)
     assert abs(total - r.perimeter) <= 1e-9
     assert abs(joint - r.joint_length) <= 1e-9
+
+
+def test_find_alpha0_rejects_unreachable_tolerances():
+    # nan first: on a build without the check it returns at once instead of
+    # bisecting forever as the nonpositive ones do
+    for tol in (math.nan, 0.0, -1e-9, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            find_alpha0(tol=tol)
+
+
+def test_solve_builds_only_the_reported_cells(monkeypatch):
+    built = []
+    validate = PolyChain.__post_init__
+
+    def counting(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(PolyChain, "__post_init__", counting)
+    for alpha, cells in ((0.05, 2), (0.3, 2), (0.1524572115391493, 4)):
+        built.clear()
+        assert len(solve(alpha).solutions) == cells // 2
+        assert len(built) == cells, alpha
+    built.clear()
+    embedded_value(0.3)
+    kissing_value(0.3)
+    find_alpha0()
+    assert built == []
 
 
 def test_measured_total_matches_reported():
