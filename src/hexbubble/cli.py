@@ -97,16 +97,10 @@ def _shared_segments(a: PolyChain, b: PolyChain) -> list[tuple[PlanePoint, Plane
     """Boundary stretches the chains share, in any direction; unlike
     double_bubble_perimeter this draws a non-lattice joint instead of raising."""
     segs = []
-    for p1, p2 in a.edges():
-        for q1, q2 in b.edges():
-            shared = hexnorm._edge_overlap(p1, p2, q1, q2)
-            if shared is None:
-                continue
-            ux, uy, lo, hi = shared
-            segs.append((
-                PlanePoint(p1.x + lo * ux, p1.y + lo * uy),
-                PlanePoint(p1.x + hi * ux, p1.y + hi * uy),
-            ))
+    rows = a._rows
+    for i, _, lo, hi in hexnorm._shared_stretches(rows, b._rows, False):
+        x, y, _, _, _, _, _, _, ux, uy, _ = rows[i]
+        segs.append((PlanePoint(x + lo * ux, y + lo * uy), PlanePoint(x + hi * ux, y + hi * uy)))
     return segs
 
 
@@ -650,9 +644,10 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_iso(args: argparse.Namespace) -> int:
-    if not (args.volume > 0.0) or not math.isfinite(args.volume):
-        return _error("volume must be positive")
-    L0, P = singlebubble.isoperimetric_optimum(args.volume)
+    try:
+        L0, P = singlebubble.isoperimetric_optimum(args.volume)
+    except ValueError as exc:
+        return _error(str(exc))
     print(f"L0        = {_fmt(L0)}")
     print(f"perimeter = {_fmt(P)}")
     if args.out is not None:

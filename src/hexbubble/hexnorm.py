@@ -8,6 +8,13 @@ produce has edges only along those directions.
 
 Chain lengths are edge sums of D over consecutive vertex differences; the
 double-bubble perimeter of two polygons counts their shared boundary once.
+It is defined only for cells with disjoint interiors, and
+double_bubble_perimeter raises "interiors overlap" when an edge of one
+cell properly crosses an edge of the other, when a vertex or an edge
+midpoint of one lies strictly inside the other, or when the two share a
+stretch of boundary with both interiors on the same side of it
+(coincident or nested cells).  Each test is sound: none fires on cells
+whose interiors are disjoint.
 """
 
 from __future__ import annotations
@@ -24,6 +31,9 @@ GEOM_TOL = 1e-9
 
 # Consecutive vertices closer than this (per coordinate) are one vertex.
 DEDUP_TOL = 1e-12
+
+# A chain's edges as flat float rows; see "edge predicates" below.
+_EdgeRows = tuple[tuple[float, ...], ...]
 
 
 class PlanePoint(NamedTuple):
@@ -99,13 +109,10 @@ class PolyChain:
                 raise ValueError("closed chain needs at least 3 vertices")
         elif len(vs) < 1:
             raise ValueError("chain needs at least 1 vertex")
-        n = len(vs)
-        count = n if self.closed else n - 1
-        for i in range(count):
-            a, b = vs[i], vs[(i + 1) % n]
-            if abs(a.x - b.x) <= DEDUP_TOL and abs(a.y - b.y) <= DEDUP_TOL:
-                raise ValueError("consecutive vertices coincide")
-        if self.closed and _has_self_intersection(vs):
+        # one float row per edge (see _edge_rows), built once for every edge loop
+        rows = _edge_rows(vs, self.closed)
+        object.__setattr__(self, "_rows", rows)
+        if self.closed and (_crosses(rows, rows, True) or _shared_stretches(rows, rows, True)):
             raise ValueError("closed chain is not simple")
 
     def edges(self) -> Iterator[tuple[PlanePoint, PlanePoint]]:
@@ -180,9 +187,7 @@ def geodesic_path(p: Sequence[float], q: Sequence[float]) -> PolyChain:
 
 def polyline_length(chain: PolyChain) -> float:
     """Total D-length of the chain; closed chains include the closing edge."""
-    return math.fsum(
-        hex_norm((b.x - a.x, b.y - a.y)) for a, b in chain.edges()
-    )
+    return math.fsum([hex_norm((ex, ey)) for _, _, _, _, ex, ey, _, _, _, _, _ in chain._rows])
 
 
 def polygon_area(chain: PolyChain) -> float:
@@ -280,136 +285,176 @@ def double_bubble_perimeter(a: PolyChain, b: PolyChain) -> tuple[float, float]:
     """(total, joint) perimeter of two closed chains with disjoint interiors.
 
     joint is the length of boundary the two chains share; it is counted
-    once in total.  Shared edges must lie along lattice directions (every
-    valid configuration satisfies this); a collinear overlap in any other
-    direction is out of contract and raises.  Overlapping interiors raise.
+    once in total.  The interiors count as overlapping, and raise
+    "interiors overlap", when
+
+    - an edge of one chain properly crosses an edge of the other;
+    - a vertex or an edge midpoint of one chain lies strictly inside the
+      other (farther than GEOM_TOL from its boundary); or
+    - the chains share a stretch of boundary along which both interiors
+      lie on the same side (their edges run the same way once both chains
+      are read counterclockwise), as coincident or nested cells do.
+
+    Shared edges must lie along lattice directions (every valid
+    configuration satisfies this); a shared stretch in any other direction
+    is out of contract and raises, after the overlap tests.
     """
     if not (a.closed and b.closed):
         raise ValueError("both chains must be closed")
-    if _interiors_overlap(a, b):
+    ra, rb = a._rows, b._rows
+    if _crosses(ra, rb, False) or _any_point_inside(ra, rb) or _any_point_inside(rb, ra):
         raise ValueError("interiors overlap")
     joint = 0.0
-    for pa, pb in a.edges():
-        for qa, qb in b.edges():
-            shared = _edge_overlap(pa, pb, qa, qb)
-            if shared is None:
-                continue
-            ux, uy, lo, hi = shared
-            if _lattice_axis(ux, uy) is None:
-                raise ValueError("shared edge is not along a lattice direction")
+    stretches = _shared_stretches(ra, rb, False)
+    if stretches:
+        turn = _orientation(ra) * _orientation(rb)
+        off_lattice = False
+        for i, j, lo, hi in stretches:
+            ux, uy = ra[i][8], ra[i][9]  # unit vector of a's edge i
+            fx, fy = rb[j][4], rb[j][5]  # vector of b's edge j
+            if (ux * fx + uy * fy) * turn > 0.0:
+                raise ValueError("interiors overlap")  # both interiors on one side
+            if not _on_lattice_axis(ux, uy):
+                off_lattice = True
             # on lattice axes the D-length of an edge equals its Euclidean length
             joint += hi - lo
+        if off_lattice:
+            raise ValueError("shared edge is not along a lattice direction")
     total = polyline_length(a) + polyline_length(b) - joint
     return total, joint
 
 
+def point_in_polygon(p: Sequence[float], poly: PolyChain) -> bool:
+    """True iff p lies strictly inside poly (boundary points excluded)."""
+    return _strictly_inside(float(p[0]), float(p[1]), poly._rows)
+
+
 # ---------------------------------------------------------------------------
-# segment predicates
+# edge predicates over flat edge rows
+#
+# A chain's rows, built once by PolyChain, hold per edge from (ax, ay) to
+# (bx, by) the floats (ax, ay, bx, by, ex, ey, sq, length, ux, uy, tol):
+# the edge vector e = b - a, sq = ex*ex + ey*ey, length = hypot(ex, ey),
+# the unit vector u = e/length and tol = GEOM_TOL*length.  The loops below
+# unpack rows in place of calling a helper per edge pair.
 
 
-def _orient(a: PlanePoint, b: PlanePoint, c: PlanePoint) -> float:
-    return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
-
-
-def _point_segment_dist(p: PlanePoint, a: PlanePoint, b: PlanePoint) -> float:
-    ax, ay = b.x - a.x, b.y - a.y
-    px, py = p.x - a.x, p.y - a.y
-    d2 = ax * ax + ay * ay
-    if d2 == 0.0:
-        return math.hypot(px, py)
-    t = max(0.0, min(1.0, (px * ax + py * ay) / d2))
-    return math.hypot(px - t * ax, py - t * ay)
-
-
-def _segments_cross(a: PlanePoint, b: PlanePoint, c: PlanePoint, d: PlanePoint) -> bool:
-    # proper crossing only: each segment strictly straddles the other's line
-    d1 = _orient(c, d, a)
-    d2 = _orient(c, d, b)
-    d3 = _orient(a, b, c)
-    d4 = _orient(a, b, d)
-    eps = GEOM_TOL
-    return (
-        ((d1 > eps and d2 < -eps) or (d1 < -eps and d2 > eps))
-        and ((d3 > eps and d4 < -eps) or (d3 < -eps and d4 > eps))
-    )
-
-
-def _has_self_intersection(vs: tuple[PlanePoint, ...]) -> bool:
+def _edge_rows(vs: tuple[PlanePoint, ...], closed: bool) -> _EdgeRows:
     n = len(vs)
-    for i in range(n):
-        a, b = vs[i], vs[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or j == (i + 1) % n:
-                continue
-            c, d = vs[j], vs[(j + 1) % n]
-            if _segments_cross(a, b, c, d):
-                return True
-            if _edge_overlap(a, b, c, d) is not None:
-                return True
+    rows = []
+    for i in range(n if closed else n - 1):
+        ax, ay = vs[i]
+        bx, by = vs[(i + 1) % n]
+        ex, ey = bx - ax, by - ay
+        if abs(ex) <= DEDUP_TOL and abs(ey) <= DEDUP_TOL:
+            raise ValueError("consecutive vertices coincide")
+        length = math.hypot(ex, ey)
+        rows.append((
+            ax, ay, bx, by, ex, ey, ex * ex + ey * ey,
+            length, ex / length, ey / length, GEOM_TOL * length,
+        ))
+    return tuple(rows)
+
+
+def _crosses(rp: _EdgeRows, rq: _EdgeRows, same: bool) -> bool:
+    """True iff an edge of rp properly crosses an edge of rq: each edge's
+    endpoints lie strictly on opposite sides of the other's line, by more
+    than GEOM_TOL in the orientation determinant.  With same (rp is rq),
+    only the pairs i < j of non-adjacent edges count."""
+    eps, neg = GEOM_TOL, -GEOM_TOL
+    n = len(rq)
+    for i, (ax, ay, bx, by, ex, ey, _, _, _, _, _) in enumerate(rp):
+        start, stop = (i + 2, n - (i == 0)) if same else (0, n)
+        for cx, cy, dx, dy, fx, fy, _, _, _, _, _ in rq[start:stop]:
+            d1 = fx * (ay - cy) - fy * (ax - cx)
+            d2 = fx * (by - cy) - fy * (bx - cx)
+            if (d1 > eps and d2 < neg) or (d1 < neg and d2 > eps):
+                d3 = ex * (cy - ay) - ey * (cx - ax)
+                d4 = ex * (dy - ay) - ey * (dx - ax)
+                if (d3 > eps and d4 < neg) or (d3 < neg and d4 > eps):
+                    return True
     return False
 
 
-def point_in_polygon(p: Sequence[float], poly: PolyChain) -> bool:
-    """True iff p lies strictly inside poly (boundary points excluded)."""
-    pt = PlanePoint(float(p[0]), float(p[1]))
-    for a, b in poly.edges():
-        if _point_segment_dist(pt, a, b) <= GEOM_TOL:
-            return False
+def _shared_stretches(
+    rp: _EdgeRows, rq: _EdgeRows, same: bool
+) -> list[tuple[int, int, float, float]]:
+    """(i, j, lo, hi) for each edge i of rp and edge j of rq that run along
+    one line within GEOM_TOL for longer than GEOM_TOL, in any direction;
+    [lo, hi] is that stretch as distances along edge i from its start.
+    With same (rp is rq), only the pairs i < j of non-adjacent edges count."""
+    tol, neg = GEOM_TOL, -GEOM_TOL
+    n = len(rq)
+    out = []
+    for i, (ax, ay, _, _, _, _, _, length, ux, uy, _) in enumerate(rp):
+        start, stop = (i + 2, n - (i == 0)) if same else (0, n)
+        for j, (cx, cy, dx, dy, fx, fy, _, _, _, _, ftol) in enumerate(rq[start:stop], start):
+            cross = ux * fy - uy * fx
+            if cross > ftol or cross < -ftol:
+                continue  # not parallel
+            wx, wy = cx - ax, cy - ay
+            off = wx * uy - wy * ux
+            if off > tol or off < neg:
+                continue  # parallel but not collinear
+            t1 = wx * ux + wy * uy
+            t2 = (dx - ax) * ux + (dy - ay) * uy
+            lo = max(0.0, min(t1, t2))
+            hi = min(length, max(t1, t2))
+            if hi - lo <= tol:
+                continue  # they meet in a point at most
+            out.append((i, j, lo, hi))
+    return out
+
+
+def _strictly_inside(px: float, py: float, rows: _EdgeRows) -> bool:
+    """True iff (px, py) is farther than GEOM_TOL from every edge and a ray
+    from it toward +x crosses the chain an odd number of times."""
     inside = False
-    for a, b in poly.edges():
-        if (a.y > pt.y) != (b.y > pt.y):
-            xi = a.x + (pt.y - a.y) * (b.x - a.x) / (b.y - a.y)
-            if xi > pt.x:
-                inside = not inside
+    for ax, ay, bx, by, ex, ey, sq, _, _, _, _ in rows:
+        qx, qy = px - ax, py - ay
+        t = (qx * ex + qy * ey) / sq
+        if not t < 1.0:  # t = max(0.0, min(1.0, t))
+            t = 1.0
+        elif t <= 0.0:
+            t = 0.0
+        if math.hypot(qx - t * ex, qy - t * ey) <= GEOM_TOL:
+            return False
+        if (ay > py) != (by > py) and ax + (py - ay) * ex / ey > px:
+            inside = not inside
     return inside
 
 
-def _interiors_overlap(a: PolyChain, b: PolyChain) -> bool:
-    for pa, pb in a.edges():
-        for qa, qb in b.edges():
-            if _segments_cross(pa, pb, qa, qb):
-                return True
-    for v in a.vertices:
-        if point_in_polygon(v, b):
+def _any_point_inside(rp: _EdgeRows, rq: _EdgeRows) -> bool:
+    """True iff a vertex or an edge midpoint of closed chain rp lies strictly
+    inside closed chain rq.  Points outside rq's bounding box widened by
+    GEOM_TOL are skipped, which is exact: such a point is more than
+    GEOM_TOL from every edge of rq, and a horizontal ray from it meets rq
+    either nowhere or at every edge that crosses its level, and a closed
+    chain crosses any level an even number of times."""
+    xs = [row[0] for row in rq]
+    ys = [row[1] for row in rq]
+    x0, x1 = min(xs) - GEOM_TOL, max(xs) + GEOM_TOL
+    y0, y1 = min(ys) - GEOM_TOL, max(ys) + GEOM_TOL
+    for ax, ay, bx, by, _, _, _, _, _, _, _ in rp:
+        if x0 <= ax <= x1 and y0 <= ay <= y1 and _strictly_inside(ax, ay, rq):
             return True
-    for v in b.vertices:
-        if point_in_polygon(v, a):
+        mx, my = 0.5 * (ax + bx), 0.5 * (ay + by)
+        if x0 <= mx <= x1 and y0 <= my <= y1 and _strictly_inside(mx, my, rq):
             return True
     return False
 
 
-def _lattice_axis(ux: float, uy: float) -> int | None:
-    # index in 0..2 of the lattice axis (0, 60, 120 degrees) parallel to
-    # the unit vector (ux, uy), or None
-    for idx in range(3):
-        d = LATTICE_DIRECTIONS[idx]
-        if abs(ux * d.y - uy * d.x) <= GEOM_TOL:
-            return idx
-    return None
+def _orientation(rows: _EdgeRows) -> float:
+    # +1.0 for a counterclockwise closed chain, -1.0 for a clockwise one: the
+    # sign of the shoelace sum taken about the first vertex, which keeps the
+    # products small for small cells far from the origin
+    x0, y0 = rows[0][0], rows[0][1]
+    s = 0.0
+    for ax, ay, bx, by, _, _, _, _, _, _, _ in rows:
+        s += (ax - x0) * (by - y0) - (bx - x0) * (ay - y0)
+    return 1.0 if s > 0.0 else -1.0
 
 
-def _edge_overlap(
-    p1: PlanePoint, p2: PlanePoint, q1: PlanePoint, q2: PlanePoint
-) -> tuple[float, float, float, float] | None:
-    """(ux, uy, lo, hi): the unit direction of p1->p2 and the stretch of it,
-    as distances from p1, that segment q1q2 runs along within GEOM_TOL;
-    None when that stretch is GEOM_TOL or shorter.  Any direction counts."""
-    ux, uy = p2.x - p1.x, p2.y - p1.y
-    vx, vy = q2.x - q1.x, q2.y - q1.y
-    lu = math.hypot(ux, uy)
-    lv = math.hypot(vx, vy)
-    if lu == 0.0 or lv == 0.0:
-        return None
-    ux, uy = ux / lu, uy / lu
-    if abs(ux * vy - uy * vx) > GEOM_TOL * lv:
-        return None  # not parallel
-    off = (q1.x - p1.x) * uy - (q1.y - p1.y) * ux
-    if abs(off) > GEOM_TOL:
-        return None  # parallel but not collinear
-    t1 = (q1.x - p1.x) * ux + (q1.y - p1.y) * uy
-    t2 = (q2.x - p1.x) * ux + (q2.y - p1.y) * uy
-    lo = max(0.0, min(t1, t2))
-    hi = min(lu, max(t1, t2))
-    if hi - lo <= GEOM_TOL:
-        return None
-    return ux, uy, lo, hi
+def _on_lattice_axis(ux: float, uy: float) -> bool:
+    # the unit vector (ux, uy) is parallel to the 0, 60 or 120 degree axis
+    return any(abs(ux * d.y - uy * d.x) <= GEOM_TOL for d in LATTICE_DIRECTIONS[:3])

@@ -154,7 +154,7 @@ def isoperimetric_optimum(V: float) -> tuple[float, float]:
     L0 = sqrt(2V)/3^(3/4) makes all six sides equal and the perimeter is
     2*sqrt(2V)*3^(1/4).
     """
-    if not math.isfinite(V) or V <= 0.0:
-        raise ValueError("volume must be positive")
+    if not (math.isfinite(V) and V > 0.0):
+        raise ValueError("volume must be positive and finite")
     root = math.sqrt(2.0 * V)
     return root / 3.0 ** 0.75, 2.0 * root * 3.0 ** 0.25

@@ -209,6 +209,14 @@ def test_iso_svg(tmp_path, capsys):
     assert len(root.findall(f".//{ns}polygon")) == 1
 
 
+@pytest.mark.parametrize("volume", ["inf", "nan", "0", "-1"])
+def test_iso_rejects_non_positive_or_non_finite_volume(volume, capsys):
+    code, out, err = run_cli(["iso", "--volume", volume], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: volume must be positive and finite\n"
+
+
 # ---------------------------------------------------------------- exit codes
 
 

@@ -7,6 +7,7 @@ import pytest
 from conftest import SQRT3, random_convex_polygon, unit_ball_hexagon
 from hexbubble.hexnorm import (
     LATTICE_DIRECTIONS,
+    HexRegion,
     PlanePoint,
     PolyChain,
     circumscribing_hexagon,
@@ -14,6 +15,7 @@ from hexbubble.hexnorm import (
     geodesic_path,
     hex_norm,
     make_chain,
+    point_in_polygon,
     polygon_area,
     polyline_length,
     sextant,
@@ -345,6 +347,46 @@ def test_double_bubble_overlapping_interiors_raise():
         double_bubble_perimeter(a, b)
 
 
+def test_double_bubble_identical_cells_overlap():
+    # every vertex and edge midpoint lies on the other chain's boundary
+    hexagon = HexRegion(-1.0, 1.0, -1.0, 1.0, -0.5, 0.5).boundary()
+    with pytest.raises(ValueError, match="interiors overlap"):
+        double_bubble_perimeter(hexagon, hexagon)
+    with pytest.raises(ValueError, match="interiors overlap"):
+        double_bubble_perimeter(hexagon, PolyChain(hexagon.vertices[::-1], closed=True))
+
+
+def test_double_bubble_triangle_inside_rhombus_overlaps():
+    # the triangle shares two rhombus sides; its third side is the diagonal
+    h = SQRT3 / 2.0
+    triangle = make_chain([(0.0, 0.0), (1.0, 0.0), (1.5, h)], closed=True)
+    rhombus = make_chain([(0.0, 0.0), (1.0, 0.0), (1.5, h), (0.5, h)], closed=True)
+    with pytest.raises(ValueError, match="interiors overlap"):
+        double_bubble_perimeter(triangle, rhombus)
+    with pytest.raises(ValueError, match="interiors overlap"):
+        double_bubble_perimeter(rhombus, triangle)
+
+
+def test_double_bubble_triangle_on_alternate_hexagon_corners_overlaps():
+    # no edges cross, no vertex is strictly inside: the chords' midpoints are
+    hexagon = HexRegion(-1.0, 1.0, -1.0, 1.0, -0.5, 0.5).boundary()
+    triangle = PolyChain(hexagon.vertices[::2], closed=True)
+    with pytest.raises(ValueError, match="interiors overlap"):
+        double_bubble_perimeter(hexagon, triangle)
+    with pytest.raises(ValueError, match="interiors overlap"):
+        double_bubble_perimeter(triangle, hexagon)
+
+
+def test_double_bubble_mirror_pair_touches_in_either_orientation():
+    # reading one chain clockwise must not turn a shared side into an overlap
+    a = unit_ball_hexagon()
+    b = unit_ball_hexagon(0.0, SQRT3)
+    for chain_b in (b, PolyChain(b.vertices[::-1], closed=True)):
+        total, joint = double_bubble_perimeter(a, chain_b)
+        assert abs(total - 11.0) <= 1e-12
+        assert abs(joint - 1.0) <= 1e-12
+
+
 def test_double_bubble_rejects_non_lattice_shared_edge():
     a = make_chain([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)], closed=True)
     b = make_chain([(1.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 1.0)], closed=True)
@@ -364,6 +406,17 @@ def test_double_bubble_requires_closed_chains():
     open_chain = make_chain([(4.0, 0.0), (5.0, 0.0), (5.0, 1.0)], closed=False)
     with pytest.raises(ValueError, match="closed"):
         double_bubble_perimeter(a, open_chain)
+
+
+def test_point_in_polygon_excludes_the_boundary():
+    square = make_chain([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)], closed=True)
+    assert point_in_polygon((0.5, 0.5), square)
+    assert point_in_polygon((1.0 - 2e-9, 0.5), square)
+    assert not point_in_polygon((1.0 - 0.5e-9, 0.5), square)  # within GEOM_TOL
+    assert not point_in_polygon((1.0, 1.0), square)
+    assert not point_in_polygon((1.5, 0.5), square)
+    assert not point_in_polygon((-0.5, 0.5), square)
+    assert not point_in_polygon((0.5, 2.0), square)
 
 
 # ---------------------------------------------------------------- chain validation

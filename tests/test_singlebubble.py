@@ -214,6 +214,12 @@ def test_solution_polygon_round_trip():
         assert abs(polyline_length(sol.polygon()) - sol.perimeter) <= 1e-9
 
 
+@pytest.mark.parametrize("volume", [math.inf, math.nan, 0.0, -1.0])
+def test_isoperimetric_optimum_needs_positive_finite_volume(volume):
+    with pytest.raises(ValueError, match="^volume must be positive and finite$"):
+        isoperimetric_optimum(volume)
+
+
 def test_invalid_inputs_rejected():
     with pytest.raises(ValueError):
         solve_fixed_side(0.0, 1.0)
