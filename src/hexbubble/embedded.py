@@ -30,11 +30,7 @@ from typing import Callable, NamedTuple
 
 from .hexnorm import DEDUP_TOL, SQRT3, PolyChain, anchored_pair, merge_vertices
 from .oracle import BoxSpec, grid_refine_min
-from .singlebubble import MIN_SIDE, check_alpha
-
-# cap on safeguarded Newton steps; from the left end of the bracket the
-# iteration takes 6-8 of them on (0, 1]
-NEWTON_MAX_ITER = 60
+from .singlebubble import MIN_SIDE, check_alpha, convex_min
 
 ROUTE_RHO1 = "rho1"  # outer cell holds volume 1
 ROUTE_RHO2 = "rho2"  # outer cell holds volume alpha
@@ -108,47 +104,12 @@ def rho1_optimal_L2(L1: float) -> float:
     return math.sqrt(8.0 * SQRT3 + 3.0 * L1 * L1) / 3.0
 
 
-def _convex_min(a: float, c: float, hi: float) -> tuple[float, float]:
-    """(L*, f(L*)) for f(L) = sqrt(a + 3 L^2) + L/2 + c/L on (0, hi].
-
-    f'(L) = 3L/sqrt(a + 3L^2) + 1/2 - c/L^2 is strictly increasing and
-    concave.  Its first term lies in [0, sqrt(3)), so the root sits in
-    [sqrt(c/(1/2 + sqrt(3))), sqrt(2c)).  By concavity a Newton step from
-    below the root never passes it, so the iteration starts at the left
-    end and climbs; a step that leaves the shrinking sign bracket (only
-    rounding can cause one) is replaced by bisection (Brent 1973).  When
-    f' is still nonpositive at hi the constrained minimum is hi itself.
-    """
-
-    def f(L: float) -> float:
-        return math.sqrt(a + 3.0 * L * L) + 0.5 * L + c / L
-
-    def df(L: float) -> float:
-        return 3.0 * L / math.sqrt(a + 3.0 * L * L) + 0.5 - c / (L * L)
-
-    def d2f(L: float) -> float:
-        return 3.0 * a / math.sqrt(a + 3.0 * L * L) ** 3 + 2.0 * c / L ** 3
-
-    if df(hi) <= 0.0:
-        return hi, f(hi)
+def _convex_branch(a: float, c: float, hi: float) -> tuple[float, float]:
+    # sqrt(a + 3 L^2) + L/2 + c/L on (0, hi]: since 3L/sqrt(a + 3L^2) lies
+    # in [0, sqrt(3)), the derivative's root sits in
+    # [sqrt(c/(1/2 + sqrt(3))), sqrt(2c))
     lo = math.sqrt(c / (0.5 + SQRT3))
-    up = min(hi, math.sqrt(2.0 * c))
-    x = lo
-    for _ in range(NEWTON_MAX_ITER):
-        d = df(x)
-        if d == 0.0:
-            break
-        if d < 0.0:
-            lo = x
-        else:
-            up = x
-        step = x - d / d2f(x)
-        if not lo <= step <= up:
-            step = 0.5 * (lo + up)
-        x, dx = step, step - x
-        if abs(dx) <= 2.0 * math.ulp(x):
-            break
-    return x, f(x)
+    return convex_min(((1.0, a), (0.0, a)), 0.5, c, lo, min(hi, math.sqrt(2.0 * c)))
 
 
 def minimize_rho1(alpha: float) -> tuple[float, float, float]:
@@ -166,7 +127,7 @@ def minimize_rho1(alpha: float) -> tuple[float, float, float]:
         math.sqrt(8.0 * SQRT3 * alpha / 3.0),
         math.sqrt(4.0 * SQRT3 / 3.0),
     )
-    L1, value = _convex_min(8.0 * SQRT3, 4.0 * SQRT3 * alpha / 3.0, hi)
+    L1, value = _convex_branch(8.0 * SQRT3, 4.0 * SQRT3 * alpha / 3.0, hi)
     return L1, rho1_optimal_L2(L1), value
 
 
@@ -190,7 +151,7 @@ def rho2_minimum(alpha: float) -> tuple[float, float, float]:
     # i.e. L1 <= sqrt(4 sqrt(3) alpha / 3).  The diagonal branch beyond is
     # increasing for alpha > 2/3, so the junction endpoint covers it.
     hi = math.sqrt(4.0 * SQRT3 * alpha / 3.0)
-    L1, value = _convex_min(8.0 * SQRT3 * alpha, 4.0 * SQRT3 / 3.0, hi)
+    L1, value = _convex_branch(8.0 * SQRT3 * alpha, 4.0 * SQRT3 / 3.0, hi)
     L2 = math.sqrt((8.0 * SQRT3 * alpha + 3.0 * L1 * L1) / 9.0)
     return L1, max(L1, L2), value
 

@@ -31,6 +31,7 @@ from .singlebubble import (
     REGIME_FOUR,
     REGIME_SIX,
     check_alpha,
+    convex_min,
     fixed_side_vertices,
     is_six_sided,
     optimal_perimeter,
@@ -44,6 +45,9 @@ REGIME_TOL = 1e-12
 # alpha at which the unequal candidate collapses onto the diagonal
 HANDOFF_ALPHA = 0.125
 HANDOFF_TOL = 1e-12
+
+# 7 sqrt((3L^2 + a)/21) = P3_WEIGHT sqrt(3L^2 + a)
+P3_WEIGHT = math.sqrt(7.0 / 3.0)
 
 BRANCH_UNEQUAL = "unequal-candidate"
 BRANCH_EQUAL = "equal-p3"
@@ -170,32 +174,23 @@ def equal_perimeters(
     return p3, p4, p5, p6
 
 
-def _p3_derivative(L: float, alpha: float) -> float:
-    u1 = math.sqrt((3.0 * L * L + 4.0 * SQRT3) / 21.0)
-    u2 = math.sqrt((3.0 * L * L + 4.0 * SQRT3 * alpha) / 21.0)
-    return L / u1 + L / u2 - 3.0
-
-
 def p3_minimizer(alpha: float) -> tuple[float, float]:
     """(L*, P3(L*)): the unique stationary point of the double-six branch.
 
-    dP3/dL = L/u1 + L/u2 - 3 rises strictly from -3 to 2*sqrt(7) - 3 > 0,
-    so a sign-change bisection on [1e-8, 10] is exact to its tolerance.
+    P3 = sqrt(7/3) (sqrt(3L^2 + 4 sqrt(3)) + sqrt(3L^2 + 4 sqrt(3) alpha)) - 3L
+    is of the form convex_min takes.  Bounding both radicals by the
+    smaller or by the larger radicand in dP3/dL = 0 brackets the root in
+    [sqrt(12 sqrt(3) alpha/19), sqrt(12 sqrt(3)/19)], which closes to the
+    point itself at alpha = 1.
     """
     check_alpha(alpha)
-    lo, hi = 1e-8, 10.0
-    flo = _p3_derivative(lo, alpha)
-    fhi = _p3_derivative(hi, alpha)
-    if not (flo < 0.0 < fhi):
-        raise ValueError("derivative bracket failed")  # cannot happen on (0, 1]
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if _p3_derivative(mid, alpha) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    L = 0.5 * (lo + hi)
-    return L, equal_perimeters(L, alpha)[0]
+    return convex_min(
+        ((P3_WEIGHT, 4.0 * SQRT3), (P3_WEIGHT, 4.0 * SQRT3 * alpha)),
+        -3.0,
+        0.0,
+        math.sqrt(12.0 * SQRT3 * alpha / 19.0),
+        math.sqrt(12.0 * SQRT3 / 19.0),
+    )
 
 
 # --- degree-8 polynomial route ----------------------------------------------

@@ -28,6 +28,11 @@ REGIME_FOUR = "four-sided"
 # sides shorter than this give effectively unbounded perimeters
 MIN_SIDE = 1e-8
 
+# cap on safeguarded Newton steps in convex_min and solver.find_alpha0; on
+# the solver's path they take at most 9 (17 for ratios below 1e-30), and
+# bisection alone narrows either bracket to adjacent floats in under 60
+NEWTON_MAX_ITER = 60
+
 
 def check_alpha(alpha: float) -> None:
     """Reject anything but a real volume ratio in (0, 1].
@@ -158,3 +163,62 @@ def isoperimetric_optimum(V: float) -> tuple[float, float]:
         raise ValueError("volume must be positive and finite")
     root = math.sqrt(2.0 * V)
     return root / 3.0 ** 0.75, 2.0 * root * 3.0 ** 0.25
+
+
+def convex_min(
+    terms: tuple[tuple[float, float], tuple[float, float]],
+    b: float,
+    c: float,
+    lo: float,
+    hi: float,
+) -> tuple[float, float]:
+    """(L*, f(L*)) minimizing f(L) = sum w sqrt(a + 3 L^2) + b L + c/L on [lo, hi].
+
+    `terms` holds two (w, a) pairs; a one-radical f passes w = 0 in the
+    second.  For w, a, c >= 0, f'(L) = sum 3 w L / sqrt(a + 3 L^2) + b - c/L^2
+    is strictly increasing and concave, so Newton steps from lo, where the
+    caller guarantees f' <= 0, climb to its root without passing it; a
+    step that leaves the shrinking sign bracket or lands back on one of
+    its ends (only rounding can cause either) is replaced by bisection
+    (Brent 1973).  When f' is still nonpositive at hi the minimum is hi
+    itself.  c/L^2 and c/L^3 are formed by repeated division, so a tiny L
+    cannot underflow a divisor to zero.  The rho1 and rho2 routes and the
+    P3 branch all take this form.
+    """
+    (w1, a1), (w2, a2) = terms
+
+    def slopes(L: float) -> tuple[float, float]:
+        # (f'(L), f''(L)); the second radical is skipped when its weight is 0
+        t = 3.0 * L
+        s1 = math.sqrt(a1 + t * L)
+        d = t * (w1 / s1)
+        d2 = 3.0 * w1 * a1 / s1 / s1 / s1
+        if w2:
+            s2 = math.sqrt(a2 + t * L)
+            d += t * (w2 / s2)
+            d2 += 3.0 * w2 * a2 / s2 / s2 / s2
+        q = c / L / L
+        return d + b - q, d2 + 2.0 * q / L
+
+    if slopes(hi)[0] <= 0.0:
+        x = hi
+    else:
+        x = lo
+        for _ in range(NEWTON_MAX_ITER):
+            d, d2 = slopes(x)
+            if d == 0.0:
+                break
+            if d < 0.0:
+                lo = x
+            else:
+                hi = x
+            step = x - d / d2
+            if step != x and not lo < step < hi:
+                # outside the bracket, or back on its other end; rounding
+                # alone can send a step there, and the latter would cycle
+                step = 0.5 * (lo + hi)
+            x, dx = step, step - x
+            if abs(dx) <= 2.0 * math.ulp(x):
+                break
+    q = 3.0 * x * x
+    return x, w1 * math.sqrt(a1 + q) + w2 * math.sqrt(a2 + q) + b * x + c / x

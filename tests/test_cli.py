@@ -238,6 +238,15 @@ def test_exit_codes(tmp_path, capsys):
     )[0] == 3
 
 
+def test_solve_smallest_subnormal_ratio_is_a_domain_error(capsys):
+    # the root-finder's c/L^3 once underflowed to a zero divisor here, and
+    # the command died with a ZeroDivisionError traceback
+    code, out, err = run_cli(["solve", "--alpha", "5e-324"], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def _assert_help(proc):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: hexbubble")

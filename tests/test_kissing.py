@@ -121,7 +121,7 @@ def test_p3_minimizer_stationarity():
 
 def test_p3_minimizer_equal_volumes():
     L, P = p3_minimizer(1.0)
-    assert abs(L - 1.0459095686688338) <= 1e-12
+    assert abs(L - 1.0459095686688096) <= 1e-12
     assert abs(P - 6.624093934902461) <= 1e-12
     assert abs(L * L - 12.0 * SQRT3 / 19.0) <= 1e-12
 

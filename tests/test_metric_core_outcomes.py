@@ -9,6 +9,14 @@ pair that now raises "interiors overlap" where an independent grid
 sample finds a point strictly inside both chains: the earlier core
 measured coincident and nested cells that share their boundary.
 
+The first 1200 pairs perturb the nested and glued optima.  Their base
+(alpha, L1, L2) triples are frozen in `metric_core_bases.json` as
+float.hex, written once from `embedded_minimum` and `kissing_minimum`
+as they stood before the shared Newton root-finder, so that a change in
+the last bits of a minimizer cannot move a metric outcome.  The bases
+are not regenerated; a separate test only checks that they are still
+the minimizers to rounding.
+
 Regenerate (only when an outcome is meant to change) with
 
     PYTHONPATH=src python tests/test_metric_core_outcomes.py
@@ -31,6 +39,7 @@ from hexbubble.kissing import kissing_geometry, kissing_minimum
 from hexbubble.oracle import Lcg
 
 FIXTURE = Path(__file__).with_name("metric_core_outcomes.json")
+BASES = Path(__file__).with_name("metric_core_bases.json")
 OVERLAP = "!interiors overlap"
 
 Vertices = tuple[tuple[float, float], ...]
@@ -52,17 +61,18 @@ def _verts(chain: PolyChain) -> Vertices:
     return tuple((v.x, v.y) for v in chain.vertices)
 
 
-def _perturbed(rng: Lcg, minimum, build, count: int, out: list) -> None:
+def _perturbed(rng: Lcg, bases: list[list[str]], build, out: list) -> None:
     # like perturb_local_min: every side scaled by (1 + eps*u), u in [-1, 1]
-    for k in range(count):
+    for k, base in enumerate(bases):
         if k % 4 == 0:
             alpha = _log_uniform(rng, -16.0, -13.0)  # around the lattice defect
         else:
             alpha = _log_uniform(rng, -16.0, 0.0)
-        sol = minimum(alpha)
+        frozen_alpha, base_L1, base_L2 = map(float.fromhex, base)
+        assert alpha == frozen_alpha, (k, alpha, frozen_alpha)
         eps = 0.0 if k % 10 == 0 else 1e-3
-        L1 = sol.L1 * (1.0 + eps * rng.uniform(-1.0, 1.0))
-        L2 = sol.L2 * (1.0 + eps * rng.uniform(-1.0, 1.0))
+        L1 = base_L1 * (1.0 + eps * rng.uniform(-1.0, 1.0))
+        L2 = base_L2 * (1.0 + eps * rng.uniform(-1.0, 1.0))
         try:
             a, b = build(L1, L2, alpha)
         except ValueError as exc:
@@ -212,13 +222,14 @@ def corpus() -> tuple[list[tuple], list[Vertices]]:
     ("build: <error>", None) when the geometry builder refused; chains are
     further vertex lists for PolyChain alone."""
     rng = Lcg(20240505)
+    bases = json.loads(BASES.read_text())
     pairs: list[tuple] = []
     _perturbed(
-        rng, embedded_minimum,
-        lambda L1, L2, a: embedded_geometry(L1, L2, 1.0, a), 700, pairs,
+        rng, bases["embedded"],
+        lambda L1, L2, a: embedded_geometry(L1, L2, 1.0, a), pairs,
     )
     _perturbed(
-        rng, kissing_minimum, lambda L1, L2, a: kissing_geometry(L1, L2, a)[:2], 500, pairs
+        rng, bases["kissing"], lambda L1, L2, a: kissing_geometry(L1, L2, a)[:2], pairs
     )
     # lattice hexagons: random placements touch, overlap or sit apart
     for _ in range(300):
@@ -343,6 +354,17 @@ def grid_finds_common_interior(a: Vertices, b: Vertices) -> bool:
 
 
 # ---------------------------------------------------------------- test
+
+
+def test_frozen_bases_are_still_the_minimizers():
+    bases = json.loads(BASES.read_text())
+    assert [len(bases["embedded"]), len(bases["kissing"])] == [700, 500]
+    for name, minimum in (("embedded", embedded_minimum), ("kissing", kissing_minimum)):
+        for row in bases[name]:
+            alpha, L1, L2 = map(float.fromhex, row)
+            sol = minimum(alpha)
+            assert math.isclose(sol.L1, L1, rel_tol=1e-12), (name, alpha)
+            assert math.isclose(sol.L2, L2, rel_tol=1e-12), (name, alpha)
 
 
 def test_metric_core_outcomes_are_frozen():

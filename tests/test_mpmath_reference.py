@@ -1,0 +1,71 @@
+"""50-digit references for the transition ratio and the P3 minimizer.
+
+The references come from the closed forms alone, solved with mpmath's
+`findroot`; nothing here calls the solver to build them.  Near alpha0
+(above the 1/8 handoff) the embedded value is the rho1 convex minimum and
+the kissing value is the P3 minimum, so
+
+    g(alpha) = min_L [sqrt(8 sqrt(3) + 3 L^2) + L/2 + 4 sqrt(3) alpha / (3 L)]
+             - min_L [sqrt(7/3) (sqrt(3 L^2 + 4 sqrt(3)) + sqrt(3 L^2 + 4 sqrt(3) alpha)) - 3 L].
+
+The degree-8 route and the grid oracle check the same quantities in
+double precision in test_kissing.py and test_acceptance.py, whether or
+not mpmath is installed.
+"""
+
+import math
+
+import pytest
+
+from hexbubble.kissing import p3_minimizer
+from hexbubble.oracle import Lcg
+from hexbubble.solver import find_alpha0
+
+mp = pytest.importorskip("mpmath")
+
+DIGITS = 50
+
+
+def _rho1_min(alpha):
+    s3 = mp.sqrt(3)
+    c = 4 * s3 * alpha / 3
+    L = mp.findroot(lambda L: 3 * L / mp.sqrt(8 * s3 + 3 * L * L) + mp.mpf(1) / 2 - c / L**2, mp.sqrt(c))
+    return mp.sqrt(8 * s3 + 3 * L * L) + L / 2 + c / L
+
+
+def _p3_root(alpha):
+    s3 = mp.sqrt(3)
+    w = mp.sqrt(mp.mpf(7) / 3)
+    return mp.findroot(
+        lambda L: 3 * w * L * (1 / mp.sqrt(4 * s3 + 3 * L * L) + 1 / mp.sqrt(4 * s3 * alpha + 3 * L * L)) - 3,
+        mp.sqrt(12 * s3 / 19),
+    )
+
+
+def _p3_min(alpha):
+    s3 = mp.sqrt(3)
+    w = mp.sqrt(mp.mpf(7) / 3)
+    L = _p3_root(alpha)
+    return w * (mp.sqrt(3 * L * L + 4 * s3) + mp.sqrt(3 * L * L + 4 * s3 * alpha)) - 3 * L
+
+
+def test_find_alpha0_lands_on_the_50_digit_root():
+    with mp.workdps(DIGITS):
+        alpha0 = mp.findroot(lambda a: _rho1_min(a) - _p3_min(a), mp.mpf("0.15"))
+        assert abs(alpha0 - mp.mpf("0.152457211433471419015546700016683880096")) <= mp.mpf("1e-38")
+        rng = Lcg(6)
+        brackets = [(0.1, 0.3)] + [
+            (rng.uniform(0.10, 0.15), rng.uniform(0.155, 0.30)) for _ in range(32)
+        ]
+        for lo, hi in brackets:
+            got = find_alpha0(lo, hi)
+            assert abs(got - alpha0) <= mp.mpf("1e-14"), (lo, hi, got)
+    assert "%.12g" % find_alpha0() == "0.152457211433"
+
+
+def test_p3_minimizer_within_4_ulp_of_the_50_digit_root():
+    ratios = [0.125 + 0.875 * k / 300 for k in range(301)]
+    with mp.workdps(DIGITS):
+        for alpha in ratios:
+            L, _ = p3_minimizer(alpha)
+            assert abs(mp.mpf(L) - _p3_root(mp.mpf(alpha))) <= 4 * math.ulp(L), alpha
