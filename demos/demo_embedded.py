@@ -54,7 +54,7 @@ def main() -> None:
     print()
     sol = embedded_minimum(alpha)
     print(f"full solution at alpha = {alpha}: perimeter = {sol.perimeter:.12f}")
-    host, inner = embedded_geometry(sol.L1, sol.L2, 1.0, alpha)
+    host, inner, _, _ = embedded_geometry(sol.L1, sol.L2, 1.0, alpha)
     print(f"  host vertices:  {len(host.vertices)}")
     print(f"  inner vertices: {len(inner.vertices)}")
     print("  (three vertices coincide: the notch mouth and wedge tip)")

@@ -98,7 +98,7 @@ def _shared_segments(a: PolyChain, b: PolyChain) -> list[tuple[PlanePoint, Plane
     double_bubble_perimeter this draws a non-lattice joint instead of raising."""
     segs = []
     rows = a._rows
-    for i, _, lo, hi in hexnorm._shared_stretches(rows, b._rows, False):
+    for i, _, lo, hi in hexnorm._contacts(rows, b._rows)[1]:
         x, y, _, _, _, _, _, _, ux, uy, _ = rows[i]
         segs.append((PlanePoint(x + lo * ux, y + lo * uy), PlanePoint(x + hi * ux, y + hi * uy)))
     return segs
@@ -459,7 +459,7 @@ def _chk_perturb_embedded(rng: Lcg) -> tuple[bool, str]:
         sol = embedded.embedded_minimum(a)
 
         def rebuild(params: tuple[float, ...]) -> tuple[PolyChain, PolyChain]:
-            return embedded.embedded_geometry(params[0], params[1], 1.0, a)
+            return embedded.embedded_geometry(params[0], params[1], 1.0, a)[:2]
 
         ok = perturb_local_min(
             *rebuild((sol.L1, sol.L2)),

@@ -276,19 +276,21 @@ class EmbeddedSolution(NamedTuple):
 
 def embedded_geometry(
     L1: float, L2: float, outer_volume: float, inner_volume: float
-) -> tuple[PolyChain, PolyChain]:
-    """(outer chain, inner chain), outer's leftmost-lowest vertex at origin.
+) -> tuple[PolyChain, PolyChain, tuple[float, ...], tuple[float, ...]]:
+    """(outer chain, inner chain, outer_notched sides, inner_hexagon sides),
+    with the outer chain's leftmost-lowest vertex at the origin.
 
     The notch mouth runs from (0, 0) to (0, sqrt(3) L1 / 2) before the
     anchoring shift; the inner cell pokes east out of it.
     """
-    (x1, *_), _ = inner_hexagon(L1, inner_volume)
+    inner_sides, _ = inner_hexagon(L1, inner_volume)
+    outer_sides, _ = outer_notched(L1, L2, outer_volume)
+    x1, y1, y2 = inner_sides[0], outer_sides[0], outer_sides[1]
     if x1 <= DEDUP_TOL:
         # the vertex merge would drop (x1, 0) and (0, 2h) as duplicates of their
         # predecessors, tilting the glued sides off the lattice by ~x1/L1;
         # a side that short is collapsed here instead
         x1 = 0.0
-    (y1, y2, *_), _ = outer_notched(L1, L2, outer_volume)
     q = L1 / 4.0
     h = SQRT3 * L1 / 4.0
     inner_pts = [
@@ -310,9 +312,10 @@ def embedded_geometry(
         (-y2 / 2.0 - y1, top),
         (-y2 / 2.0 - y1 - L2 / 4.0, top - SQRT3 * L2 / 4.0),
     ]
-    return anchored_pair(
+    outer, inner = anchored_pair(
         merge_vertices(outer_pts, closed=True), merge_vertices(inner_pts, closed=True)
     )
+    return outer, inner, outer_sides, inner_sides
 
 
 def embedded_minimum(alpha: float) -> EmbeddedSolution:

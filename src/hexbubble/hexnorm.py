@@ -25,8 +25,9 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 SQRT3 = math.sqrt(3.0)
 
-# Shared-edge / collinearity tolerance, in plane units.  Every configuration
-# handled here is O(1) scale, so an absolute tolerance is appropriate.
+# Shared-edge / collinearity tolerance, in plane units, absolute: suited to
+# O(1) cells.  The inner cell at ratios below ~1e-14 is not one: rounding of
+# the O(1) coordinates at its ends tilts its short edges by more than this.
 GEOM_TOL = 1e-9
 
 # Consecutive vertices closer than this (per coordinate) are one vertex.
@@ -90,54 +91,62 @@ def sextant(p: Sequence[float]) -> int:
 class PolyChain:
     """Ordered vertex chain; closed chains must be simple polygons.
 
-    A single-vertex open chain is allowed: it is the degenerate geodesic
-    from a point to itself (length 0).  Closed chains need three or more
-    vertices, no repeated closing vertex, and no self-intersection.
+    Vertices may be any float pairs and are stored as PlanePoints.  A
+    single-vertex open chain is the degenerate geodesic from a point to
+    itself (length 0).  Closed chains need three or more vertices, no
+    repeated closing vertex, and no self-intersection.
     """
 
     vertices: tuple[PlanePoint, ...]
     closed: bool = False
 
     def __post_init__(self) -> None:
-        vs = tuple(PlanePoint(float(v[0]), float(v[1])) for v in self.vertices)
-        object.__setattr__(self, "vertices", vs)
-        for v in vs:
-            if not (math.isfinite(v.x) and math.isfinite(v.y)):
+        pts = [(float(v[0]), float(v[1])) for v in self.vertices]
+        for x, y in pts:
+            if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError("non-finite vertex")
-        if self.closed:
-            if len(vs) < 3:
+        closed = self.closed
+        if closed:
+            if len(pts) < 3:
                 raise ValueError("closed chain needs at least 3 vertices")
-        elif len(vs) < 1:
+        elif not pts:
             raise ValueError("chain needs at least 1 vertex")
-        # one float row per edge (see _edge_rows), built once for every edge loop
-        rows = _edge_rows(vs, self.closed)
-        object.__setattr__(self, "_rows", rows)
-        if self.closed and (_crosses(rows, rows, True) or _shared_stretches(rows, rows, True)):
+        object.__setattr__(self, "vertices", tuple(map(PlanePoint._make, pts)))
+        # one float row per edge (see "edge predicates" below) for every edge loop
+        rows = []
+        for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1] if closed else pts[1:]):
+            ex, ey = bx - ax, by - ay
+            if abs(ex) <= DEDUP_TOL and abs(ey) <= DEDUP_TOL:
+                raise ValueError("consecutive vertices coincide")
+            length = math.hypot(ex, ey)
+            rows.append((
+                ax, ay, bx, by, ex, ey, ex * ex + ey * ey,
+                length, ex / length, ey / length, GEOM_TOL * length,
+            ))
+        object.__setattr__(self, "_rows", tuple(rows))
+        if closed and _self_overlaps(rows):
             raise ValueError("closed chain is not simple")
 
     def edges(self) -> Iterator[tuple[PlanePoint, PlanePoint]]:
-        vs = self.vertices
-        n = len(vs)
-        count = n if self.closed else n - 1
-        for i in range(count):
-            yield vs[i], vs[(i + 1) % n]
+        for ax, ay, bx, by, _, _, _, _, _, _, _ in self._rows:
+            yield PlanePoint(ax, ay), PlanePoint(bx, by)
 
 
-def merge_vertices(points: Iterable[Sequence[float]], closed: bool) -> list[PlanePoint]:
-    """Points as vertices, consecutive near-duplicates merged.
+def merge_vertices(points: Iterable[Sequence[float]], closed: bool) -> list[tuple[float, float]]:
+    """Points as float pairs, consecutive near-duplicates merged.
 
     For closed chains a repeated final vertex is dropped.  Degenerate side
     lengths (boundary cases of the solvers) thus collapse cleanly.
     """
-    pts: list[PlanePoint] = []
+    pts: list[tuple[float, float]] = []
     for p in points:
-        q = PlanePoint(float(p[0]), float(p[1]))
-        if pts and abs(pts[-1].x - q.x) <= DEDUP_TOL and abs(pts[-1].y - q.y) <= DEDUP_TOL:
+        x, y = float(p[0]), float(p[1])
+        if pts and abs(pts[-1][0] - x) <= DEDUP_TOL and abs(pts[-1][1] - y) <= DEDUP_TOL:
             continue
-        pts.append(q)
+        pts.append((x, y))
     if closed and len(pts) > 1:
-        first, last = pts[0], pts[-1]
-        if abs(first.x - last.x) <= DEDUP_TOL and abs(first.y - last.y) <= DEDUP_TOL:
+        (fx, fy), (lx, ly) = pts[0], pts[-1]
+        if abs(fx - lx) <= DEDUP_TOL and abs(fy - ly) <= DEDUP_TOL:
             pts.pop()
     return pts
 
@@ -148,14 +157,14 @@ def make_chain(points: Iterable[Sequence[float]], closed: bool) -> PolyChain:
 
 
 def anchored_pair(
-    a: Sequence[PlanePoint], b: Sequence[PlanePoint]
+    a: Sequence[tuple[float, float]], b: Sequence[tuple[float, float]]
 ) -> tuple[PolyChain, PolyChain]:
     """Closed chains through two merged vertex lists (see merge_vertices),
     shifted together so that chain A's leftmost-lowest vertex is the origin."""
-    ox, oy = min(a)  # PlanePoint orders by (x, y)
+    ox, oy = min(a)  # pairs order by (x, y)
     return (
-        PolyChain(tuple(PlanePoint(v.x - ox, v.y - oy) for v in a), closed=True),
-        PolyChain(tuple(PlanePoint(v.x - ox, v.y - oy) for v in b), closed=True),
+        PolyChain(tuple([(x - ox, y - oy) for x, y in a]), closed=True),
+        PolyChain(tuple([(x - ox, y - oy) for x, y in b]), closed=True),
     )
 
 
@@ -171,17 +180,17 @@ def geodesic_path(p: Sequence[float], q: Sequence[float]) -> PolyChain:
     qx, qy = float(q[0]), float(q[1])
     dx, dy = qx - px, qy - py
     if hex_norm((dx, dy)) <= DEDUP_TOL:
-        return PolyChain((PlanePoint(px, py),), closed=False)
+        return PolyChain(((px, py),), closed=False)
     k = sextant((dx, dy))
     u = LATTICE_DIRECTIONS[k - 1]
     w = LATTICE_DIRECTIONS[k % 6]
     det = u.x * w.y - u.y * w.x
     a = (dx * w.y - dy * w.x) / det
     b = (u.x * dy - u.y * dx) / det
-    pts = [PlanePoint(px, py)]
+    pts = [(px, py)]
     if a > DEDUP_TOL and b > DEDUP_TOL:
-        pts.append(PlanePoint(px + a * u.x, py + a * u.y))
-    pts.append(PlanePoint(qx, qy))
+        pts.append((px + a * u.x, py + a * u.y))
+    pts.append((qx, qy))
     return PolyChain(tuple(pts), closed=False)
 
 
@@ -194,12 +203,7 @@ def polygon_area(chain: PolyChain) -> float:
     """Enclosed (shoelace) area of a closed chain, orientation-independent."""
     if not chain.closed:
         raise ValueError("area requires a closed chain")
-    vs = chain.vertices
-    n = len(vs)
-    s = math.fsum(
-        vs[i].x * vs[(i + 1) % n].y - vs[(i + 1) % n].x * vs[i].y
-        for i in range(n)
-    )
+    s = math.fsum([ax * by - bx * ay for ax, ay, bx, by, _, _, _, _, _, _, _ in chain._rows])
     return abs(s) / 2.0
 
 
@@ -302,10 +306,10 @@ def double_bubble_perimeter(a: PolyChain, b: PolyChain) -> tuple[float, float]:
     if not (a.closed and b.closed):
         raise ValueError("both chains must be closed")
     ra, rb = a._rows, b._rows
-    if _crosses(ra, rb, False) or _any_point_inside(ra, rb) or _any_point_inside(rb, ra):
+    crossed, stretches = _contacts(ra, rb)
+    if crossed or _any_point_inside(ra, rb) or _any_point_inside(rb, ra):
         raise ValueError("interiors overlap")
     joint = 0.0
-    stretches = _shared_stretches(ra, rb, False)
     if stretches:
         turn = _orientation(ra) * _orientation(rb)
         off_lattice = False
@@ -325,7 +329,9 @@ def double_bubble_perimeter(a: PolyChain, b: PolyChain) -> tuple[float, float]:
 
 
 def point_in_polygon(p: Sequence[float], poly: PolyChain) -> bool:
-    """True iff p lies strictly inside poly (boundary points excluded)."""
+    """True iff p lies strictly inside closed chain poly (boundary excluded)."""
+    if not poly.closed:
+        raise ValueError("point_in_polygon requires a closed chain")
     return _strictly_inside(float(p[0]), float(p[1]), poly._rows)
 
 
@@ -339,33 +345,50 @@ def point_in_polygon(p: Sequence[float], poly: PolyChain) -> bool:
 # unpack rows in place of calling a helper per edge pair.
 
 
-def _edge_rows(vs: tuple[PlanePoint, ...], closed: bool) -> _EdgeRows:
-    n = len(vs)
-    rows = []
-    for i in range(n if closed else n - 1):
-        ax, ay = vs[i]
-        bx, by = vs[(i + 1) % n]
-        ex, ey = bx - ax, by - ay
-        if abs(ex) <= DEDUP_TOL and abs(ey) <= DEDUP_TOL:
-            raise ValueError("consecutive vertices coincide")
-        length = math.hypot(ex, ey)
-        rows.append((
-            ax, ay, bx, by, ex, ey, ex * ex + ey * ey,
-            length, ex / length, ey / length, GEOM_TOL * length,
-        ))
-    return tuple(rows)
+def _contacts(rp: _EdgeRows, rq: _EdgeRows) -> tuple[bool, list[tuple[int, int, float, float]]]:
+    """(crossed, stretches) over every edge i of rp and edge j of rq.
 
-
-def _crosses(rp: _EdgeRows, rq: _EdgeRows, same: bool) -> bool:
-    """True iff an edge of rp properly crosses an edge of rq: each edge's
-    endpoints lie strictly on opposite sides of the other's line, by more
-    than GEOM_TOL in the orientation determinant.  With same (rp is rq),
-    only the pairs i < j of non-adjacent edges count."""
+    crossed: some i and j properly cross, each one's endpoints lying
+    strictly on opposite sides of the other's line, by more than GEOM_TOL
+    in the orientation determinant.  stretches: (i, j, lo, hi) for each i
+    and j along one line within GEOM_TOL for longer than GEOM_TOL, in any
+    direction, [lo, hi] being that stretch as distances along i."""
     eps, neg = GEOM_TOL, -GEOM_TOL
-    n = len(rq)
-    for i, (ax, ay, bx, by, ex, ey, _, _, _, _, _) in enumerate(rp):
-        start, stop = (i + 2, n - (i == 0)) if same else (0, n)
-        for cx, cy, dx, dy, fx, fy, _, _, _, _, _ in rq[start:stop]:
+    crossed = False
+    stretches = []
+    for i, (ax, ay, bx, by, ex, ey, _, length, ux, uy, _) in enumerate(rp):
+        for j, (cx, cy, dx, dy, fx, fy, _, _, _, _, ftol) in enumerate(rq):
+            d1 = fx * (ay - cy) - fy * (ax - cx)
+            d2 = fx * (by - cy) - fy * (bx - cx)
+            if (d1 > eps and d2 < neg) or (d1 < neg and d2 > eps):
+                d3 = ex * (cy - ay) - ey * (cx - ax)
+                d4 = ex * (dy - ay) - ey * (dx - ax)
+                if (d3 > eps and d4 < neg) or (d3 < neg and d4 > eps):
+                    crossed = True
+            cross = ux * fy - uy * fx
+            if cross > ftol or cross < -ftol:
+                continue  # not parallel
+            wx, wy = cx - ax, cy - ay
+            off = wx * uy - wy * ux
+            if off > eps or off < neg:
+                continue  # parallel but not collinear
+            t1 = wx * ux + wy * uy
+            t2 = (dx - ax) * ux + (dy - ay) * uy
+            lo = max(0.0, min(t1, t2))
+            hi = min(length, max(t1, t2))
+            if hi - lo <= eps:
+                continue  # they meet in a point at most
+            stretches.append((i, j, lo, hi))
+    return crossed, stretches
+
+
+def _self_overlaps(rows: _EdgeRows) -> bool:
+    """True iff two non-adjacent edges i < j of a closed chain properly
+    cross or share a stretch, by the float expressions of _contacts."""
+    eps, neg = GEOM_TOL, -GEOM_TOL
+    n = len(rows)
+    for i, (ax, ay, bx, by, ex, ey, _, length, ux, uy, _) in enumerate(rows):
+        for cx, cy, dx, dy, fx, fy, _, _, _, _, ftol in rows[i + 2 : n - (i == 0)]:
             d1 = fx * (ay - cy) - fy * (ax - cx)
             d2 = fx * (by - cy) - fy * (bx - cx)
             if (d1 > eps and d2 < neg) or (d1 < neg and d2 > eps):
@@ -373,37 +396,18 @@ def _crosses(rp: _EdgeRows, rq: _EdgeRows, same: bool) -> bool:
                 d4 = ex * (dy - ay) - ey * (dx - ax)
                 if (d3 > eps and d4 < neg) or (d3 < neg and d4 > eps):
                     return True
-    return False
-
-
-def _shared_stretches(
-    rp: _EdgeRows, rq: _EdgeRows, same: bool
-) -> list[tuple[int, int, float, float]]:
-    """(i, j, lo, hi) for each edge i of rp and edge j of rq that run along
-    one line within GEOM_TOL for longer than GEOM_TOL, in any direction;
-    [lo, hi] is that stretch as distances along edge i from its start.
-    With same (rp is rq), only the pairs i < j of non-adjacent edges count."""
-    tol, neg = GEOM_TOL, -GEOM_TOL
-    n = len(rq)
-    out = []
-    for i, (ax, ay, _, _, _, _, _, length, ux, uy, _) in enumerate(rp):
-        start, stop = (i + 2, n - (i == 0)) if same else (0, n)
-        for j, (cx, cy, dx, dy, fx, fy, _, _, _, _, ftol) in enumerate(rq[start:stop], start):
             cross = ux * fy - uy * fx
             if cross > ftol or cross < -ftol:
                 continue  # not parallel
             wx, wy = cx - ax, cy - ay
             off = wx * uy - wy * ux
-            if off > tol or off < neg:
+            if off > eps or off < neg:
                 continue  # parallel but not collinear
             t1 = wx * ux + wy * uy
             t2 = (dx - ax) * ux + (dy - ay) * uy
-            lo = max(0.0, min(t1, t2))
-            hi = min(length, max(t1, t2))
-            if hi - lo <= tol:
-                continue  # they meet in a point at most
-            out.append((i, j, lo, hi))
-    return out
+            if not min(length, max(t1, t2)) - max(0.0, min(t1, t2)) <= eps:
+                return True  # a shared stretch
+    return False
 
 
 def _strictly_inside(px: float, py: float, rows: _EdgeRows) -> bool:

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from .hexnorm import SQRT3, PlanePoint, PolyChain, anchored_pair
+from .hexnorm import SQRT3, PolyChain, anchored_pair
 from .singlebubble import (
     MIN_SIDE,
     REGIME_FOUR,
@@ -320,10 +320,7 @@ def kissing_geometry(
     sol_b = solve_fixed_side(L2, alpha)
     cx = (L1 - L2) / 2.0
     # mirroring reverses B's orientation, so its vertices are read backwards
-    mirrored = [
-        PlanePoint(cx + v.x, -v.y)
-        for v in reversed(fixed_side_vertices(L2, sol_b.sides))
-    ]
+    mirrored = [(cx + x, -y) for x, y in reversed(fixed_side_vertices(L2, sol_b.sides))]
     chain_a, chain_b = anchored_pair(fixed_side_vertices(L1, sol_a.sides), mirrored)
     return chain_a, chain_b, sol_a.sides, sol_b.sides
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .hexnorm import SQRT3, LATTICE_DIRECTIONS, PlanePoint, PolyChain, merge_vertices
+from .hexnorm import SQRT3, LATTICE_DIRECTIONS, PolyChain, merge_vertices
 
 REGIME_SIX = "six-sided"
 REGIME_FOUR = "four-sided"
@@ -79,17 +79,18 @@ class SingleBubbleSolution:
         return fixed_side_polygon(self.L, self.sides)
 
 
-def fixed_side_vertices(L: float, sides: tuple[float, ...]) -> list[PlanePoint]:
+def fixed_side_vertices(L: float, sides: tuple[float, ...]) -> list[tuple[float, float]]:
     """Vertices of the polygon from the fixed side plus the five free sides.
 
     Zero-length sides collapse, so boundary-regime solutions come out as
     quadrilaterals without special-casing.
     """
-    pts = [PlanePoint(0.0, 0.0), PlanePoint(L, 0.0)]
+    x, y = L, 0.0
+    pts = [(0.0, 0.0), (x, y)]
     for k, s in enumerate(sides, start=1):
-        d = LATTICE_DIRECTIONS[k % 6]
-        last = pts[-1]
-        pts.append(PlanePoint(last.x + s * d.x, last.y + s * d.y))
+        dx, dy = LATTICE_DIRECTIONS[k % 6]
+        x, y = x + s * dx, y + s * dy
+        pts.append((x, y))
     return merge_vertices(pts, closed=True)
 
 

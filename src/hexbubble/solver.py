@@ -65,14 +65,9 @@ def _embedded_entry(sol: embedded_mod.EmbeddedSolution) -> SolutionEntry:
     # cell A holds volume 1: the outer cell on the rho1 route, else the inner
     rho1 = sol.route == embedded_mod.ROUTE_RHO1
     outer_volume, inner_volume = (1.0, sol.alpha) if rho1 else (sol.alpha, 1.0)
-    outer, inner = embedded_mod.embedded_geometry(
-        sol.L1, sol.L2, outer_volume, inner_volume
-    )
-    outer_sides, _ = embedded_mod.outer_notched(sol.L1, sol.L2, outer_volume)
-    inner_sides, _ = embedded_mod.inner_hexagon(sol.L1, inner_volume)
-    if rho1:
-        cells = (outer, inner, outer_sides, inner_sides)
-    else:
+    cells = embedded_mod.embedded_geometry(sol.L1, sol.L2, outer_volume, inner_volume)
+    if not rho1:
+        outer, inner, outer_sides, inner_sides = cells
         cells = (inner, outer, inner_sides, outer_sides)
     # the welded notch sides sum to L1, the joint length
     return SolutionEntry(CASE_EMBEDDED, *cells, sol.L1, sol.L2, sol.L1)

@@ -215,7 +215,7 @@ def test_7_geometry_round_trip_and_local_minimality():
             total, _ = double_bubble_perimeter(entry.geometry_a, entry.geometry_b)
             assert abs(total - r.candidates[entry.case]) <= 1e-9
             if entry.case == "embedded":
-                rebuild = lambda p, a=alpha: embedded_geometry(p[0], p[1], 1.0, a)
+                rebuild = lambda p, a=alpha: embedded_geometry(p[0], p[1], 1.0, a)[:2]
             else:
                 rebuild = lambda p, a=alpha: kissing_geometry(p[0], p[1], a)[:2]
             assert perturb_local_min(

@@ -162,7 +162,7 @@ def test_outer_validation():
 
 
 def test_outer_geometry_round_trip():
-    outer, _ = embedded_geometry(0.8, 1.4, 1.0, 0.3)
+    outer, _ = embedded_geometry(0.8, 1.4, 1.0, 0.3)[:2]
     _, perim = outer_notched(0.8, 1.4, 1.0)
     assert abs(polygon_area(outer) - 1.0) <= 1e-9
     assert abs(polyline_length(outer) - perim) <= 1e-9
@@ -410,7 +410,7 @@ def test_skew_out_of_range():
 def test_embedded_minimum_geometry():
     sol = embedded_minimum(0.1)
     assert sol.route == ROUTE_RHO1
-    geometry_a, geometry_b = embedded_geometry(sol.L1, sol.L2, 1.0, 0.1)
+    geometry_a, geometry_b = embedded_geometry(sol.L1, sol.L2, 1.0, 0.1)[:2]
     assert len(geometry_a.vertices) == 8
     assert len(geometry_b.vertices) == 6
     shared = sum(
@@ -430,7 +430,7 @@ def test_embedded_round_trip():
     for _ in range(10):
         alpha = rng.uniform(0.02, 1.0)
         sol = embedded_minimum(alpha)
-        geometry_a, geometry_b = embedded_geometry(sol.L1, sol.L2, 1.0, alpha)
+        geometry_a, geometry_b = embedded_geometry(sol.L1, sol.L2, 1.0, alpha)[:2]
         assert abs(polygon_area(geometry_a) - 1.0) <= 1e-9
         assert abs(polygon_area(geometry_b) - alpha) <= 1e-9
         total, joint = double_bubble_perimeter(geometry_a, geometry_b)
@@ -443,7 +443,7 @@ def test_tiny_ratio_geometry_measures_its_perimeter():
     # chain's vertex-merge tolerance; the glued sides must stay on the lattice
     for alpha in (1.2528889e-13, 3.8872128e-13, 4.4017538e-13, 1e-12):
         sol = embedded_minimum(alpha)
-        geometry_a, geometry_b = embedded_geometry(sol.L1, sol.L2, 1.0, alpha)
+        geometry_a, geometry_b = embedded_geometry(sol.L1, sol.L2, 1.0, alpha)[:2]
         total, joint = double_bubble_perimeter(geometry_a, geometry_b)
         assert abs(total - sol.perimeter) <= 1e-9
         assert abs(joint - sol.L1) <= 1e-9
@@ -453,7 +453,7 @@ def test_widest_feasible_notch_still_builds():
     alpha = 0.3
     L1 = math.sqrt(8.0 * SQRT3 * alpha / 3.0)  # inner x1 collapses to zero
     L2 = rho1_optimal_L2(L1)
-    outer, inner = embedded_geometry(L1, L2, 1.0, alpha)
+    outer, inner = embedded_geometry(L1, L2, 1.0, alpha)[:2]
     assert abs(polygon_area(inner) - alpha) <= 1e-9
     assert rho1(L1, L2, alpha) > 0.0
 

@@ -462,3 +462,33 @@ def test_make_chain_merges_near_duplicates():
 def test_non_finite_vertex_rejected():
     with pytest.raises(ValueError, match="finite"):
         PolyChain((PlanePoint(0.0, 0.0), PlanePoint(math.inf, 0.0)), closed=False)
+
+
+@pytest.mark.parametrize(
+    "vertices, closed, message",
+    [
+        # a non-finite vertex is reported before any count or edge error
+        (((0.0, 0.0), (0.0, 0.0), (math.inf, 0.0)), True, "non-finite vertex"),
+        (((math.nan, 0.0),), True, "non-finite vertex"),
+        # too few vertices is reported before a coinciding pair
+        (((0.0, 0.0), (0.0, 0.0)), True, "closed chain needs at least 3 vertices"),
+        ((), False, "chain needs at least 1 vertex"),
+        # a coinciding pair, the closing one too, before the simplicity check
+        (
+            ((0.0, 0.0), (1.0, 1.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)),
+            True,
+            "consecutive vertices coincide",
+        ),
+        (((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.0)), True, "consecutive vertices coincide"),
+        (((0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)), True, "closed chain is not simple"),
+    ],
+)
+def test_chain_errors_come_in_a_fixed_order(vertices, closed, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PolyChain(vertices, closed=closed)
+
+
+def test_point_in_polygon_requires_a_closed_chain():
+    open_square = make_chain([(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)], closed=False)
+    with pytest.raises(ValueError, match="^point_in_polygon requires a closed chain$"):
+        point_in_polygon((1.0, 1.0), open_square)

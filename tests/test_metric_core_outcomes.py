@@ -226,7 +226,7 @@ def corpus() -> tuple[list[tuple], list[Vertices]]:
     pairs: list[tuple] = []
     _perturbed(
         rng, bases["embedded"],
-        lambda L1, L2, a: embedded_geometry(L1, L2, 1.0, a), pairs,
+        lambda L1, L2, a: embedded_geometry(L1, L2, 1.0, a)[:2], pairs,
     )
     _perturbed(
         rng, bases["kissing"], lambda L1, L2, a: kissing_geometry(L1, L2, a)[:2], pairs

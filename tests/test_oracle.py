@@ -205,7 +205,7 @@ def test_perturb_accepts_embedded_minimizer():
     L1, L2, _ = minimize_rho1(alpha)
 
     def rebuild(params):
-        return embedded_geometry(params[0], params[1], 1.0, alpha)
+        return embedded_geometry(params[0], params[1], 1.0, alpha)[:2]
 
     ga, gb = rebuild((L1, L2))
     assert perturb_local_min(ga, gb, rebuild, (L1, L2), trials=500, eps=1e-3, seed=3)
@@ -253,9 +253,9 @@ def test_perturb_trial_sequence_is_seed_deterministic():
 
         def rebuild(params, seen=seen):
             seen.append(params)
-            return embedded_geometry(params[0], params[1], 1.0, alpha)
+            return embedded_geometry(params[0], params[1], 1.0, alpha)[:2]
 
-        ga, gb = embedded_geometry(L1, L2, 1.0, alpha)
+        ga, gb = embedded_geometry(L1, L2, 1.0, alpha)[:2]
         assert perturb_local_min(ga, gb, rebuild, (L1, L2), trials=60, eps=1e-3, seed=42)
         logs.append(seen)
     assert logs[0] == logs[1]
@@ -272,8 +272,8 @@ def test_perturb_skips_infeasible_trials():
             raise ValueError("synthetic infeasible trial")
         if calls["n"] % 5 == 0:
             return None
-        return embedded_geometry(params[0], params[1], 1.0, alpha)
+        return embedded_geometry(params[0], params[1], 1.0, alpha)[:2]
 
-    ga, gb = embedded_geometry(L1, L2, 1.0, alpha)
+    ga, gb = embedded_geometry(L1, L2, 1.0, alpha)[:2]
     assert perturb_local_min(ga, gb, rebuild, (L1, L2), trials=90, eps=1e-3, seed=5)
     assert calls["n"] == 90
