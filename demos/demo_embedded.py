@@ -3,12 +3,12 @@
 Run: python3 demos/demo_embedded.py
 """
 
+from hexbubble.checks import notch_skew_perimeter
 from hexbubble.embedded import (
     embedded_geometry,
     embedded_minimum,
     inner_hexagon,
     minimize_rho1,
-    notch_skew_perimeter,
     outer_notched,
     rho1_optimal_L2,
     rho2_minimum,

@@ -5,7 +5,7 @@ of polygonal cells minimizing total boundary length under the norm whose
 unit ball is the regular hexagon, using closed forms cross-checked
 against brute-force search.  See README.md for the tour; every other
 name lives in its own module (hexnorm, singlebubble, kissing, embedded,
-solver, oracle, cli).
+solver, oracle, checks, cli).
 """
 
 from .solver import (

@@ -26,17 +26,13 @@ volumes exchanged.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .hexnorm import DEDUP_TOL, SQRT3, PolyChain, anchored_pair, merge_vertices
-from .oracle import BoxSpec, grid_refine_min
 from .singlebubble import MIN_SIDE, check_alpha, convex_min
 
 ROUTE_RHO1 = "rho1"  # outer cell holds volume 1
 ROUTE_RHO2 = "rho2"  # outer cell holds volume alpha
-
-# diagonal tolerance for the case-2 check
-DIAG_TOL = 1e-6
 
 
 def inner_hexagon(L: float, V: float) -> tuple[tuple[float, ...], float]:
@@ -156,114 +152,6 @@ def rho2_minimum(alpha: float) -> tuple[float, float, float]:
     return L1, max(L1, L2), value
 
 
-# --- the degenerate-outer variant check --------------------------------------
-
-
-def _case2_objectives(alpha: float) -> dict[str, Callable[[tuple[float, ...]], float]]:
-    c = 4.0 * SQRT3 / 3.0
-
-    def printed(p: tuple[float, ...]) -> float:
-        L1, L2 = p
-        return L2 + c / L2 + 1.5 * L1 + c * alpha / L1
-
-    def notch_from_l1(p: tuple[float, ...]) -> float:
-        L1, L2 = p
-        return (
-            (9.0 * L2 * L2 + 8.0 * SQRT3 + 3.0 * L1 * L1) / (6.0 * L2)
-            + 1.5 * L1
-            + c * alpha / L1
-            - L1
-        )
-
-    def swapped(p: tuple[float, ...]) -> float:
-        L1, L2 = p
-        return L2 + c * alpha / L2 + 1.5 * L1 + c / L1
-
-    return {"printed": printed, "notch-from-L1": notch_from_l1, "swapped-volumes": swapped}
-
-
-def case2_report(alpha: float) -> dict[str, dict[str, float | bool]]:
-    """Minimize each reading of the degenerate variant over {L2 <= L1}.
-
-    The source text for this variant is garbled, so all three readings
-    are minimized and reported: the expression as printed (notch area
-    taken from L2, joint term L2), the same with the notch taken from L1,
-    and the swapped-volume version.  Each entry carries the minimizer and
-    whether it sits on the L2 = L1 diagonal.
-    """
-    check_alpha(alpha)
-    objectives = _case2_objectives(alpha)
-    report: dict[str, dict[str, float | bool]] = {}
-    for name, fn in objectives.items():
-        # the inner cell holds volume alpha except in the swapped reading
-        cap = 8.0 * SQRT3 * (1.0 if name == "swapped-volumes" else alpha) / 3.0
-        hi = math.sqrt(cap)
-        lo = hi * 1e-3
-        box = BoxSpec(
-            (lo, lo),
-            (hi, hi),
-            feasible=lambda p: p[1] <= p[0] * (1.0 + 1e-12),
-            witness=(hi, hi * 0.5),
-        )
-        (l1, l2), value = grid_refine_min(
-            fn, box, grid=64, refine_iters=60, directions=[(1.0, 1.0)]
-        )
-        report[name] = {
-            "L1": l1,
-            "L2": l2,
-            "value": value,
-            "diagonal": abs(l2 - l1) <= DIAG_TOL * (1.0 + l1),
-        }
-    return report
-
-
-def case2_check(alpha: float) -> bool:
-    """True iff the printed degenerate variant minimizes on L2 = L1.
-
-    Holds for every alpha in (0, 1]: the printed objective is separable
-    convex and its unconstrained minimizer violates L2 <= L1, so the
-    constrained minimizer lies on the diagonal.
-    """
-    return bool(case2_report(alpha)["printed"]["diagonal"])
-
-
-# --- skew-notch family (used by the symmetry invariant) ----------------------
-
-
-def notch_skew_perimeter(L1: float, L2: float, alpha: float, delta: float) -> float:
-    """Welded-pair perimeter with the notch slid off-center by delta.
-
-    The wedge sides become (L1 - delta)/2 and (L1 + delta)/2; the inner
-    cell's glued sides track them, its volume is restored through
-    x1 + x4, and the outer's through y1.  The exact expansion is
-    rho1 + delta^2 (L2 - 2 L1)/(4 L1 L2), so the symmetric notch is a
-    strict local minimum iff L2 >= 2 L1.
-    """
-    check_alpha(alpha)
-    if abs(delta) >= min(L1, L2 - L1):
-        raise ValueError("skew out of range")
-    w60 = (L1 - delta) / 2.0
-    w120 = (L1 + delta) / 2.0
-    # group the symmetric product so delta -> -delta is exact in floats
-    vp = 1.0 + SQRT3 * (w60 * w120) / 2.0
-    y1 = (8.0 * SQRT3 * vp - 3.0 * L2 * L2) / (12.0 * L2)
-    if y1 < 0.0:
-        raise ValueError("infeasible: span too large for the volume")
-    s = (
-        4.0 * SQRT3 * alpha / (3.0 * L1)
-        - L1 / 2.0
-        + delta * delta / (4.0 * L1)
-    )
-    x1 = s / 2.0 + delta / 4.0
-    x4 = s / 2.0 - delta / 4.0
-    if x1 < 0.0 or x4 < 0.0:
-        raise ValueError("infeasible: inner cell sides collapse")
-    return (2.0 * y1 + 2.0 * L2) + (s + 2.0 * L1) - L1
-
-
-# --- full embedded optimum ----------------------------------------------------
-
-
 class EmbeddedSolution(NamedTuple):
     """Parameters of the nested minimum; embedded_geometry builds its cells."""
 
@@ -277,8 +165,8 @@ class EmbeddedSolution(NamedTuple):
 def embedded_geometry(
     L1: float, L2: float, outer_volume: float, inner_volume: float
 ) -> tuple[PolyChain, PolyChain, tuple[float, ...], tuple[float, ...]]:
-    """(outer chain, inner chain, outer_notched sides, inner_hexagon sides),
-    with the outer chain's leftmost-lowest vertex at the origin.
+    """(outer chain, inner chain, outer_notched sides, inner_hexagon sides as
+    built), with the outer chain's leftmost-lowest vertex at the origin.
 
     The notch mouth runs from (0, 0) to (0, sqrt(3) L1 / 2) before the
     anchoring shift; the inner cell pokes east out of it.
@@ -289,8 +177,9 @@ def embedded_geometry(
     if x1 <= DEDUP_TOL:
         # the vertex merge would drop (x1, 0) and (0, 2h) as duplicates of their
         # predecessors, tilting the glued sides off the lattice by ~x1/L1;
-        # a side that short is collapsed here instead
+        # a side that short is collapsed here instead, in the sides too
         x1 = 0.0
+        inner_sides = (0.0, *inner_sides[1:3], 0.0, *inner_sides[4:])
     q = L1 / 4.0
     h = SQRT3 * L1 / 4.0
     inner_pts = [

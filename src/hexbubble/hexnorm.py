@@ -328,6 +328,17 @@ def double_bubble_perimeter(a: PolyChain, b: PolyChain) -> tuple[float, float]:
     return total, joint
 
 
+def shared_segments(a: PolyChain, b: PolyChain) -> list[tuple[PlanePoint, PlanePoint]]:
+    """Boundary stretches the chains share, as segments of a's edges.  Unlike
+    double_bubble_perimeter this tests no interiors and allows any direction."""
+    rows = a._rows
+    segs = []
+    for i, _, lo, hi in _contacts(rows, b._rows)[1]:
+        x, y, _, _, _, _, _, _, ux, uy, _ = rows[i]
+        segs.append((PlanePoint(x + lo * ux, y + lo * uy), PlanePoint(x + hi * ux, y + hi * uy)))
+    return segs
+
+
 def point_in_polygon(p: Sequence[float], poly: PolyChain) -> bool:
     """True iff p lies strictly inside closed chain poly (boundary excluded)."""
     if not poly.closed:

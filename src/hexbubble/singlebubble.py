@@ -148,7 +148,6 @@ def perimeter_P2(L: float, V: float) -> float:
 
 def optimal_perimeter(L: float, V: float) -> float:
     """Perimeter of the active regime (P1 below the threshold, else P2)."""
-    _check_inputs(L, V)
     if is_six_sided(L, V):
         return perimeter_P1(L, V)
     return perimeter_P2(L, V)

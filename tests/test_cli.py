@@ -291,14 +291,29 @@ def test_module_entry_point_help(tmp_path):
 
 
 def test_solve_does_not_import_numpy(tmp_path):
+    # the solver path loads neither numpy nor the checkers (oracle, checks, cli)
     script = (
-        "import sys, hexbubble\n"
+        "import json, sys, hexbubble\n"
+        "hexbubble.solve(0.05)\n"
         "hexbubble.solve(0.3)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+        "hexbubble.find_alpha0()\n"
+        "hexbubble.sweep(0.1, 0.2, 3)\n"
+        "top = {m: m.split('.')[0] for m in sys.modules}\n"
+        "print(json.dumps([sorted(m for m, t in top.items() if t == name)\n"
+        "                  for name in ('numpy', 'hexbubble')]))\n"
     )
     proc = _run_child(["-c", script], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    numpy_modules, hexbubble_modules = json.loads(proc.stdout)
+    assert numpy_modules == []
+    assert hexbubble_modules == [
+        "hexbubble",
+        "hexbubble.embedded",
+        "hexbubble.hexnorm",
+        "hexbubble.kissing",
+        "hexbubble.singlebubble",
+        "hexbubble.solver",
+    ]
 
 
 @pytest.mark.skipif(os.name != "posix", reason="needs a POSIX pipe")

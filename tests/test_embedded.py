@@ -6,15 +6,13 @@ import math
 import pytest
 
 from conftest import SQRT3, golden_min_1d
+from hexbubble.checks import case2_check, case2_report, notch_skew_perimeter
 from hexbubble.embedded import (
     ROUTE_RHO1,
-    case2_check,
-    case2_report,
     embedded_geometry,
     embedded_minimum,
     inner_hexagon,
     minimize_rho1,
-    notch_skew_perimeter,
     outer_notched,
     rho1,
     rho1_optimal_L2,
@@ -443,10 +441,13 @@ def test_tiny_ratio_geometry_measures_its_perimeter():
     # chain's vertex-merge tolerance; the glued sides must stay on the lattice
     for alpha in (1.2528889e-13, 3.8872128e-13, 4.4017538e-13, 1e-12):
         sol = embedded_minimum(alpha)
-        geometry_a, geometry_b = embedded_geometry(sol.L1, sol.L2, 1.0, alpha)[:2]
+        geometry_a, geometry_b, _, sides = embedded_geometry(sol.L1, sol.L2, 1.0, alpha)
         total, joint = double_bubble_perimeter(geometry_a, geometry_b)
         assert abs(total - sol.perimeter) <= 1e-9
         assert abs(joint - sol.L1) <= 1e-9
+        # the reported sides describe the cell that was built
+        assert (sides[0] == 0.0) == (len(geometry_b.vertices) == 4)
+        assert sides[3] == sides[0]
 
 
 def test_widest_feasible_notch_still_builds():

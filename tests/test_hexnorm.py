@@ -19,6 +19,7 @@ from hexbubble.hexnorm import (
     polygon_area,
     polyline_length,
     sextant,
+    shared_segments,
 )
 from hexbubble.oracle import Lcg
 from hexbubble.singlebubble import fixed_side_polygon
@@ -330,6 +331,17 @@ def test_double_bubble_partial_edge_overlap():
     total, joint = double_bubble_perimeter(a, b)
     assert abs(joint - 1.0) <= 1e-12
     assert abs(total - 11.0) <= 1e-12
+    assert shared_segments(a, b) == [(PlanePoint(1.0, 0.0), PlanePoint(2.0, 0.0))]
+
+
+def test_shared_segments_draws_a_non_lattice_joint():
+    # unit squares sharing a vertical edge: the metric refuses the joint,
+    # the drawing still gets it
+    a = make_chain([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)], closed=True)
+    b = make_chain([(1.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 1.0)], closed=True)
+    with pytest.raises(ValueError, match="not along a lattice direction"):
+        double_bubble_perimeter(a, b)
+    assert shared_segments(a, b) == [(PlanePoint(1.0, 0.0), PlanePoint(1.0, 1.0))]
 
 
 def test_double_bubble_alpha_one_kissing_geometry_matches_p3():

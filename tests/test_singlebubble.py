@@ -220,6 +220,27 @@ def test_isoperimetric_optimum_needs_positive_finite_volume(volume):
         isoperimetric_optimum(volume)
 
 
+@pytest.mark.parametrize(
+    "L, V, message",
+    [
+        (math.nan, 1.0, "L and V must be finite"),
+        (math.inf, 1.0, "L and V must be finite"),
+        (1.0, math.nan, "L and V must be finite"),
+        (1.0, math.inf, "L and V must be finite"),
+        (1.0, -math.inf, "L and V must be finite"),
+        (1.0, 0.0, "volume must be positive"),
+        (1.0, -1.0, "volume must be positive"),
+        (0.0, -1.0, "volume must be positive"),
+        (0.0, 1.0, "fixed side must be >= 1e-08"),
+        (5e-9, 1.0, "fixed side must be >= 1e-08"),
+    ],
+)
+def test_optimal_perimeter_input_messages(L, V, message):
+    with pytest.raises(ValueError) as info:
+        optimal_perimeter(L, V)
+    assert str(info.value) == message
+
+
 def test_invalid_inputs_rejected():
     with pytest.raises(ValueError):
         solve_fixed_side(0.0, 1.0)
