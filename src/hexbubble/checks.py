@@ -291,8 +291,10 @@ def _chk_degree8(rng: Lcg) -> tuple[bool, str]:
 
 
 def _chk_rho_route_order(rng: Lcg) -> tuple[bool, str]:
-    for _ in range(8):
-        a = rng.uniform(0.01, 1.0)
+    # solve evaluates rho1 only, so the exclusion is checked down to the
+    # smallest ratios too: every other draw is log-uniform in [1e-300, 1e-2]
+    for k in range(8):
+        a = rng.uniform(0.01, 1.0) if k % 2 == 0 else 10.0 ** rng.uniform(-300.0, -2.0)
         first = embedded.minimize_rho1(a)[2]
         second = embedded.rho2_minimum(a)[2]
         if first > second + 1e-12:

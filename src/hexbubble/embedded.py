@@ -16,11 +16,14 @@ The pair's perimeter with the outer cell holding volume 1 is
 
 minimized in L2 at L2*(L1) = sqrt(8 sqrt(3) + 3 L1^2)/3 and then in L1
 by a root-find on the monotone derivative of the strictly convex
-sqrt(8 sqrt(3) + 3 L1^2) + L1/2 + 4 sqrt(3) alpha/(3 L1).  rho2 swaps
-which cell holds which volume; its minimum has the L2 >= L1 clamp active
-for alpha <= 2/3, giving the closed form L1 = L2 = sqrt(8 sqrt(3)(1+alpha)/15),
-and above 2/3 reduces to the same convex form with the roles of the
-volumes exchanged.
+sqrt(8 sqrt(3) + 3 L1^2) + L1/2 + 4 sqrt(3) alpha/(3 L1).
+
+rho2 swaps which cell holds which volume.  The paper excludes it, and the
+solver does not evaluate it; it is kept here as that exclusion, for the
+checks and tests that confirm it never undercuts rho1.  Its minimum has
+the L2 >= L1 clamp active for alpha <= 2/3, giving the closed form
+L1 = L2 = sqrt(8 sqrt(3)(1+alpha)/15), and above 2/3 reduces to the same
+convex form with the roles of the volumes exchanged.
 """
 
 from __future__ import annotations
@@ -30,9 +33,6 @@ from typing import NamedTuple
 
 from .hexnorm import DEDUP_TOL, SQRT3, PolyChain, anchored_pair, merge_vertices
 from .singlebubble import MIN_SIDE, check_alpha, convex_min
-
-ROUTE_RHO1 = "rho1"  # outer cell holds volume 1
-ROUTE_RHO2 = "rho2"  # outer cell holds volume alpha
 
 
 def inner_hexagon(L: float, V: float) -> tuple[tuple[float, ...], float]:
@@ -159,7 +159,6 @@ class EmbeddedSolution(NamedTuple):
     L1: float
     L2: float
     perimeter: float
-    route: str  # ROUTE_RHO1 or ROUTE_RHO2
 
 
 def embedded_geometry(
@@ -208,13 +207,10 @@ def embedded_geometry(
 
 
 def embedded_minimum(alpha: float) -> EmbeddedSolution:
-    """Best nested configuration: min of the rho1 and rho2 routes.
+    """Best nested configuration: the rho1 minimum, outer cell holding volume 1.
 
-    rho1 (outer cell holds volume 1) wins throughout (0, 1]; rho2 is
-    evaluated anyway and kept if it ever undercut.
+    The paper excludes rho2 (the host cell holding the smaller volume),
+    so the solver does not evaluate it; rho2_minimum stays as that
+    exclusion, which the rho-route-order check and the tests hold to.
     """
-    l1a, l2a, va = minimize_rho1(alpha)
-    l1b, l2b, vb = rho2_minimum(alpha)
-    if va <= vb:
-        return EmbeddedSolution(alpha, l1a, l2a, va, ROUTE_RHO1)
-    return EmbeddedSolution(alpha, l1b, l2b, vb, ROUTE_RHO2)
+    return EmbeddedSolution(alpha, *minimize_rho1(alpha))

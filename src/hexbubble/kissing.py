@@ -33,7 +33,6 @@ from .singlebubble import (
     check_alpha,
     convex_min,
     fixed_side_vertices,
-    is_six_sided,
     optimal_perimeter,
     solve_fixed_side,
 )
@@ -51,18 +50,6 @@ P3_WEIGHT = math.sqrt(7.0 / 3.0)
 
 BRANCH_UNEQUAL = "unequal-candidate"
 BRANCH_EQUAL = "equal-p3"
-
-
-class KissingRegime(NamedTuple):
-    """Six-sided flags for the two glued cells."""
-
-    a: bool
-    b: bool
-
-
-def kissing_regime(L1: float, L2: float, alpha: float) -> KissingRegime:
-    check_alpha(alpha)
-    return KissingRegime(is_six_sided(L1, 1.0), is_six_sided(L2, alpha))
 
 
 def kissing_perimeter(L1: float, L2: float, alpha: float) -> float:
@@ -307,7 +294,6 @@ class KissingSolution(NamedTuple):
     L2: float
     perimeter: float
     branch: str  # BRANCH_UNEQUAL or BRANCH_EQUAL
-    row: Optional[int]  # 1-based candidate row for the unequal branch
 
 
 def kissing_geometry(
@@ -337,6 +323,6 @@ def kissing_minimum(alpha: float) -> KissingSolution:
         L1 = _stationary_side(REGIME_SIX, 0, 1.0)
         L2 = _stationary_side(REGIME_SIX, 1, alpha)
         perimeter = kissing_perimeter(L1, L2, alpha)
-        return KissingSolution(alpha, L1, L2, perimeter, BRANCH_UNEQUAL, 2)
+        return KissingSolution(alpha, L1, L2, perimeter, BRANCH_UNEQUAL)
     L, perimeter = p3_minimizer(alpha)
-    return KissingSolution(alpha, L, L, perimeter, BRANCH_EQUAL, None)
+    return KissingSolution(alpha, L, L, perimeter, BRANCH_EQUAL)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .hexnorm import SQRT3, LATTICE_DIRECTIONS, PolyChain, merge_vertices
 
@@ -28,9 +29,9 @@ REGIME_FOUR = "four-sided"
 # sides shorter than this give effectively unbounded perimeters
 MIN_SIDE = 1e-8
 
-# cap on safeguarded Newton steps in convex_min and solver.find_alpha0; on
-# the solver's path they take at most 9 (17 for ratios below 1e-30), and
-# bisection alone narrows either bracket to adjacent floats in under 60
+# cap on newton_root's steps; on the solver's path it takes at most 9 (17
+# for ratios below 1e-30), and bisection alone narrows any of its brackets
+# to adjacent floats in under 60
 NEWTON_MAX_ITER = 60
 
 
@@ -165,6 +166,45 @@ def isoperimetric_optimum(V: float) -> tuple[float, float]:
     return root / 3.0 ** 0.75, 2.0 * root * 3.0 ** 0.25
 
 
+def newton_root(
+    fn: Callable[[float], tuple[float, float]],
+    lo: float,
+    hi: float,
+    flo: float,
+    slope_lo: float,
+    tol: float = 0.0,
+) -> float:
+    """Root of an increasing, concave f in [lo, hi] by safeguarded Newton.
+
+    fn(x) returns (f(x), f'(x)); the caller passes the pair at lo, where
+    f <= 0.  Because f is concave, a Newton step from the left of the root
+    does not pass it, so the iterates climb from lo.  A step that leaves the
+    shrinking sign bracket, lands back on one of its ends (only rounding can
+    cause either) or comes from a slope that is not positive is replaced by
+    bisection (Brent 1973).  The iteration stops on an exact zero or once a
+    step is at most max(tol, 2 ulp), returning the point that step reached.
+    """
+    x, fx, dfx = lo, flo, slope_lo
+    for _ in range(NEWTON_MAX_ITER):
+        if fx == 0.0:
+            break
+        if fx < 0.0:
+            lo = x
+        else:
+            hi = x
+        step = x - fx / dfx if dfx > 0.0 else math.nan
+        if step != x and not lo < step < hi:
+            # outside the bracket, or back on its other end; rounding
+            # alone can send a step there, and the latter would cycle
+            step = 0.5 * (lo + hi)
+        x, dx = step, abs(step - x)
+        # two comparisons: max(tol, ...) would add a builtin call per step
+        if dx <= tol or dx <= 2.0 * math.ulp(x):
+            break
+        fx, dfx = fn(x)
+    return x
+
+
 def convex_min(
     terms: tuple[tuple[float, float], tuple[float, float]],
     b: float,
@@ -176,14 +216,11 @@ def convex_min(
 
     `terms` holds two (w, a) pairs; a one-radical f passes w = 0 in the
     second.  For w, a, c >= 0, f'(L) = sum 3 w L / sqrt(a + 3 L^2) + b - c/L^2
-    is strictly increasing and concave, so Newton steps from lo, where the
-    caller guarantees f' <= 0, climb to its root without passing it; a
-    step that leaves the shrinking sign bracket or lands back on one of
-    its ends (only rounding can cause either) is replaced by bisection
-    (Brent 1973).  When f' is still nonpositive at hi the minimum is hi
-    itself.  c/L^2 and c/L^3 are formed by repeated division, so a tiny L
-    cannot underflow a divisor to zero.  The rho1 and rho2 routes and the
-    P3 branch all take this form.
+    is strictly increasing and concave, so newton_root climbs from lo,
+    where the caller guarantees f' <= 0, to its root.  When f' is still
+    nonpositive at hi the minimum is hi itself.  c/L^2 and c/L^3 are formed
+    by repeated division, so a tiny L cannot underflow a divisor to zero.
+    The rho1 route, the rho2 exclusion and the P3 branch all take this form.
     """
     (w1, a1), (w2, a2) = terms
 
@@ -203,22 +240,7 @@ def convex_min(
     if slopes(hi)[0] <= 0.0:
         x = hi
     else:
-        x = lo
-        for _ in range(NEWTON_MAX_ITER):
-            d, d2 = slopes(x)
-            if d == 0.0:
-                break
-            if d < 0.0:
-                lo = x
-            else:
-                hi = x
-            step = x - d / d2
-            if step != x and not lo < step < hi:
-                # outside the bracket, or back on its other end; rounding
-                # alone can send a step there, and the latter would cycle
-                step = 0.5 * (lo + hi)
-            x, dx = step, step - x
-            if abs(dx) <= 2.0 * math.ulp(x):
-                break
+        d, d2 = slopes(lo)  # unpacked: a star call is slower on this hot path
+        x = newton_root(slopes, lo, hi, d, d2)
     q = 3.0 * x * x
     return x, w1 * math.sqrt(a1 + q) + w2 * math.sqrt(a2 + q) + b * x + c / x

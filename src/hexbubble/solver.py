@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import embedded as embedded_mod
 from . import kissing as kissing_mod
 from .hexnorm import SQRT3, PolyChain
-from .singlebubble import NEWTON_MAX_ITER, check_alpha
+from .singlebubble import check_alpha, newton_root
 
 CASE_EMBEDDED = "embedded"
 CASE_KISSING = "kissing"
@@ -62,14 +62,9 @@ def kissing_value(alpha: float) -> float:
 
 
 def _embedded_entry(sol: embedded_mod.EmbeddedSolution) -> SolutionEntry:
-    # cell A holds volume 1: the outer cell on the rho1 route, else the inner
-    rho1 = sol.route == embedded_mod.ROUTE_RHO1
-    outer_volume, inner_volume = (1.0, sol.alpha) if rho1 else (sol.alpha, 1.0)
-    cells = embedded_mod.embedded_geometry(sol.L1, sol.L2, outer_volume, inner_volume)
-    if not rho1:
-        outer, inner, outer_sides, inner_sides = cells
-        cells = (inner, outer, inner_sides, outer_sides)
-    # the welded notch sides sum to L1, the joint length
+    # cell A, holding volume 1, is the outer cell; the welded notch sides
+    # sum to L1, the joint length
+    cells = embedded_mod.embedded_geometry(sol.L1, sol.L2, 1.0, sol.alpha)
     return SolutionEntry(CASE_EMBEDDED, *cells, sol.L1, sol.L2, sol.L1)
 
 
@@ -120,15 +115,13 @@ def _difference_and_slope(alpha: float) -> tuple[float, float]:
 
     Both values are minima over side lengths, so by the envelope theorem
     g' is their partial derivative in alpha at the minimizers:
-    (4 sqrt(3)/3)/L1 on the rho1 route, less 2 sqrt(3)/(3 u2) with
+    (4 sqrt(3)/3)/L1 for the nested pair, less 2 sqrt(3)/(3 u2) with
     u2 = sqrt((3 L2^2 + 4 sqrt(3) alpha)/21) for the six-sided cell B that
-    both kissing branches glue.  Off the rho1 route the slope is nan.
+    both kissing branches glue.
     """
     emb = embedded_mod.embedded_minimum(alpha)
     kis = kissing_mod.kissing_minimum(alpha)
     g = emb.perimeter - kis.perimeter
-    if emb.route != embedded_mod.ROUTE_RHO1:
-        return g, math.nan
     u2 = math.sqrt((3.0 * kis.L2 * kis.L2 + 4.0 * SQRT3 * alpha) / 21.0)
     return g, 4.0 * SQRT3 / (3.0 * emb.L1) - 2.0 * SQRT3 / (3.0 * u2)
 
@@ -140,19 +133,20 @@ def find_alpha0(
 ) -> float:
     """The crossover ratio: embedded below, kissing above.
 
-    Newton steps on g = embedded_value - kissing_value, negative at the
-    bracket's left end and positive at its right end, start from the left
-    end.  Above the 1/8 handoff, where alpha0 lies, g is increasing and
-    concave, so a step from the left of the root does not pass it; below
-    1/8 g is convex, and below about 0.03 it decreases.  A step that
-    leaves the shrinking sign bracket, or a slope that is not positive,
-    gives way to bisection.
+    singlebubble.newton_root, the safeguarded Newton iteration that also
+    serves the nested and glued minimizers, runs on g = embedded_value -
+    kissing_value, negative at the bracket's left end and positive at its
+    right end, from the left end.  Above the 1/8 handoff, where alpha0
+    lies, g is increasing and concave, so a step from the left of the root
+    does not pass it; below 1/8 g is convex, and below about 0.03 it
+    decreases.  A step that leaves the shrinking sign bracket, or a slope
+    that is not positive, gives way to bisection.
 
     tol is the step size at which the iteration stops, returning the point
-    that step reached (or the last point, once no float lies strictly
-    inside the bracket).  After a Newton step that small the error is of
-    order tol^2; after a bisection step it is at most tol.  The default
-    1e-9 lands on alpha0 to the rounding of g, a few 1e-15.
+    that step reached; steps of 2 ulp or less stop it too.  After a Newton
+    step that small the error is of order tol^2; after a bisection step it
+    is at most tol.  The default 1e-9 lands on alpha0 to the rounding of g,
+    a few 1e-15.
 
     Raises if the bracket does not straddle the sign change, or if tol is
     not positive and finite.
@@ -163,25 +157,7 @@ def find_alpha0(
     ghi, _ = _difference_and_slope(hi)
     if not (glo < 0.0 < ghi):
         raise ValueError("bracket does not straddle the transition")
-    x, gx = lo, glo
-    for _ in range(NEWTON_MAX_ITER):
-        step = x - gx / slope if slope > 0.0 else math.nan
-        if not lo < step < hi:
-            step = 0.5 * (lo + hi)
-            if not lo < step < hi:
-                break
-        dx = abs(step - x)
-        x = step
-        if dx <= tol:
-            break
-        gx, slope = _difference_and_slope(x)
-        if gx == 0.0:
-            break
-        if gx < 0.0:
-            lo = x
-        else:
-            hi = x
-    return x
+    return newton_root(_difference_and_slope, lo, hi, glo, slope, tol)
 
 
 def sweep(alpha_min: float, alpha_max: float, steps: int) -> list[DoubleBubbleResult]:

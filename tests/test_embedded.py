@@ -8,7 +8,6 @@ import pytest
 from conftest import SQRT3, golden_min_1d
 from hexbubble.checks import case2_check, case2_report, notch_skew_perimeter
 from hexbubble.embedded import (
-    ROUTE_RHO1,
     embedded_geometry,
     embedded_minimum,
     inner_hexagon,
@@ -312,6 +311,24 @@ def test_rho1_route_never_loses():
         assert minimize_rho1(alpha)[2] <= rho2_minimum(alpha)[2] + 1e-12
 
 
+def test_rho1_route_never_loses_property():
+    # the exclusion embedded_minimum relies on, down to the smallest double
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    log_uniform = st.floats(min_value=math.log10(5e-324), max_value=0.0).map(
+        lambda e: max(5e-324, 10.0 ** e)
+    )
+    uniform = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+    @hypothesis.settings(derandomize=True, deadline=None)
+    @hypothesis.given(st.one_of(log_uniform, uniform))
+    def check(alpha):
+        assert minimize_rho1(alpha)[2] <= rho2_minimum(alpha)[2] + 1e-12
+        assert tuple(embedded_minimum(alpha)) == (alpha, *minimize_rho1(alpha))
+
+    check()
+
+
 def test_near_transition_values_are_close():
     emb = minimize_rho1(0.152)[2]
     kis = kissing_minimum(0.152).perimeter
@@ -407,7 +424,7 @@ def test_skew_out_of_range():
 
 def test_embedded_minimum_geometry():
     sol = embedded_minimum(0.1)
-    assert sol.route == ROUTE_RHO1
+    assert sol[1:] == minimize_rho1(0.1)
     geometry_a, geometry_b = embedded_geometry(sol.L1, sol.L2, 1.0, 0.1)[:2]
     assert len(geometry_a.vertices) == 8
     assert len(geometry_b.vertices) == 6

@@ -17,7 +17,6 @@ from hexbubble.kissing import (
     kissing_geometry,
     kissing_minimum,
     kissing_perimeter,
-    kissing_regime,
     p3_minimizer,
     poly_real_roots,
     small_alpha_closed_form,
@@ -34,11 +33,9 @@ L_TRAPEZOID_1 = 2.0 / 3.0 ** 0.25  # ~1.5197
 
 
 def test_regime_flags():
-    r = kissing_regime(0.5, 0.5, 0.25)
-    assert r.a and r.b
-    r = kissing_regime(2.0, 0.5, 0.25)
-    assert not r.a and r.b
-    assert r.a == is_six_sided(2.0, 1.0)
+    # cell A holds volume 1, cell B volume alpha = 0.25
+    assert is_six_sided(0.5, 1.0) and is_six_sided(0.5, 0.25)
+    assert not is_six_sided(2.0, 1.0)
 
 
 def test_perimeter_composition():
@@ -185,7 +182,8 @@ def test_small_alpha_branch():
         alpha = rng.uniform(1e-4, 0.125 - 1e-9)
         sol = kissing_minimum(alpha)
         assert sol.branch == BRANCH_UNEQUAL
-        assert sol.row == 2
+        row = unequal_candidates(alpha)[1]
+        assert (sol.L1, sol.L2) == (row.L1, row.L2)
         assert abs(sol.perimeter - small_alpha_closed_form(alpha)) <= 1e-12
     sol = kissing_minimum(1.0 / 16.0)
     assert abs(sol.perimeter - 2.0 * 3.0 ** 0.25 * (math.sqrt(2.0) + 0.25)) <= 1e-12

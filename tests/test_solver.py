@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from hexbubble import embedded, solver
 from hexbubble.embedded import minimize_rho1
 from hexbubble.hexnorm import PolyChain, double_bubble_perimeter, polygon_area
 from hexbubble.kissing import kissing_minimum, small_alpha_closed_form
@@ -88,6 +89,33 @@ def test_exactly_one_sign_change():
     signs = [embedded_value(a) - kissing_value(a) < 0.0 for a in alphas]
     flips = sum(1 for s, t in zip(signs, signs[1:]) if s != t)
     assert flips == 1
+
+
+def test_solver_path_never_evaluates_rho2(monkeypatch):
+    # the paper excludes rho2, so solve, sweep and find_alpha0 run on rho1
+    # alone, even at the doubles just below 1 where rho2 rounds 1-2 ulp below
+    def excluded(alpha):
+        raise AssertionError("rho2_minimum evaluated on the solver path")
+
+    monkeypatch.setattr(embedded, "rho2_minimum", excluded)
+    near_one = (
+        0.9999999999999999, 0.9999999999999998, 0.9999999999999982, 0.9999999999999981
+    )
+    for alpha in (0.05, 0.14, 0.3, 0.9, 1.0, *near_one):
+        r = solve(alpha)
+        assert r.candidates[CASE_EMBEDDED] == minimize_rho1(alpha)[2]
+    assert len(sweep(0.01, 1.0, 25)) == 25
+
+    calls = []
+    g = solver._difference_and_slope
+
+    def counting(alpha):
+        calls.append(alpha)
+        return g(alpha)
+
+    monkeypatch.setattr(solver, "_difference_and_slope", counting)
+    assert find_alpha0() == 0.15245721143347343
+    assert len(calls) == 5  # both bracket ends, then three Newton steps
 
 
 def test_bad_bracket_raises():
