@@ -11,6 +11,7 @@ check.  `run_verify` runs a suite and prints one line per check.
 from __future__ import annotations
 
 import math
+import time
 from typing import Callable, Optional
 
 from . import embedded, hexnorm, kissing, singlebubble, solver
@@ -457,7 +458,9 @@ _FULL_CHECKS = _QUICK_CHECKS + [
 ]
 
 
-def run_verify(suite: str, seed: int, out) -> int:
+def run_verify(suite: str, seed: int, out, timings: Optional[dict[str, float]] = None) -> int:
+    """Run a suite, print its transcript to out and return the exit code.
+    A `timings` dict, when given, receives each check's wall time in seconds."""
     checks = _QUICK_CHECKS if suite == "quick" else _FULL_CHECKS
     print("hexbubble verification", file=out)
     print(f"suite: {suite}", file=out)
@@ -465,10 +468,13 @@ def run_verify(suite: str, seed: int, out) -> int:
     failures = 0
     for index, (name, check) in enumerate(checks):
         rng = Lcg(seed * 1000003 + index)
+        start = time.perf_counter()
         try:
             ok, detail = check(rng)
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+        if timings is not None:
+            timings[name] = time.perf_counter() - start
         if ok:
             print(f"PASS {name}", file=out)
         else:

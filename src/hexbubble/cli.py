@@ -5,7 +5,8 @@ Numeric output carries 12 significant digits everywhere; JSON payloads
 store numbers as decimal strings so snapshots do not depend on float
 repr quirks.  Exit codes: 0 success, 1 verification failure, 2 usage or
 domain error, 3 I/O error, 141 stdout closed by its reader.  HEXBUBBLE_SEED,
-when set, overrides --seed.
+when set, overrides --seed.  `verify --timings` adds one JSON line to
+stderr and leaves stdout as it is.
 """
 
 from __future__ import annotations
@@ -258,7 +259,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             seed = int(env)
         except ValueError:
             return _error(f"{SEED_ENV} must be an integer, got {env!r}")
-    return run_verify(args.suite, seed, sys.stdout)
+    timings: Optional[dict[str, float]] = {} if args.timings else None
+    code = run_verify(args.suite, seed, sys.stdout, timings)
+    if timings is not None:
+        sys.stdout.flush()  # the JSON line follows the result line
+        print(json.dumps(timings), file=sys.stderr)
+    return code
 
 
 def cmd_render(args: argparse.Namespace) -> int:
@@ -315,6 +321,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the self-check suites")
     p.add_argument("--suite", choices=("quick", "full"), default="quick")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--timings", action="store_true",
+        help="after the result, write {check: seconds} as JSON to stderr",
+    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("render", help="draw the minimizing configuration(s)")

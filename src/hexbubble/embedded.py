@@ -135,6 +135,11 @@ def rho2_minimum(alpha: float) -> tuple[float, float, float]:
     2 sqrt(10 (1+alpha))/3^(1/4) is exact.  Above 2/3 the minimizer
     detaches from the diagonal and is located by the same convex
     root-find as rho1, on the curve L2 = sqrt((8 sqrt(3) alpha + 3 L1^2)/9).
+
+    Known defect: the cells of this optimum, embedded_geometry(L1, L2,
+    alpha, 1.0), fail to build ("closed chain is not simple") for most
+    alpha in [8.3e-13, 9.6e-10], 1e-12, 1e-11 and 1e-10 among them; they
+    build at 1e-13 and at 1e-9.  The solver never builds them.
     """
     check_alpha(alpha)
     if alpha <= 2.0 / 3.0:
@@ -168,7 +173,9 @@ def embedded_geometry(
     built), with the outer chain's leftmost-lowest vertex at the origin.
 
     The notch mouth runs from (0, 0) to (0, sqrt(3) L1 / 2) before the
-    anchoring shift; the inner cell pokes east out of it.
+    anchoring shift; the inner cell pokes east out of it.  On the rho2
+    optimum (outer volume alpha, inner volume 1) the outer chain is not
+    simple for most alpha in [8.3e-13, 9.6e-10]; see rho2_minimum.
     """
     inner_sides, _ = inner_hexagon(L1, inner_volume)
     outer_sides, _ = outer_notched(L1, L2, outer_volume)

@@ -196,7 +196,11 @@ def geodesic_path(p: Sequence[float], q: Sequence[float]) -> PolyChain:
 
 def polyline_length(chain: PolyChain) -> float:
     """Total D-length of the chain; closed chains include the closing edge."""
-    return math.fsum([hex_norm((ex, ey)) for _, _, _, _, ex, ey, _, _, _, _, _ in chain._rows])
+    # hex_norm of each edge vector, inlined
+    return math.fsum([
+        max(abs(ex) + (ay := abs(ey) / SQRT3), 2.0 * ay)
+        for _, _, _, _, ex, ey, _, _, _, _, _ in chain._rows
+    ])
 
 
 def polygon_area(chain: PolyChain) -> float:
@@ -354,6 +358,27 @@ def point_in_polygon(p: Sequence[float], poly: PolyChain) -> bool:
 # the edge vector e = b - a, sq = ex*ex + ey*ey, length = hypot(ex, ey),
 # the unit vector u = e/length and tol = GEOM_TOL*length.  The loops below
 # unpack rows in place of calling a helper per edge pair.
+#
+# Three tests skip work by bounding boxes.  Each skip is exact, since a
+# skipped pair or point could not have passed the test it skips:
+#
+# - _contacts skips edge i of rp and edge j of rq when i's box misses j's
+#   box padded by GEOM_TOL * (2 + j's length).  A proper crossing needs no
+#   pad: its determinants lie beyond +/-GEOM_TOL, so the segments really
+#   meet.  A stretch needs j's start within GEOM_TOL of i's line (off) and
+#   j tilted from it by at most GEOM_TOL (cross <= j's tol), so some point
+#   of j lies within GEOM_TOL * (1 + j's length) of a point of i; the
+#   second GEOM_TOL covers the rounding of off, cross and t.
+# - _strictly_inside skips the distance to an edge, not the ray crossing,
+#   when the point lies outside the edge's box widened by 2 GEOM_TOL: it is
+#   then more than 2 GEOM_TOL from the edge.  The margin beyond GEOM_TOL
+#   keeps the rounding of px - ax from flipping a decision at GEOM_TOL.
+# - _any_point_inside skips points outside the whole chain's box widened
+#   by GEOM_TOL (see its docstring).
+#
+# "Rounding" here is a few ulp of the coordinates, far below GEOM_TOL for
+# coordinates well under GEOM_TOL / 2**-52 (about 4.5e6); solver cells are
+# O(1).  Horizontal edges have boxes of zero height, so no pad may be 0.
 
 
 def _contacts(rp: _EdgeRows, rq: _EdgeRows) -> tuple[bool, list[tuple[int, int, float, float]]]:
@@ -367,8 +392,19 @@ def _contacts(rp: _EdgeRows, rq: _EdgeRows) -> tuple[bool, list[tuple[int, int, 
     eps, neg = GEOM_TOL, -GEOM_TOL
     crossed = False
     stretches = []
+    boxes = []  # rq's edge boxes, padded by GEOM_TOL * (2 + length)
+    for cx, cy, dx, dy, _, _, _, flen, _, _, _ in rq:
+        pad = GEOM_TOL * (2.0 + flen)
+        x0, x1 = (cx, dx) if cx <= dx else (dx, cx)
+        y0, y1 = (cy, dy) if cy <= dy else (dy, cy)
+        boxes.append((x0 - pad, x1 + pad, y0 - pad, y1 + pad))
     for i, (ax, ay, bx, by, ex, ey, _, length, ux, uy, _) in enumerate(rp):
-        for j, (cx, cy, dx, dy, fx, fy, _, _, _, _, ftol) in enumerate(rq):
+        x0, x1 = (ax, bx) if ax <= bx else (bx, ax)
+        y0, y1 = (ay, by) if ay <= by else (by, ay)
+        for j, (qx0, qx1, qy0, qy1) in enumerate(boxes):
+            if qx0 > x1 or qx1 < x0 or qy0 > y1 or qy1 < y0:
+                continue  # too far apart to cross or share a stretch
+            cx, cy, dx, dy, fx, fy, _, _, _, _, ftol = rq[j]
             d1 = fx * (ay - cy) - fy * (ax - cx)
             d2 = fx * (by - cy) - fy * (bx - cx)
             if (d1 > eps and d2 < neg) or (d1 < neg and d2 > eps):
@@ -425,15 +461,22 @@ def _strictly_inside(px: float, py: float, rows: _EdgeRows) -> bool:
     """True iff (px, py) is farther than GEOM_TOL from every edge and a ray
     from it toward +x crosses the chain an odd number of times."""
     inside = False
+    pad, neg = 2.0 * GEOM_TOL, -2.0 * GEOM_TOL
     for ax, ay, bx, by, ex, ey, sq, _, _, _, _ in rows:
         qx, qy = px - ax, py - ay
-        t = (qx * ex + qy * ey) / sq
-        if not t < 1.0:  # t = max(0.0, min(1.0, t))
-            t = 1.0
-        elif t <= 0.0:
-            t = 0.0
-        if math.hypot(qx - t * ex, qy - t * ey) <= GEOM_TOL:
-            return False
+        # distance to the edge only within its box widened by 2 GEOM_TOL
+        # (qx - ex and qy - ey stand for px - bx and py - by)
+        if not (
+            (qx > pad and qx - ex > pad) or (qx < neg and qx - ex < neg)
+            or (qy > pad and qy - ey > pad) or (qy < neg and qy - ey < neg)
+        ):
+            t = (qx * ex + qy * ey) / sq
+            if not t < 1.0:  # t = max(0.0, min(1.0, t))
+                t = 1.0
+            elif t <= 0.0:
+                t = 0.0
+            if math.hypot(qx - t * ex, qy - t * ey) <= GEOM_TOL:
+                return False
         if (ay > py) != (by > py) and ax + (py - ay) * ex / ey > px:
             inside = not inside
     return inside

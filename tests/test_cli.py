@@ -112,6 +112,19 @@ def test_verify_full_passes(capsys):
     assert "result: PASS (16/16)" in out
 
 
+def test_verify_timings_go_to_stderr_only(capsys):
+    code, out, err = run_cli(["verify", "--suite", "quick", "--seed", "3"], capsys)
+    assert code == 0 and err == ""
+    code_t, out_t, err_t = run_cli(["verify", "--suite", "quick", "--seed", "3", "--timings"], capsys)
+    assert code_t == 0
+    assert out_t == out  # stdout is byte-identical with or without the flag
+    assert err_t.endswith("\n") and err_t.count("\n") == 1
+    timings = json.loads(err_t)
+    names = [ln.split()[1] for ln in out.splitlines() if ln.startswith("PASS ")]
+    assert list(timings) == names and len(names) == 10
+    assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+
+
 @pytest.mark.parametrize("seed", [20, 35, 50, 103, 114, 199, 232, 241, 249, 264, 368])
 def test_verify_quick_passes_where_the_fixed_side_witness_was_infeasible(seed):
     # these seeds draw a long side with a small volume, where the former

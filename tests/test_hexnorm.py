@@ -6,6 +6,7 @@ import pytest
 
 from conftest import SQRT3, random_convex_polygon, unit_ball_hexagon
 from hexbubble.hexnorm import (
+    GEOM_TOL,
     LATTICE_DIRECTIONS,
     HexRegion,
     PlanePoint,
@@ -429,6 +430,39 @@ def test_point_in_polygon_excludes_the_boundary():
     assert not point_in_polygon((1.5, 0.5), square)
     assert not point_in_polygon((-0.5, 0.5), square)
     assert not point_in_polygon((0.5, 2.0), square)
+
+
+# ---------------------------------------------------------------- bounding-box pads
+#
+# Horizontal edges have bounding boxes of zero height, so each case below
+# is decided by a pad: with any pad dropped to 0 the first two fail.
+
+
+def test_double_bubble_joins_horizontal_edges_offset_within_tolerance():
+    # b's bottom edge runs 0.9 GEOM_TOL above a's top edge
+    a = unit_ball_hexagon()
+    b = unit_ball_hexagon(0.0, SQRT3 + 0.9 * GEOM_TOL)
+    total, joint = double_bubble_perimeter(a, b)
+    assert joint > 0.0
+    assert abs(joint - 1.0) <= 1e-12
+    assert abs(total - 11.0) <= 1e-12
+
+
+def test_point_just_inside_a_flat_top_edge_is_on_the_boundary():
+    hexagon = unit_ball_hexagon()
+    assert not point_in_polygon((0.0, SQRT3 / 2.0 - 0.5 * GEOM_TOL), hexagon)
+    assert point_in_polygon((0.0, SQRT3 / 2.0 - 3.0 * GEOM_TOL), hexagon)
+
+
+def test_double_bubble_cells_touching_at_a_corner_share_nothing():
+    # a's east corner is b's west corner; the 60-degree edges there lie on
+    # one line but meet in that point only
+    a = unit_ball_hexagon()
+    b = unit_ball_hexagon(2.0, 0.0)
+    total, joint = double_bubble_perimeter(a, b)
+    assert joint == 0.0
+    assert abs(total - 12.0) <= 1e-12
+    assert shared_segments(a, b) == []
 
 
 # ---------------------------------------------------------------- chain validation

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from hexbubble import checks
 from hexbubble.embedded import embedded_geometry, minimize_rho1
 from hexbubble.kissing import kissing_geometry, kissing_minimum, kissing_perimeter
 from hexbubble.oracle import BoxSpec, Lcg, grid_refine_min, perturb_local_min
@@ -127,6 +128,65 @@ def test_box_bounds_validation():
         BoxSpec(lower=(1.0,), upper=(0.0,))
     with pytest.raises(ValueError):
         BoxSpec(lower=(), upper=())
+
+
+def test_grid_scan_skips_grid_values_outside_the_box():
+    # lower + (upper - lower) * 15 / 15 rounds 7.1e-15 above upper, past
+    # the 1e-15 slack, so the inclusive grid's top value is not in the box
+    lo, hi = 4.040082995238743, 22.148791792286822
+    top = lo + (hi - lo) * 15 / 15
+    assert top > hi + 1e-15
+    seen = []
+
+    def objective(p):
+        seen.append(p[0])
+        return -p[0]
+
+    point, value = grid_refine_min(objective, BoxSpec((lo,), (hi,)), grid=16)
+    assert top not in seen
+    assert max(seen) <= hi + 1e-15
+    assert point[0] <= hi + 1e-15 and value == -point[0]
+
+
+def test_grid_scan_ties_go_to_the_first_point_with_the_last_axis_fastest():
+    # a constant objective never improves, so the first admitted grid point
+    # is returned: (0, 1) when the last axis moves fastest, (1, 0) if not
+    box = BoxSpec(
+        lower=(0.0, 0.0),
+        upper=(1.0, 1.0),
+        feasible=lambda p: p[0] + p[1] >= 1.0,
+        witness=(1.0, 1.0),
+    )
+    assert grid_refine_min(lambda p: 2.5, box, grid=16) == ((0.0, 1.0), 2.5)
+
+
+@pytest.mark.parametrize(
+    "objective_for, kwargs, want",
+    [
+        (
+            lambda: checks._single_bubble_objective(0.9, 1.1),
+            dict(grid=48, refine_iters=50, directions=[(1.0, -1.0), (1.0, 1.0)]),
+            ("0x1.ef41506b1ca88p-2", "0x1.6236bb4210a0ap-1", "0x1.f8ac936610a51p+1"),
+        ),
+        (
+            lambda: checks._kissing_objective(0.5),
+            dict(grid=64, refine_iters=60, directions=[(1.0, 1.0)]),
+            ("0x1.c213ad593d10cp-1", "0x1.c213ad593d10cp-1", "0x1.6b937b5d68a88p+2"),
+        ),
+        (
+            lambda: checks._embedded_objective(0.1),
+            dict(grid=64, refine_iters=60),
+            ("0x1.03ac1f5fa934dp-1", "0x1.465f207377db5p+0", "0x1.2226873b47a10p+2"),
+        ),
+    ],
+    ids=["fixed-side", "kissing", "embedded"],
+)
+def test_grid_refine_min_is_pinned_on_the_verify_objectives(objective_for, kwargs, want):
+    # (argmin, value) as float.hex, frozen from the odometer scan that the
+    # product scan replaced; the verify checks use these settings
+    objective, box = objective_for()
+    (x1, x2), value = grid_refine_min(objective, box, **kwargs)
+    assert (x1.hex(), x2.hex(), value.hex()) == want
 
 
 # ---------------------------------------------------------------- against the closed forms
