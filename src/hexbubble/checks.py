@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 from . import embedded, hexnorm, kissing, singlebubble, solver
 from .hexnorm import SQRT3, hex_norm, polygon_area
-from .oracle import BoxSpec, Lcg, grid_refine_min, perturb_local_min
+from .oracle import Lcg, grid_refine_min, perturb_local_min
 from .singlebubble import check_alpha
 
 FMT = "%.12g"  # every number in solve, sweep, iso and verify output
@@ -31,76 +31,44 @@ def fmt(x: float) -> str:
 # ---------------------------------------------------------------- objectives
 
 
-def _single_bubble_objective(
-    L: float, V: float
-) -> tuple[Callable[[tuple[float, ...]], float], BoxSpec]:
+# An objective with its search box (lower, upper).  The objective raises
+# ValueError where p gives no valid configuration: that is the oracle's
+# only infeasibility signal.
+Posed = tuple[Callable[[tuple[float, ...]], float], tuple[float, ...], tuple[float, ...]]
+
+
+def _single_bubble_objective(L: float, V: float) -> Posed:
     """Perimeter over the two free sides (x1, x2) of a volume-V cell on a
     fixed side L.  The remaining sides come from closure and the volume
-    constraint, so every feasible point is an admissible polygon."""
+    constraint; a point where any side goes negative raises ValueError."""
 
-    def sides(p: tuple[float, ...]) -> Optional[tuple[float, ...]]:
+    def objective(p: tuple[float, ...]) -> float:
         x1, x2 = p
         if x1 < 0.0 or x2 < 0.0:
-            return None
-        try:
-            x4 = singlebubble.x4_from_volume(x1, x2, L, V)
-        except ValueError:
-            return None
+            raise ValueError("negative free side")
+        x4 = singlebubble.x4_from_volume(x1, x2, L, V)  # raises if no real x4
         x3 = L + x1 - x4
         x5 = x1 + x2 - x4
         if x3 < -1e-12 or x5 < -1e-12:
-            return None
-        return (x1, x2, x3, x4, x5)
-
-    def objective(p: tuple[float, ...]) -> float:
-        s = sides(p)
-        assert s is not None
-        return L + sum(s)
+            raise ValueError("negative closing side")
+        return L + sum((x1, x2, x3, x4, x5))
 
     bound = L + 3.0 * math.sqrt(V) + 1.0
-    # with x2 = 0, x4 is real from x1 = sqrt(L^2 + 4V/sqrt(3)) - L on and
-    # x5 = x1 - x4 stays >= 0 up to x1 = 2V/(sqrt(3) L); take the middle
-    x1_lo = math.sqrt(L * L + 4.0 * V / SQRT3) - L
-    x1_hi = 2.0 * V / (SQRT3 * L)
-    witness = (0.5 * (x1_lo + x1_hi), 0.0)
-    box = BoxSpec(
-        lower=(0.0, 0.0),
-        upper=(bound, bound),
-        feasible=lambda p: sides(p) is not None,
-        witness=witness,
-    )
-    return objective, box
+    return objective, (0.0, 0.0), (bound, bound)
 
 
-def _embedded_objective(
-    alpha: float,
-) -> tuple[Callable[[tuple[float, ...]], float], BoxSpec]:
+def _embedded_objective(alpha: float) -> Posed:
     cap1 = math.sqrt(8.0 * SQRT3 * alpha / 3.0)
-
-    def feasible(p: tuple[float, ...]) -> bool:
-        try:
-            embedded.rho1(p[0], p[1], alpha)
-        except ValueError:
-            return False
-        return True
-
-    w1 = 0.5 * cap1
-    witness = (w1, max(embedded.rho1_optimal_L2(w1), w1) + 0.05)
-    box = BoxSpec(
-        lower=(1e-3, 1e-3),
-        upper=(cap1 * (1.0 + 1e-9), 3.0),
-        feasible=feasible,
-        witness=witness,
+    return (
+        lambda p: embedded.rho1(p[0], p[1], alpha),
+        (1e-3, 1e-3),
+        (cap1 * (1.0 + 1e-9), 3.0),
     )
-    return lambda p: embedded.rho1(p[0], p[1], alpha), box
 
 
-def _kissing_objective(
-    alpha: float,
-) -> tuple[Callable[[tuple[float, ...]], float], BoxSpec]:
+def _kissing_objective(alpha: float) -> Posed:
     lo = 0.05 * min(1.0, math.sqrt(alpha))
-    box = BoxSpec(lower=(lo, lo), upper=(2.4, 2.4))
-    return lambda p: kissing.kissing_perimeter(p[0], p[1], alpha), box
+    return lambda p: kissing.kissing_perimeter(p[0], p[1], alpha), (lo, lo), (2.4, 2.4)
 
 
 # ---------------------------------------------------------------- exclusions
@@ -146,14 +114,15 @@ def case2_report(alpha: float) -> dict[str, dict[str, float | bool]]:
         cap = 8.0 * SQRT3 * (1.0 if name == "swapped-volumes" else alpha) / 3.0
         hi = math.sqrt(cap)
         lo = hi * 1e-3
-        box = BoxSpec(
-            (lo, lo),
-            (hi, hi),
-            feasible=lambda p: p[1] <= p[0] * (1.0 + 1e-12),
-            witness=(hi, hi * 0.5),
-        )
+
+        def below_diagonal(p: tuple[float, ...]) -> float:
+            if p[1] > p[0] * (1.0 + 1e-12):
+                raise ValueError("outside L2 <= L1")
+            return fn(p)
+
         (l1, l2), value = grid_refine_min(
-            fn, box, grid=64, refine_iters=60, directions=[(1.0, 1.0)]
+            below_diagonal, (lo, lo), (hi, hi), grid=64, refine_iters=60,
+            directions=[(1.0, 1.0)],
         )
         report[name] = {
             "L1": l1,
@@ -326,11 +295,11 @@ def _chk_oracle_fixed_side(rng: Lcg) -> tuple[bool, str]:
     for _ in range(2):
         L = rng.uniform(0.3, 1.6)
         V = rng.uniform(0.5, 1.5)
-        objective, box = _single_bubble_objective(L, V)
+        objective, lower, upper = _single_bubble_objective(L, V)
         # the volume constraint pins the four-sided optimum on a slanted
         # boundary; axis moves alone wedge there, diagonals slide along it
         _, got = grid_refine_min(
-            objective, box, grid=48, refine_iters=50,
+            objective, lower, upper, grid=48, refine_iters=50,
             directions=[(1.0, -1.0), (1.0, 1.0)],
         )
         want = singlebubble.solve_fixed_side(L, V).perimeter
@@ -342,8 +311,10 @@ def _chk_oracle_fixed_side(rng: Lcg) -> tuple[bool, str]:
 def _oracle_agrees(alphas, objective_for, minimum, label, directions=None) -> tuple[bool, str]:
     """The grid oracle on objective_for(a) lands within 1e-5 of minimum(a)."""
     for a in alphas:
-        objective, box = objective_for(a)
-        _, got = grid_refine_min(objective, box, grid=64, refine_iters=60, directions=directions)
+        objective, lower, upper = objective_for(a)
+        _, got = grid_refine_min(
+            objective, lower, upper, grid=64, refine_iters=60, directions=directions
+        )
         want = minimum(a)
         if abs(got - want) > 1e-5:
             return False, f"oracle {fmt(got)} vs {label} {fmt(want)} at alpha={fmt(a)}"

@@ -287,12 +287,20 @@ def cmd_iso(args: argparse.Namespace) -> int:
         L0, P = singlebubble.isoperimetric_optimum(args.volume)
     except ValueError as exc:
         return _error(str(exc))
+    svg = None
+    if args.out is not None:
+        # the drawing needs a side of at least MIN_SIDE, the value only a
+        # positive volume: fail before any output or file appears
+        try:
+            svg = _hexagon_svg(args.volume)
+        except ValueError as exc:
+            return _error(f"volume {fmt(args.volume)} is too small to draw ({exc})")
     print(f"L0        = {fmt(L0)}")
     print(f"perimeter = {fmt(P)}")
-    if args.out is not None:
+    if svg is not None:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(_hexagon_svg(args.volume))
+                fh.write(svg)
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return 3

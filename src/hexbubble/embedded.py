@@ -42,7 +42,7 @@ def inner_hexagon(L: float, V: float) -> tuple[tuple[float, ...], float]:
     that wide at this volume).
     """
     if not (math.isfinite(L) and math.isfinite(V)) or V <= 0.0 or L < MIN_SIDE:
-        raise ValueError("need positive volume and width >= 1e-8")
+        raise ValueError(f"need positive volume and width >= {MIN_SIDE}")
     x1 = (8.0 * SQRT3 * V - 3.0 * L * L) / (12.0 * L)
     if x1 < 0.0:
         if x1 < -1e-12 * max(1.0, L):
@@ -64,7 +64,7 @@ def outer_notched(
     if not all(map(math.isfinite, (L1, L2, V))) or V <= 0.0:
         raise ValueError("need positive finite volume")
     if L1 < MIN_SIDE or L2 < MIN_SIDE:
-        raise ValueError("sides must be >= 1e-8")
+        raise ValueError(f"sides must be >= {MIN_SIDE}")
     if L2 < L1 * (1.0 - 1e-12):
         raise ValueError("infeasible: notch wider than the hosting cell")
     vp = V + SQRT3 * L1 * L1 / 8.0

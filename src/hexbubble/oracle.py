@@ -1,25 +1,29 @@
 """Brute-force cross-checks for the closed-form solvers.
 
-grid_refine_min scans a dense feasible grid and polishes the best point
-with cyclic direction descent under a shrinking step.  It is deliberately
-independent of every closed form in this package: tests compare the two
-routes and neither is ever replaced by the other.
+grid_refine_min scans a dense grid over an axis-aligned box and polishes
+the best point with cyclic direction descent under a shrinking step.  It
+is deliberately independent of every closed form in this package: tests
+compare the two routes and neither is ever replaced by the other.
 
 perturb_local_min jiggles a configuration's free parameters and reports
-whether any feasible jiggle beats the claimed minimum.  Randomness comes
-from a self-contained linear congruential generator,
+whether any jiggle beats the claimed minimum.  Randomness comes from a
+self-contained linear congruential generator,
 
     state <- (6364136223846793005 * state + 1442695040888963407) mod 2^64
     uniform = (state >> 11) / 2^53
 
 so trial sequences can be replayed bit-for-bit in any language.
+
+Both oracles read infeasibility one way: the objective (or the rebuild)
+raises ValueError at a point with no valid configuration, and the point
+is skipped.  Any other exception propagates, so a bug in an objective is
+never mistaken for an infeasible point.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from operator import add
 from typing import Callable, Optional, Sequence
 
@@ -49,61 +53,16 @@ class Lcg:
         return lo + (hi - lo) * u
 
 
-@dataclass(frozen=True)
-class BoxSpec:
-    """Axis-aligned search box with an optional feasibility predicate.
-
-    A feasibility witness is required at construction whenever a predicate
-    is supplied, so an empty feasible region is rejected up front.
-    """
-
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
-    feasible: Optional[Callable[[tuple[float, ...]], bool]] = None
-    witness: Optional[tuple[float, ...]] = None
-
-    def __post_init__(self) -> None:
-        lo = tuple(float(v) for v in self.lower)
-        hi = tuple(float(v) for v in self.upper)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-        if len(lo) != len(hi) or not lo:
-            raise ValueError("lower/upper must be nonempty and equal length")
-        for a, b in zip(lo, hi):
-            if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
-                raise ValueError("need finite lower < upper per axis")
-        if self.feasible is not None:
-            if self.witness is None:
-                raise ValueError("feasibility predicate requires a witness point")
-            w = tuple(float(v) for v in self.witness)
-            object.__setattr__(self, "witness", w)
-            if len(w) != len(lo) or not self._inside(w) or not self.feasible(w):
-                raise ValueError("witness is not a feasible point of the box")
-
-    @property
-    def dim(self) -> int:
-        return len(self.lower)
-
-    def _inside(self, p: Sequence[float]) -> bool:
-        return all(
-            lo - BOX_SLACK <= v <= hi + BOX_SLACK
-            for v, lo, hi in zip(p, self.lower, self.upper)
-        )
-
-    def admits(self, p: tuple[float, ...]) -> bool:
-        if not self._inside(p):
-            return False
-        return self.feasible is None or bool(self.feasible(p))
-
-
 def grid_refine_min(
     objective: Callable[[tuple[float, ...]], float],
-    box: BoxSpec,
+    lower: Sequence[float],
+    upper: Sequence[float],
     grid: int = 64,
     refine_iters: int = 60,
     directions: Optional[Sequence[tuple[float, ...]]] = None,
 ) -> tuple[tuple[float, ...], float]:
-    """Dense grid scan followed by cyclic direction descent.
+    """Dense grid scan of the box [lower, upper] followed by cyclic
+    direction descent.
 
     Returns (argmin, value).  The scan uses an inclusive grid of `grid`
     points per axis (grid >= 16); descent then walks the best point along
@@ -111,36 +70,45 @@ def grid_refine_min(
     halving the steps after every cycle that yields no improvement, for
     `refine_iters` cycles.  Fully deterministic.
 
-    The box test is per axis, so the scan drops each axis's grid values
-    outside [lower - BOX_SLACK, upper + BOX_SLACK] once and visits the
-    product of what is left with the last axis moving fastest; only the
-    feasibility predicate is asked per point.  The first point of that
-    order to reach the least value wins a tie.
+    A point is in the box when every coordinate lies in
+    [lower - BOX_SLACK, upper + BOX_SLACK].  That test is per axis, so the
+    scan drops each axis's grid values outside the box once and visits the
+    product of what is left with the last axis moving fastest.  The first
+    point of that order to reach the least value wins a tie.
+
+    Where the objective raises ValueError the point is infeasible: the
+    scan skips it, and a descent walk ends there as it does at the box
+    edge.  Raises ValueError if no grid point is feasible.
 
     `directions` defaults to the coordinate axes; extra unit directions
     (e.g. the diagonal, for objectives with a valley along it) may be
     supplied and are used with the same per-axis step scaling.
     """
+    lower = tuple(float(v) for v in lower)
+    upper = tuple(float(v) for v in upper)
+    if len(lower) != len(upper) or not lower:
+        raise ValueError("lower/upper must be nonempty and equal length")
+    for lo, hi in zip(lower, upper):
+        if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
+            raise ValueError("need finite lower < upper per axis")
     if grid < MIN_GRID:
         raise ValueError(f"grid must be >= {MIN_GRID}")
-    dim = box.dim
+    dim = len(lower)
+    bounds = [(lo - BOX_SLACK, hi + BOX_SLACK) for lo, hi in zip(lower, upper)]
     axes = [
-        [
-            v
-            for v in (lo + (hi - lo) * j / (grid - 1) for j in range(grid))
-            if lo - BOX_SLACK <= v <= hi + BOX_SLACK
-        ]
-        for lo, hi in zip(box.lower, box.upper)
+        [v for v in (lo + (hi - lo) * j / (grid - 1) for j in range(grid)) if a <= v <= b]
+        for lo, hi, (a, b) in zip(lower, upper, bounds)
     ]
 
-    feasible = box.feasible
     best_x: Optional[tuple[float, ...]] = None
     best_f = math.inf
     for p in itertools.product(*axes):
-        if feasible is None or feasible(p):
+        try:
             f = objective(p)
-            if f < best_f:
-                best_f, best_x = f, p
+        except ValueError:
+            continue
+        if f < best_f:
+            best_f, best_x = f, p
     if best_x is None:
         raise ValueError("no feasible grid point in the box")
 
@@ -154,8 +122,7 @@ def grid_refine_min(
         dirs.append(tuple(e))
     signed = [d for base in dirs for d in (base, tuple(-c for c in base))]
 
-    step = [(box.upper[i] - box.lower[i]) / (grid - 1) for i in range(dim)]
-    admits = box.admits
+    step = [(upper[i] - lower[i]) / (grid - 1) for i in range(dim)]
     x, fx = best_x, best_f
     for _ in range(refine_iters):
         improved = False
@@ -163,9 +130,12 @@ def grid_refine_min(
             delta = tuple([s * c for s, c in zip(step, d)])
             for _walk in range(64):  # bounded greedy walk along d
                 cand = tuple(map(add, x, delta))
-                if not admits(cand):
+                if not all(a <= v <= b for v, (a, b) in zip(cand, bounds)):
                     break
-                fc = objective(cand)
+                try:
+                    fc = objective(cand)
+                except ValueError:
+                    break
                 if fc < fx:
                     x, fx = cand, fc
                     improved = True
@@ -179,20 +149,20 @@ def grid_refine_min(
 def perturb_local_min(
     geometry_a: "hexnorm.PolyChain",
     geometry_b: "hexnorm.PolyChain",
-    rebuild: Callable[[tuple[float, ...]], Optional[tuple["hexnorm.PolyChain", "hexnorm.PolyChain"]]],
+    rebuild: Callable[[tuple[float, ...]], tuple["hexnorm.PolyChain", "hexnorm.PolyChain"]],
     params: Sequence[float],
     trials: int = 500,
     eps: float = 1e-3,
     seed: int = 0,
 ) -> bool:
-    """True iff no feasible perturbed rebuild beats the given configuration.
+    """True iff no perturbed rebuild beats the given configuration.
 
     `rebuild(params)` reconstructs a volume-consistent configuration from
-    free parameters (or returns None / raises ValueError when the
-    parameters are infeasible; such trials are skipped).  Each trial
-    multiplies every parameter by (1 + eps*u) with u drawn uniformly from
-    [-1, 1] via the documented LCG, and the perturbed double-bubble
-    perimeter must not undercut the baseline by more than 1e-10.
+    free parameters, or raises ValueError when the parameters are
+    infeasible; such trials are skipped.  Each trial multiplies every
+    parameter by (1 + eps*u) with u drawn uniformly from [-1, 1] via the
+    documented LCG, and the perturbed double-bubble perimeter must not
+    undercut the baseline by more than 1e-10.
     """
     if not (0.0 < eps <= 1e-2):
         raise ValueError("eps must be in (0, 1e-2]")
@@ -206,8 +176,6 @@ def perturb_local_min(
         try:
             built = rebuild(cand)
         except ValueError:
-            continue
-        if built is None:
             continue
         total, _ = hexnorm.double_bubble_perimeter(built[0], built[1])
         if total < baseline - IMPROVE_TOL:

@@ -31,7 +31,7 @@ from hexbubble.kissing import (
     small_alpha_closed_form,
     unequal_candidates,
 )
-from hexbubble.oracle import BoxSpec, Lcg, grid_refine_min, perturb_local_min
+from hexbubble.oracle import Lcg, grid_refine_min, perturb_local_min
 from hexbubble.singlebubble import (
     isoperimetric_optimum,
     perimeter_P1,
@@ -103,20 +103,19 @@ def test_4_oracle_equivalence():
                 return None
             return (x1, x2, x3, x4, x5)
 
-        # the symmetric shape x1 = x2 = x4 = s closes for every (L, V)
-        s = math.sqrt(L * L + 2.0 * V / SQRT3) - L
+        def perimeter(p, L=L, sides=sides):
+            s = sides(p)
+            if s is None:
+                raise ValueError("a side goes negative")
+            return L + sum(s)
+
         hi = L + 3.0 * math.sqrt(V) + 1.0
-        box = BoxSpec(
-            (0.0, 0.0),
-            (hi, hi),
-            feasible=lambda p: sides(p) is not None,
-            witness=(s, s),
-        )
         # grid 96: past the regime boundary the feasible set is a thin
         # band; diagonal moves ride the active volume constraint
         _, got = grid_refine_min(
-            lambda p: L + sum(sides(p)),
-            box,
+            perimeter,
+            (0.0, 0.0),
+            (hi, hi),
             grid=96,
             refine_iters=60,
             directions=[(1.0, -1.0), (1.0, 1.0)],
@@ -128,10 +127,10 @@ def test_4_oracle_equivalence():
     rng = Lcg(223)
     for _ in range(20):
         alpha = rng.uniform(0.05, 1.0)
-        box = BoxSpec((0.05, 0.05), (2.4, 2.4))
         _, got = grid_refine_min(
             lambda p: kissing_perimeter(p[0], p[1], alpha),
-            box,
+            (0.05, 0.05),
+            (2.4, 2.4),
             grid=64,
             refine_iters=60,
             directions=[(1.0, 1.0)],
@@ -153,15 +152,15 @@ def test_4_oracle_equivalence():
             vp = 1.0 + SQRT3 * L1 * L1 / 8.0
             return 8.0 * SQRT3 * vp >= 3.0 * L2 * L2
 
-        box = BoxSpec(
+        def objective(p, alpha=alpha, feasible=feasible):
+            if not feasible(p):
+                raise ValueError("outside the nested family")
+            return rho1(p[0], p[1], alpha)
+
+        _, got = grid_refine_min(
+            objective,
             (0.01, 0.8),
             (l1_hi, 2.0),
-            feasible=feasible,
-            witness=(min(0.3, l1_hi * 0.5), 1.3),
-        )
-        _, got = grid_refine_min(
-            lambda p: rho1(p[0], p[1], alpha),
-            box,
             grid=64,
             refine_iters=60,
         )

@@ -127,8 +127,11 @@ def test_verify_timings_go_to_stderr_only(capsys):
 
 @pytest.mark.parametrize("seed", [20, 35, 50, 103, 114, 199, 232, 241, 249, 264, 368])
 def test_verify_quick_passes_where_the_fixed_side_witness_was_infeasible(seed):
-    # these seeds draw a long side with a small volume, where the former
-    # witness (0, 2V/(sqrt(3) L) + 0.1) had x5 < 0
+    # these seeds draw a long side with a small volume, where an early
+    # feasibility witness (0, 2V/(sqrt(3) L) + 0.1) had x5 < 0 and failed the
+    # check.  The oracle has no witness now (an objective raising ValueError
+    # is its only infeasibility signal); this stays as the regression test
+    # for these 11 seeds
     out = io.StringIO()
     assert cli.run_verify("quick", seed, out) == 0, out.getvalue()
 
@@ -228,6 +231,21 @@ def test_iso_rejects_non_positive_or_non_finite_volume(volume, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: volume must be positive and finite\n"
+
+
+def test_iso_rejects_a_volume_too_small_to_draw(tmp_path, capsys):
+    # below ~2.6e-16 the optimal side L0 falls under MIN_SIDE: the value
+    # exists but the hexagon cannot be built, so nothing is printed or written
+    out_path = tmp_path / "f.svg"
+    code, out, err = run_cli(["iso", "--volume", "1e-20", "--out", str(out_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: volume 1e-20 is too small to draw")
+    assert err.count("\n") == 1
+    assert not out_path.exists()
+    # without --out the value is still printed
+    code, out, _ = run_cli(["iso", "--volume", "1e-20"], capsys)
+    assert code == 0 and out.startswith("L0        = ")
 
 
 # ---------------------------------------------------------------- exit codes

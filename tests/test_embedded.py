@@ -20,7 +20,7 @@ from hexbubble.embedded import (
 )
 from hexbubble.hexnorm import double_bubble_perimeter, polygon_area, polyline_length
 from hexbubble.kissing import kissing_minimum
-from hexbubble.oracle import BoxSpec, Lcg, grid_refine_min
+from hexbubble.oracle import Lcg, grid_refine_min
 from hexbubble.singlebubble import isoperimetric_optimum
 
 
@@ -228,14 +228,17 @@ def test_minimize_rho1_against_grid_oracle():
         vp = 1.0 + SQRT3 * L1 * L1 / 8.0
         return 8.0 * SQRT3 * vp >= 3.0 * L2 * L2
 
-    box = BoxSpec(
-        lower=(0.01, 0.8),
-        upper=(math.sqrt(8.0 * SQRT3 * alpha / 3.0), 2.0),
-        feasible=feasible,
-        witness=(0.3, 1.3),
-    )
+    def objective(p):
+        if not feasible(p):
+            raise ValueError("outside the nested family")
+        return rho1(p[0], p[1], alpha)
+
     _, got = grid_refine_min(
-        lambda p: rho1(p[0], p[1], alpha), box, grid=64, refine_iters=60
+        objective,
+        (0.01, 0.8),
+        (math.sqrt(8.0 * SQRT3 * alpha / 3.0), 2.0),
+        grid=64,
+        refine_iters=60,
     )
     assert abs(got - minimize_rho1(alpha)[2]) <= 1e-5
 
@@ -278,19 +281,14 @@ def test_rho2_optimum_geometry_builds(alpha):
 def test_rho2_oracle_above_two_thirds():
     alpha = 0.8
 
-    def safe(p):
-        try:
-            return rho2(p[0], p[1], alpha)
-        except ValueError:
-            return math.inf
+    def objective(p):
+        if p[1] < p[0]:
+            raise ValueError("notch wider than the hosting cell")
+        return rho2(p[0], p[1], alpha)  # raises ValueError where infeasible
 
-    box = BoxSpec(
-        lower=(0.5, 0.5),
-        upper=(2.2, 2.2),
-        feasible=lambda p: p[1] >= p[0] and math.isfinite(safe(p)),
-        witness=(1.2, 1.4),
+    _, got = grid_refine_min(
+        objective, (0.5, 0.5), (2.2, 2.2), grid=64, refine_iters=60, directions=[(1.0, 1.0)]
     )
-    _, got = grid_refine_min(safe, box, grid=64, refine_iters=60, directions=[(1.0, 1.0)])
     assert abs(got - rho2_minimum(alpha)[2]) <= 1e-5
 
 

@@ -22,7 +22,7 @@ from hexbubble.kissing import (
     small_alpha_closed_form,
     unequal_candidates,
 )
-from hexbubble.oracle import BoxSpec, Lcg, grid_refine_min
+from hexbubble.oracle import Lcg, grid_refine_min
 from hexbubble.singlebubble import is_six_sided, optimal_perimeter
 
 # feasibility edge for the volume-1 trapezoid radicand: 3L^2 = 4 sqrt(3)
@@ -222,12 +222,12 @@ def test_handoff_derivative_identities():
 
 def test_minimum_against_grid_oracle():
     alpha = 0.5
-    box = BoxSpec(lower=(0.05, 0.05), upper=(2.4, 2.4))
     # the perimeter has a min(L1, L2) kink along the diagonal; without a
     # diagonal move the descent stalls on the trap line
     _, got = grid_refine_min(
         lambda p: kissing_perimeter(p[0], p[1], alpha),
-        box,
+        (0.05, 0.05),
+        (2.4, 2.4),
         grid=64,
         refine_iters=60,
         directions=[(1.0, 1.0)],

@@ -4,10 +4,10 @@ import math
 
 import pytest
 
-from hexbubble import checks
+from hexbubble import checks, embedded
 from hexbubble.embedded import embedded_geometry, minimize_rho1
 from hexbubble.kissing import kissing_geometry, kissing_minimum, kissing_perimeter
-from hexbubble.oracle import BoxSpec, Lcg, grid_refine_min, perturb_local_min
+from hexbubble.oracle import Lcg, grid_refine_min, perturb_local_min
 from hexbubble.singlebubble import solve_fixed_side, x4_from_volume
 
 SQRT3 = math.sqrt(3.0)
@@ -57,9 +57,12 @@ def test_lcg_uniform_respects_bounds_and_mapping():
 
 
 def test_quadratic_bowl_argmin():
-    box = BoxSpec(lower=(0.0, 0.0), upper=(1.0, 1.0))
     point, value = grid_refine_min(
-        lambda p: (p[0] - 0.3) ** 2 + (p[1] - 0.7) ** 2, box, grid=32, refine_iters=60
+        lambda p: (p[0] - 0.3) ** 2 + (p[1] - 0.7) ** 2,
+        (0.0, 0.0),
+        (1.0, 1.0),
+        grid=32,
+        refine_iters=60,
     )
     assert abs(point[0] - 0.3) <= 1e-6
     assert abs(point[1] - 0.7) <= 1e-6
@@ -67,18 +70,17 @@ def test_quadratic_bowl_argmin():
 
 
 def test_grid_refine_deterministic():
-    box = BoxSpec(lower=(-1.0, -1.0), upper=(1.0, 1.0))
     obj = lambda p: (p[0] - 0.123) ** 2 + abs(p[1] + 0.456)
-    first = grid_refine_min(obj, box, grid=24, refine_iters=50)
-    second = grid_refine_min(obj, box, grid=24, refine_iters=50)
+    first = grid_refine_min(obj, (-1.0, -1.0), (1.0, 1.0), grid=24, refine_iters=50)
+    second = grid_refine_min(obj, (-1.0, -1.0), (1.0, 1.0), grid=24, refine_iters=50)
     assert first == second
 
 
 def test_separable_convex_reaches_1e8():
-    box = BoxSpec(lower=(-1.0, -1.0), upper=(1.0, 1.0))
+    box = (-1.0, -1.0), (1.0, 1.0)
     point, _ = grid_refine_min(
         lambda p: (p[0] - 0.31) ** 2 + (p[1] + 0.273) ** 2,
-        box,
+        *box,
         grid=16,
         refine_iters=120,
     )
@@ -86,48 +88,41 @@ def test_separable_convex_reaches_1e8():
     assert abs(point[1] + 0.273) <= 1e-8
     # a kink at the minimum must not stall the shrinking steps either
     point, _ = grid_refine_min(
-        lambda p: abs(p[0] - 0.5) + abs(p[1] - 0.25), box, grid=16, refine_iters=120
+        lambda p: abs(p[0] - 0.5) + abs(p[1] - 0.25), *box, grid=16, refine_iters=120
     )
     assert abs(point[0] - 0.5) <= 1e-8
     assert abs(point[1] - 0.25) <= 1e-8
 
 
 def test_grid_too_coarse_rejected():
-    box = BoxSpec(lower=(0.0,), upper=(1.0,))
     with pytest.raises(ValueError, match="grid"):
-        grid_refine_min(lambda p: p[0], box, grid=8)
+        grid_refine_min(lambda p: p[0], (0.0,), (1.0,), grid=8)
 
 
 def test_no_feasible_grid_point_raises():
     # feasible set is a tiny ball that the inclusive grid misses
     w = (0.5000003, 0.5000003)
-    box = BoxSpec(
-        lower=(0.0, 0.0),
-        upper=(1.0, 1.0),
-        feasible=lambda p: math.hypot(p[0] - w[0], p[1] - w[1]) < 1e-6,
-        witness=w,
-    )
+
+    def objective(p):
+        if math.hypot(p[0] - w[0], p[1] - w[1]) >= 1e-6:
+            raise ValueError("outside the ball")
+        return p[0]
+
     with pytest.raises(ValueError, match="feasible"):
-        grid_refine_min(lambda p: p[0], box, grid=16)
-
-
-def test_witness_is_required_and_checked():
-    with pytest.raises(ValueError, match="witness"):
-        BoxSpec(lower=(0.0,), upper=(1.0,), feasible=lambda p: p[0] > 0.5)
-    with pytest.raises(ValueError, match="witness"):
-        BoxSpec(
-            lower=(0.0,),
-            upper=(1.0,),
-            feasible=lambda p: p[0] > 0.5,
-            witness=(0.1,),
-        )
+        grid_refine_min(objective, (0.0, 0.0), (1.0, 1.0), grid=16)
 
 
 def test_box_bounds_validation():
-    with pytest.raises(ValueError):
-        BoxSpec(lower=(1.0,), upper=(0.0,))
-    with pytest.raises(ValueError):
-        BoxSpec(lower=(), upper=())
+    for lower, upper, match in [
+        ((1.0,), (0.0,), "lower < upper"),
+        ((0.0,), (0.0,), "lower < upper"),
+        ((0.0, math.nan), (1.0, 1.0), "finite"),
+        ((0.0,), (math.inf,), "finite"),
+        ((), (), "nonempty"),
+        ((0.0,), (1.0, 1.0), "equal length"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            grid_refine_min(lambda p: p[0], lower, upper)
 
 
 def test_grid_scan_skips_grid_values_outside_the_box():
@@ -142,22 +137,63 @@ def test_grid_scan_skips_grid_values_outside_the_box():
         seen.append(p[0])
         return -p[0]
 
-    point, value = grid_refine_min(objective, BoxSpec((lo,), (hi,)), grid=16)
+    point, value = grid_refine_min(objective, (lo,), (hi,), grid=16)
     assert top not in seen
     assert max(seen) <= hi + 1e-15
     assert point[0] <= hi + 1e-15 and value == -point[0]
 
 
 def test_grid_scan_ties_go_to_the_first_point_with_the_last_axis_fastest():
-    # a constant objective never improves, so the first admitted grid point
+    # a constant objective never improves, so the first feasible grid point
     # is returned: (0, 1) when the last axis moves fastest, (1, 0) if not
-    box = BoxSpec(
-        lower=(0.0, 0.0),
-        upper=(1.0, 1.0),
-        feasible=lambda p: p[0] + p[1] >= 1.0,
-        witness=(1.0, 1.0),
-    )
-    assert grid_refine_min(lambda p: 2.5, box, grid=16) == ((0.0, 1.0), 2.5)
+    def objective(p):
+        if p[0] + p[1] < 1.0:
+            raise ValueError("below the anti-diagonal")
+        return 2.5
+
+    assert grid_refine_min(objective, (0.0, 0.0), (1.0, 1.0), grid=16) == ((0.0, 1.0), 2.5)
+
+
+def test_descent_walk_ends_where_the_objective_raises():
+    # -x falls toward a wall at 0.54 past which the objective raises.  The
+    # best grid point 8/15 sits below the wall and every +x step of the four
+    # cycles (1/15 down to 1/120) lands past it, so each +x walk makes one
+    # raising call and ends; the -x walks make one worse call each
+    calls = []
+
+    def objective(p):
+        calls.append(p[0])
+        if p[0] > 0.54:
+            raise ValueError("past the wall")
+        return -p[0]
+
+    point, value = grid_refine_min(objective, (0.0,), (1.0,), grid=16, refine_iters=4)
+    walk = calls[16:]
+    assert point == (8 / 15,) and value == -8 / 15
+    assert len(walk) == 8
+    assert [x > 0.54 for x in walk] == [True, False] * 4
+
+
+def test_exceptions_other_than_value_error_propagate_from_the_grid():
+    # a bug in the objective is never read as infeasibility, in the scan or
+    # in the descent walk that follows it
+    def broken(p):
+        raise TypeError("bug in the objective")
+
+    with pytest.raises(TypeError, match="bug"):
+        grid_refine_min(broken, (0.0,), (1.0,), grid=16)
+
+    calls = []
+
+    def broken_off_grid(p):
+        calls.append(p)
+        if len(calls) > 16:
+            raise TypeError("bug in the objective")
+        return (p[0] - 0.3) ** 2
+
+    with pytest.raises(TypeError, match="bug"):
+        grid_refine_min(broken_off_grid, (0.0,), (1.0,), grid=16)
+    assert len(calls) == 17
 
 
 @pytest.mark.parametrize(
@@ -184,8 +220,8 @@ def test_grid_scan_ties_go_to_the_first_point_with_the_last_axis_fastest():
 def test_grid_refine_min_is_pinned_on_the_verify_objectives(objective_for, kwargs, want):
     # (argmin, value) as float.hex, frozen from the odometer scan that the
     # product scan replaced; the verify checks use these settings
-    objective, box = objective_for()
-    (x1, x2), value = grid_refine_min(objective, box, **kwargs)
+    objective, lower, upper = objective_for()
+    (x1, x2), value = grid_refine_min(objective, lower, upper, **kwargs)
     assert (x1.hex(), x2.hex(), value.hex()) == want
 
 
@@ -209,15 +245,16 @@ def test_oracle_matches_fixed_side_closed_form():
             return None
         return (x1, x2, x3, x4, x5)
 
-    box = BoxSpec(
-        lower=(0.0, 0.0),
-        upper=(4.0, 6.0),
-        feasible=lambda p: sides(p) is not None,
-        witness=(0.0, 2.0 * V / (SQRT3 * L) + 0.1),
-    )
+    def perimeter(p):
+        s = sides(p)
+        if s is None:
+            raise ValueError("a side goes negative")
+        return L + sum(s)
+
     _, got = grid_refine_min(
-        lambda p: L + sum(sides(p)),
-        box,
+        perimeter,
+        (0.0, 0.0),
+        (4.0, 6.0),
         grid=48,
         refine_iters=60,
         directions=[(1.0, -1.0), (1.0, 1.0)],
@@ -227,12 +264,12 @@ def test_oracle_matches_fixed_side_closed_form():
 
 def test_oracle_matches_kissing_minimum():
     alpha = 0.5
-    box = BoxSpec(lower=(0.05, 0.05), upper=(2.4, 2.4))
     # the optimum sits on the min(L1, L2) kink: include the diagonal so
     # refinement can slide along it
     _, got = grid_refine_min(
         lambda p: kissing_perimeter(p[0], p[1], alpha),
-        box,
+        (0.05, 0.05),
+        (2.4, 2.4),
         grid=64,
         refine_iters=60,
         directions=[(1.0, 1.0)],
@@ -330,10 +367,41 @@ def test_perturb_skips_infeasible_trials():
         calls["n"] += 1
         if calls["n"] % 3 == 0:
             raise ValueError("synthetic infeasible trial")
-        if calls["n"] % 5 == 0:
-            return None
         return embedded_geometry(params[0], params[1], 1.0, alpha)[:2]
 
     ga, gb = embedded_geometry(L1, L2, 1.0, alpha)[:2]
     assert perturb_local_min(ga, gb, rebuild, (L1, L2), trials=90, eps=1e-3, seed=5)
     assert calls["n"] == 90
+
+
+def test_perturb_propagates_exceptions_other_than_value_error():
+    sol = kissing_minimum(1.0)
+    ga, gb, _, _ = kissing_geometry(sol.L1, sol.L2, 1.0)
+
+    def broken(params):
+        raise TypeError("bug in the rebuild")
+
+    with pytest.raises(TypeError, match="bug"):
+        perturb_local_min(ga, gb, broken, (sol.L1, sol.L2), trials=10)
+
+
+def test_embedded_objective_evaluates_rho1_once_per_call(monkeypatch):
+    # infeasibility comes from rho1 raising, not from a separate predicate
+    # that evaluates it a second time
+    counts = {"rho1": 0, "objective": 0}
+    rho1 = embedded.rho1
+
+    def counted_rho1(*args):
+        counts["rho1"] += 1
+        return rho1(*args)
+
+    monkeypatch.setattr(embedded, "rho1", counted_rho1)
+    objective, lower, upper = checks._embedded_objective(0.1)
+
+    def counted_objective(p):
+        counts["objective"] += 1
+        return objective(p)
+
+    grid_refine_min(counted_objective, lower, upper, grid=64, refine_iters=60)
+    assert counts["objective"] > 0
+    assert counts["rho1"] == counts["objective"]

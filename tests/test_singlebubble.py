@@ -6,7 +6,7 @@ import pytest
 
 from conftest import SQRT3, golden_min_1d
 from hexbubble.hexnorm import hex_norm, polygon_area, polyline_length
-from hexbubble.oracle import BoxSpec, Lcg, grid_refine_min
+from hexbubble.oracle import Lcg, grid_refine_min
 from hexbubble.singlebubble import (
     REGIME_FOUR,
     REGIME_SIX,
@@ -121,17 +121,19 @@ def _assert_oracle_matches(L: float, V: float) -> None:
             return None
         return (x1, x2, x3, x4, x5)
 
-    box = BoxSpec(
-        lower=(0.0, 0.0),
-        upper=(L + 3.0 * math.sqrt(V) + 1.0, L + 3.0 * math.sqrt(V) + 1.0),
-        feasible=lambda p: sides(p) is not None,
-        witness=(0.0, 2.0 * V / (SQRT3 * L) + 0.1),
-    )
+    def perimeter(p):
+        s = sides(p)
+        if s is None:
+            raise ValueError("a side goes negative")
+        return L + sum(s)
+
+    hi = L + 3.0 * math.sqrt(V) + 1.0
     # the four-sided optimum is a constraint corner; diagonal moves slide
     # along the active volume boundary where axis moves wedge
     _, got = grid_refine_min(
-        lambda p: L + sum(sides(p)),
-        box,
+        perimeter,
+        (0.0, 0.0),
+        (hi, hi),
         grid=48,
         refine_iters=60,
         directions=[(1.0, -1.0), (1.0, 1.0)],
