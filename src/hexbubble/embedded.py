@@ -15,15 +15,16 @@ The pair's perimeter with the outer cell holding volume 1 is
                  + (9 L1^2 + 8 sqrt(3) alpha)/(6 L1) - L1,
 
 minimized in L2 at L2*(L1) = sqrt(8 sqrt(3) + 3 L1^2)/3 and then in L1
-by a root-find on the monotone derivative of the strictly convex
-sqrt(8 sqrt(3) + 3 L1^2) + L1/2 + 4 sqrt(3) alpha/(3 L1).
+in closed form: the stationarity condition of the strictly convex
+sqrt(8 sqrt(3) + 3 L1^2) + L1/2 + 4 sqrt(3) alpha/(3 L1) is a cubic with
+one positive root (see _cubic_min), solved without iteration.
 
 rho2 swaps which cell holds which volume.  The paper excludes it, and the
 solver does not evaluate it; it is kept here as that exclusion, for the
 checks and tests that confirm it never undercuts rho1.  Its minimum has
 the L2 >= L1 clamp active for alpha <= 2/3, giving the closed form
 L1 = L2 = sqrt(8 sqrt(3)(1+alpha)/15), and above 2/3 reduces to the same
-convex form with the roles of the volumes exchanged.
+cubic with the roles of the volumes exchanged.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import math
 from typing import NamedTuple
 
 from .hexnorm import DEDUP_TOL, SQRT3, PolyChain, anchored_pair, merge_vertices
-from .singlebubble import MIN_SIDE, check_alpha, convex_min
+from .singlebubble import MIN_SIDE, check_alpha
 
 
 def inner_hexagon(L: float, V: float) -> tuple[tuple[float, ...], float]:
@@ -100,12 +101,34 @@ def rho1_optimal_L2(L1: float) -> float:
     return math.sqrt(8.0 * SQRT3 + 3.0 * L1 * L1) / 3.0
 
 
-def _convex_branch(a: float, c: float, hi: float) -> tuple[float, float]:
-    # sqrt(a + 3 L^2) + L/2 + c/L on (0, hi]: since 3L/sqrt(a + 3L^2) lies
-    # in [0, sqrt(3)), the derivative's root sits in
-    # [sqrt(c/(1/2 + sqrt(3))), sqrt(2c))
-    lo = math.sqrt(c / (0.5 + SQRT3))
-    return convex_min(((1.0, a), (0.0, a)), 0.5, c, lo, min(hi, math.sqrt(2.0 * c)))
+def _cubic_min(a: float, c: float, hi: float) -> tuple[float, float]:
+    # (L*, f(L*)) for the convex f(L) = sqrt(a + 3 L^2) + L/2 + c/L on
+    # (0, hi], with no iteration.  Put w = c/L^2 - 1/2: f'(L) = 0 reads
+    # w = 3L/sqrt(a + 3 L^2), and eliminating L gives the cubic
+    # a w^3 + (a/2 + 3c) w^2 - 9c = 0, with one positive root; then
+    # L* = sqrt(c/(w + 1/2)).  With b = 1/2 + 3c/a and s = sqrt(9c/a),
+    # z = w/s is O(1) for every double, and z = 1/y turns the cubic into
+    # the depressed y^3 - b y - s = 0, whose one positive root is the
+    # trigonometric largest root when s^2/4 < b^3/27 and Cardano's real
+    # root otherwise (Kahan 1986).  Cardano's second cube root is taken as
+    # b/(3u), so its cancellation never occurs.  One Newton step on
+    # s z^3 + b z^2 - 1 polishes z; it brings L* from 2.1 to 1.5 ulp of the
+    # exact root, worst case.  A root at or beyond hi leaves f decreasing
+    # on (0, hi], so hi is the minimum.
+    b = 0.5 + 3.0 * c / a
+    s = math.sqrt(9.0 * c / a)
+    disc = 0.25 * s * s - b * b * b / 27.0
+    if disc < 0.0:
+        r = math.sqrt(b / 3.0)
+        # min: near disc = 0 rounding can lift the cosine past 1
+        y = 2.0 * r * math.cos(math.acos(min(1.0, s / (2.0 * r * r * r))) / 3.0)
+    else:
+        u = (0.5 * s + math.sqrt(disc)) ** (1.0 / 3.0)
+        y = u + b / (3.0 * u)
+    z = 1.0 / y
+    z -= ((s * z + b) * z * z - 1.0) / ((3.0 * s * z + 2.0 * b) * z)
+    x = min(math.sqrt(c / (s * z + 0.5)), hi)
+    return x, math.sqrt(a + 3.0 * x * x) + 0.5 * x + c / x
 
 
 def minimize_rho1(alpha: float) -> tuple[float, float, float]:
@@ -116,14 +139,16 @@ def minimize_rho1(alpha: float) -> tuple[float, float, float]:
     the clamped diagonal beyond that bound rho1 is strictly increasing,
     so nothing is lost.  At L2*(L1) the outer term collapses to
     sqrt(8 sqrt(3) + 3 L1^2), leaving the convex
-    sqrt(8 sqrt(3) + 3 L1^2) + L1/2 + 4 sqrt(3) alpha/(3 L1).
+    sqrt(8 sqrt(3) + 3 L1^2) + L1/2 + 4 sqrt(3) alpha/(3 L1), whose
+    stationary point is the positive root of a cubic, solved in closed form
+    with no iteration, for every alpha down to the smallest double.
     """
     check_alpha(alpha)
     hi = min(
         math.sqrt(8.0 * SQRT3 * alpha / 3.0),
         math.sqrt(4.0 * SQRT3 / 3.0),
     )
-    L1, value = _convex_branch(8.0 * SQRT3, 4.0 * SQRT3 * alpha / 3.0, hi)
+    L1, value = _cubic_min(8.0 * SQRT3, 4.0 * SQRT3 * alpha / 3.0, hi)
     return L1, rho1_optimal_L2(L1), value
 
 
@@ -133,8 +158,8 @@ def rho2_minimum(alpha: float) -> tuple[float, float, float]:
     For alpha <= 2/3 the L2 >= L1 clamp is active and the closed form
     L1 = L2 = sqrt(8 sqrt(3)(1+alpha)/15) with value
     2 sqrt(10 (1+alpha))/3^(1/4) is exact.  Above 2/3 the minimizer
-    detaches from the diagonal and is located by the same convex
-    root-find as rho1, on the curve L2 = sqrt((8 sqrt(3) alpha + 3 L1^2)/9).
+    detaches from the diagonal and is the same closed-form cubic root as
+    rho1's, on the curve L2 = sqrt((8 sqrt(3) alpha + 3 L1^2)/9).
 
     Known defect: the cells of this optimum, embedded_geometry(L1, L2,
     alpha, 1.0), fail to build ("closed chain is not simple") for most
@@ -152,7 +177,7 @@ def rho2_minimum(alpha: float) -> tuple[float, float, float]:
     # i.e. L1 <= sqrt(4 sqrt(3) alpha / 3).  The diagonal branch beyond is
     # increasing for alpha > 2/3, so the junction endpoint covers it.
     hi = math.sqrt(4.0 * SQRT3 * alpha / 3.0)
-    L1, value = _convex_branch(8.0 * SQRT3 * alpha, 4.0 * SQRT3 / 3.0, hi)
+    L1, value = _cubic_min(8.0 * SQRT3 * alpha, 4.0 * SQRT3 / 3.0, hi)
     L2 = math.sqrt((8.0 * SQRT3 * alpha + 3.0 * L1 * L1) / 9.0)
     return L1, max(L1, L2), value
 

@@ -172,9 +172,10 @@ def p3_minimizer(alpha: float) -> tuple[float, float]:
     """
     check_alpha(alpha)
     return convex_min(
-        ((P3_WEIGHT, 4.0 * SQRT3), (P3_WEIGHT, 4.0 * SQRT3 * alpha)),
+        P3_WEIGHT,
+        4.0 * SQRT3,
+        4.0 * SQRT3 * alpha,
         -3.0,
-        0.0,
         math.sqrt(12.0 * SQRT3 * alpha / 19.0),
         math.sqrt(12.0 * SQRT3 / 19.0),
     )

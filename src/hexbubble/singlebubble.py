@@ -29,9 +29,11 @@ REGIME_FOUR = "four-sided"
 # sides shorter than this give effectively unbounded perimeters
 MIN_SIDE = 1e-8
 
-# cap on newton_root's steps; on the solver's path it takes at most 9 (17
-# for ratios below 1e-30), and bisection alone narrows any of its brackets
-# to adjacent floats in under 60
+# cap on newton_root's steps; P3 takes at most 8 on [1/8, 1], where the
+# solver uses it (16 on direct calls down to 5e-324), and find_alpha0 at
+# most 4 at its default tol (9 at 1e-15), counted over 4,001 ratios and
+# 201 brackets; bisection alone narrows any bracket to adjacent floats in
+# under 60
 NEWTON_MAX_ITER = 60
 
 
@@ -206,36 +208,29 @@ def newton_root(
 
 
 def convex_min(
-    terms: tuple[tuple[float, float], tuple[float, float]],
-    b: float,
-    c: float,
-    lo: float,
-    hi: float,
+    w: float, a1: float, a2: float, b: float, lo: float, hi: float
 ) -> tuple[float, float]:
-    """(L*, f(L*)) minimizing f(L) = sum w sqrt(a + 3 L^2) + b L + c/L on [lo, hi].
+    """(L*, f(L*)) minimizing the glued diagonal branch P3 on [lo, hi].
 
-    `terms` holds two (w, a) pairs; a one-radical f passes w = 0 in the
-    second.  For w, a, c >= 0, f'(L) = sum 3 w L / sqrt(a + 3 L^2) + b - c/L^2
+    P3 (kissing.p3_minimizer) has the form
+
+        f(L) = w sqrt(a1 + 3 L^2) + w sqrt(a2 + 3 L^2) + b L.
+
+    For w, a1, a2 > 0, f'(L) = 3 w L (1/sqrt(a1 + 3 L^2) + 1/sqrt(a2 + 3 L^2)) + b
     is strictly increasing and concave, so newton_root climbs from lo,
     where the caller guarantees f' <= 0, to its root.  When f' is still
-    nonpositive at hi the minimum is hi itself.  c/L^2 and c/L^3 are formed
-    by repeated division, so a tiny L cannot underflow a divisor to zero.
-    The rho1 route, the rho2 exclusion and the P3 branch all take this form.
+    nonpositive at hi the minimum is hi itself.
     """
-    (w1, a1), (w2, a2) = terms
 
     def slopes(L: float) -> tuple[float, float]:
-        # (f'(L), f''(L)); the second radical is skipped when its weight is 0
+        # (f'(L), f''(L))
         t = 3.0 * L
         s1 = math.sqrt(a1 + t * L)
-        d = t * (w1 / s1)
-        d2 = 3.0 * w1 * a1 / s1 / s1 / s1
-        if w2:
-            s2 = math.sqrt(a2 + t * L)
-            d += t * (w2 / s2)
-            d2 += 3.0 * w2 * a2 / s2 / s2 / s2
-        q = c / L / L
-        return d + b - q, d2 + 2.0 * q / L
+        s2 = math.sqrt(a2 + t * L)
+        return (
+            t * (w / s1) + t * (w / s2) + b,
+            3.0 * w * a1 / s1 / s1 / s1 + 3.0 * w * a2 / s2 / s2 / s2,
+        )
 
     if slopes(hi)[0] <= 0.0:
         x = hi
@@ -243,4 +238,4 @@ def convex_min(
         d, d2 = slopes(lo)  # unpacked: a star call is slower on this hot path
         x = newton_root(slopes, lo, hi, d, d2)
     q = 3.0 * x * x
-    return x, w1 * math.sqrt(a1 + q) + w2 * math.sqrt(a2 + q) + b * x + c / x
+    return x, w * math.sqrt(a1 + q) + w * math.sqrt(a2 + q) + b * x

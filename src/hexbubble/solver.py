@@ -134,7 +134,7 @@ def find_alpha0(
     """The crossover ratio: embedded below, kissing above.
 
     singlebubble.newton_root, the safeguarded Newton iteration that also
-    serves the nested and glued minimizers, runs on g = embedded_value -
+    serves the glued diagonal minimizer P3, runs on g = embedded_value -
     kissing_value, negative at the bracket's left end and positive at its
     right end, from the left end.  Above the 1/8 handoff, where alpha0
     lies, g is increasing and concave, so a step from the left of the root
@@ -166,8 +166,9 @@ def sweep(alpha_min: float, alpha_max: float, steps: int) -> list[DoubleBubbleRe
     check_alpha(alpha_max)
     if alpha_min > alpha_max:
         raise ValueError("alpha_min must not exceed alpha_max")
-    if steps < 1:
-        raise ValueError("steps must be positive")
+    # bool is an int subclass, so True would otherwise pass as one step
+    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
+        raise ValueError("steps must be a positive integer")
     if steps == 1:
         alphas = [alpha_min]
     else:

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import SQRT3, golden_min_1d
 from hexbubble.checks import case2_check, case2_report, notch_skew_perimeter
+from hexbubble import embedded, singlebubble
 from hexbubble.embedded import (
     embedded_geometry,
     embedded_minimum,
@@ -295,25 +296,50 @@ def test_rho2_oracle_above_two_thirds():
 def test_volume_routes_coincide_at_equal_volumes():
     a = minimize_rho1(1.0)
     b = rho2_minimum(1.0)
-    assert a[0] == b[0]  # identical a, c and hi, so identical Newton iterates
+    assert a[0] == b[0]  # identical a, c and hi, so identical closed-form arithmetic
     assert a[2] == b[2]
     assert abs(a[1] - b[1]) <= 1e-15  # sqrt(x)/3 vs sqrt(x/9), one ulp
 
 
 def test_convex_minimizers_are_stationary():
-    # both 1-D objectives are sqrt(a + 3 L^2) + L/2 + c/L; their derivative
-    # vanishes at the reported L1 up to rounding
+    # both 1-D objectives are f(L) = sqrt(a + 3 L^2) + L/2 + c/L.  In
+    # z = L/sqrt(c), f' = 3 sqrt(c) z/sqrt(a + 3 c z^2) + 1/2 - 1/z^2 stays
+    # O(1) for every double, where f' in L loses meaning below alpha ~ 1e-30.
+    # The minimum on (0, hi] is stationary, or it is hi with f' < 0 there:
+    # at subnormal ratios the rounding of rho1's hi = sqrt(8 sqrt(3) alpha/3)
+    # can fall below the root
     def slope(L, a, c):
-        return 3.0 * L / math.sqrt(a + 3.0 * L * L) + 0.5 - c / (L * L)
+        z = L / math.sqrt(c)
+        return 3.0 * math.sqrt(c) * z / math.sqrt(a + 3.0 * c * z * z) + 0.5 - 1.0 / (z * z)
 
     rng = Lcg(263)
-    for _ in range(50):
-        alpha = 10.0 ** (-12.0 * rng.uniform())  # log-uniform in (1e-12, 1]
+    for _ in range(200):
+        # log-uniform in [5e-324, 1]
+        alpha = max(5e-324, 10.0 ** (math.log10(5e-324) * rng.uniform()))
         L1 = minimize_rho1(alpha)[0]
-        assert abs(slope(L1, 8.0 * SQRT3, 4.0 * SQRT3 * alpha / 3.0)) <= 1e-12
+        r = slope(L1, 8.0 * SQRT3, 4.0 * SQRT3 * alpha / 3.0)
+        clamped = L1 == math.sqrt(8.0 * SQRT3 * alpha / 3.0) and r < 0.0
+        assert abs(r) <= 1e-12 or clamped, alpha
         beta = 1.0 - rng.uniform() / 3.0  # in (2/3, 1], the interior rho2 branch
         L1 = rho2_minimum(beta)[0]
-        assert abs(slope(L1, 8.0 * SQRT3 * beta, 4.0 * SQRT3 / 3.0)) <= 1e-12
+        assert abs(slope(L1, 8.0 * SQRT3 * beta, 4.0 * SQRT3 / 3.0)) <= 1e-12, beta
+
+
+def test_nested_minima_do_not_iterate(monkeypatch):
+    # rho1 and rho2's interior branch are the closed-form root of a cubic;
+    # neither may fall back on the safeguarded Newton loop
+    def iterate(*args):
+        raise AssertionError("a nested minimizer called a root-finder")
+
+    monkeypatch.setattr(singlebubble, "newton_root", iterate)
+    monkeypatch.setattr(singlebubble, "convex_min", iterate)
+    assert not hasattr(embedded, "newton_root") and not hasattr(embedded, "convex_min")
+    # 0.01282... sits at the switch between the trigonometric and Cardano roots
+    ratios = (5e-324, 1e-310, 1e-100, 1e-12, 0.0128268678975132, 0.125,
+              0.15245721143347343, 0.5, 2.0 / 3.0, 0.7, 0.9, 1.0)
+    for alpha in ratios:
+        for L1, L2, value in (minimize_rho1(alpha), rho2_minimum(alpha)):
+            assert 0.0 < L1 <= L2 and math.isfinite(value), alpha
 
 
 def test_rho1_route_never_loses():

@@ -1,4 +1,5 @@
-"""50-digit references for the transition ratio and the P3 minimizer.
+"""50-digit references for the transition ratio, the P3 minimizer and the
+nested (rho1 and rho2) minimizers.
 
 The references come from the closed forms alone, solved with mpmath's
 `findroot`; nothing here calls the solver to build them.  Near alpha0
@@ -17,6 +18,7 @@ import math
 
 import pytest
 
+from hexbubble.embedded import minimize_rho1, rho2_minimum
 from hexbubble.kissing import p3_minimizer
 from hexbubble.oracle import Lcg
 from hexbubble.solver import find_alpha0
@@ -31,6 +33,18 @@ def _rho1_min(alpha):
     c = 4 * s3 * alpha / 3
     L = mp.findroot(lambda L: 3 * L / mp.sqrt(8 * s3 + 3 * L * L) + mp.mpf(1) / 2 - c / L**2, mp.sqrt(c))
     return mp.sqrt(8 * s3 + 3 * L * L) + L / 2 + c / L
+
+
+def _nested_root(a, c):
+    # stationary point of sqrt(a + 3 L^2) + L/2 + c/L, solved in z = L/sqrt(c):
+    # z stays near sqrt(2) however small c is, where a start at L = sqrt(c)
+    # leaves findroot off by up to 1e176 ulp at the tiniest ratios
+    rc = mp.sqrt(c)
+    z = mp.findroot(
+        lambda z: 3 * rc * z / mp.sqrt(a + 3 * c * z * z) + mp.mpf(1) / 2 - 1 / z**2,
+        mp.mpf("1.2"),
+    )
+    return rc * z
 
 
 def _p3_root(alpha):
@@ -69,3 +83,22 @@ def test_p3_minimizer_within_4_ulp_of_the_50_digit_root():
         for alpha in ratios:
             L, _ = p3_minimizer(alpha)
             assert abs(mp.mpf(L) - _p3_root(mp.mpf(alpha))) <= 4 * math.ulp(L), alpha
+
+
+def test_nested_minimizers_within_2_ulp_of_the_50_digit_root():
+    rng = Lcg(12)
+    ratios = [10.0 ** (-300.0 * rng.uniform()) for _ in range(300)]  # log-uniform in [1e-300, 1]
+    ratios += [1.0 - rng.uniform() for _ in range(300)]  # uniform in (0, 1]
+    ratios += [0.125, 2.0 / 3.0, find_alpha0(), 1.0]
+    # the interior rho2 branch, uniform in (2/3, 1]
+    betas = [1.0 - rng.uniform() / 3.0 for _ in range(300)] + [1.0]
+    with mp.workdps(DIGITS):
+        s3 = mp.sqrt(3)
+        for alpha in ratios:
+            L = minimize_rho1(alpha)[0]
+            root = _nested_root(8 * s3, 4 * s3 * mp.mpf(alpha) / 3)
+            assert abs(mp.mpf(L) - root) <= 2 * math.ulp(L), alpha
+        for beta in betas:
+            L = rho2_minimum(beta)[0]
+            root = _nested_root(8 * s3 * mp.mpf(beta), 4 * s3 / 3)
+            assert abs(mp.mpf(L) - root) <= 2 * math.ulp(L), beta

@@ -161,6 +161,12 @@ def test_sweep_validation():
         sweep(0.0, 0.5, 10)
 
 
+@pytest.mark.parametrize("steps", [True, False, 2.5, 3.0, "3", None, -1])
+def test_sweep_rejects_steps_that_are_not_positive_integers(steps):
+    with pytest.raises(ValueError, match="^steps must be a positive integer$"):
+        sweep(0.1, 0.2, steps)
+
+
 # ---------------------------------------------------------------- geometry
 
 
