@@ -7,9 +7,9 @@ import math
 
 from hexbubble.kissing import (
     build_degree8,
+    horner,
     kissing_minimum,
     p3_minimizer,
-    poly_real_roots,
     small_alpha_closed_form,
     unequal_candidates,
 )
@@ -45,12 +45,14 @@ def main() -> None:
     alpha = 1.0
     L, P = p3_minimizer(alpha)
     print(f"equal volumes: diagonal minimizer L* = {L:.12f}, perimeter = {P:.12f}")
-    p = build_degree8(alpha)
-    roots = poly_real_roots(p)
+    cs = build_degree8(alpha)
+    signs = " ".join("0" if c == 0.0 else "+" if c > 0.0 else "-" for c in cs)
     print("radical-free route: the stationarity polynomial (degree 8, even)")
-    print(f"  coefficients: {[round(c, 8) for c in p.coefficients]}")
-    print(f"  real roots:   {[round(r, 10) for r in roots]}")
-    print(f"  p(L*) = {p(L):.3e}  (zero up to rounding)")
+    print(f"  coefficients: {[round(c, 8) for c in cs]}")
+    print(f"  signs c0..c8: {signs}  (one change: one positive root, by Descartes)")
+    print(f"  p(L* - 1e-8) = {horner(cs, L - 1e-8):+.3e}")
+    print(f"  p(L* + 1e-8) = {horner(cs, L + 1e-8):+.3e}  (so the root is within 1e-8 of L*)")
+    print(f"  p(L*) = {horner(cs, L):.3e}  (zero up to rounding)")
     print(f"  L*^2 vs 12 sqrt(3)/19: {L * L:.12f} vs {12.0 * math.sqrt(3.0) / 19.0:.12f}")
 
 

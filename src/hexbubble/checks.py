@@ -246,17 +246,30 @@ def _chk_alpha0(rng: Lcg) -> tuple[bool, str]:
     return True, ""
 
 
+def degree8_certificate(alpha: float, L: float) -> tuple[bool, str]:
+    """Whether build_degree8(alpha) alone certifies L as the P3 minimizer:
+    one coefficient sign change (so one positive root, by Descartes' rule),
+    |p(L)| small against the largest coefficient, and p rising through 0
+    between L - 1e-8 and L + 1e-8, which puts that root within 1e-8 of L."""
+    cs = kissing.build_degree8(alpha)
+    signs = [c > 0.0 for c in cs if c != 0.0]
+    changes = sum(a != b for a, b in zip(signs, signs[1:]))
+    if changes != 1:
+        return False, f"{changes} coefficient sign changes at alpha={fmt(alpha)}, expected 1"
+    value = kissing.horner(cs, L)
+    if abs(value) > 1e-6 * max(abs(c) for c in cs):
+        return False, f"|p(L*)|={fmt(abs(value))} too large at alpha={fmt(alpha)}"
+    if not kissing.horner(cs, L - 1e-8) < 0.0 < kissing.horner(cs, L + 1e-8):
+        return False, f"no positive root near L* at alpha={fmt(alpha)}"
+    return True, ""
+
+
 def _chk_degree8(rng: Lcg) -> tuple[bool, str]:
     for _ in range(6):
         a = rng.uniform(0.13, 1.0)
-        Lstar, _ = kissing.p3_minimizer(a)
-        poly = kissing.build_degree8(a)
-        scale = max(abs(c) for c in poly.coefficients)
-        if abs(poly(Lstar)) > 1e-6 * scale:
-            return False, f"|p(L*)|={fmt(abs(poly(Lstar)))} too large at alpha={fmt(a)}"
-        roots = [r for r in kissing.poly_real_roots(poly) if r > 0.0]
-        if not roots or min(abs(r - Lstar) for r in roots) > 1e-8:
-            return False, f"no positive root near L* at alpha={fmt(a)}"
+        ok, detail = degree8_certificate(a, kissing.p3_minimizer(a)[0])
+        if not ok:
+            return False, detail
     return True, ""
 
 
@@ -429,10 +442,16 @@ _FULL_CHECKS = _QUICK_CHECKS + [
 ]
 
 
+_SUITES = {"quick": _QUICK_CHECKS, "full": _FULL_CHECKS}
+
+
 def run_verify(suite: str, seed: int, out, timings: Optional[dict[str, float]] = None) -> int:
     """Run a suite, print its transcript to out and return the exit code.
-    A `timings` dict, when given, receives each check's wall time in seconds."""
-    checks = _QUICK_CHECKS if suite == "quick" else _FULL_CHECKS
+    A `timings` dict, when given, receives each check's wall time in seconds.
+    An unknown suite name raises ValueError before anything is printed."""
+    checks = _SUITES.get(suite)
+    if checks is None:
+        raise ValueError(f"unknown suite {suite!r}, expected one of: {', '.join(_SUITES)}")
     print("hexbubble verification", file=out)
     print(f"suite: {suite}", file=out)
     print(f"seed: {seed}", file=out)

@@ -218,6 +218,17 @@ def _error(msg: str) -> int:
     return 2
 
 
+def _write(path: str, text: str, encoding: str) -> int:
+    """Write text to path; exit code 0, or 3 with one error line."""
+    try:
+        with open(path, "w", encoding=encoding, newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return 3
+    return 0
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
         result = solver.solve(args.alpha)
@@ -241,14 +252,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows.append(
             f"{fmt(r.alpha)},{r.case},{fmt(r.perimeter)},{fmt(first.L1)},{fmt(first.L2)}"
         )
-    payload = "\n".join(rows) + "\n"
-    try:
-        with open(args.out, "w", encoding="ascii", newline="") as fh:
-            fh.write(payload)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 3
-    return 0
+    return _write(args.out, "\n".join(rows) + "\n", "ascii")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -272,14 +276,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         result = solver.solve(args.alpha)
     except ValueError as exc:
         return _error(str(exc))
-    svg = render_svg(result)
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(svg)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 3
-    return 0
+    return _write(args.out, render_svg(result), "utf-8")
 
 
 def cmd_iso(args: argparse.Namespace) -> int:
@@ -298,12 +295,7 @@ def cmd_iso(args: argparse.Namespace) -> int:
     print(f"L0        = {fmt(L0)}")
     print(f"perimeter = {fmt(P)}")
     if svg is not None:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(svg)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 3
+        return _write(args.out, svg, "utf-8")
     return 0
 
 

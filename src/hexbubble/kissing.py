@@ -13,17 +13,16 @@ wherever the others are defined.  The global optimum is the admissible
 unequal candidate below alpha = 1/8 and the P3 minimizer at or above it;
 the two branches agree at the handoff.
 
-The P3 minimizer is also a positive root of an even degree-8 polynomial
-obtained by clearing the radicals in dP3/dL = 0; both routes are
-implemented and cross-checked in the tests.
+The P3 minimizer is also the one positive root of an even degree-8
+polynomial obtained by clearing the radicals in dP3/dL = 0.  The solver
+finds it by Newton (p3_minimizer); the checker certifies that answer
+from the polynomial alone, by Descartes' rule and a sign change at it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .hexnorm import SQRT3, PolyChain, anchored_pair
 from .singlebubble import (
@@ -31,8 +30,8 @@ from .singlebubble import (
     REGIME_FOUR,
     REGIME_SIX,
     check_alpha,
-    convex_min,
     fixed_side_vertices,
+    newton_root,
     optimal_perimeter,
     solve_fixed_side,
 )
@@ -164,58 +163,67 @@ def equal_perimeters(
 def p3_minimizer(alpha: float) -> tuple[float, float]:
     """(L*, P3(L*)): the unique stationary point of the double-six branch.
 
-    P3 = sqrt(7/3) (sqrt(3L^2 + 4 sqrt(3)) + sqrt(3L^2 + 4 sqrt(3) alpha)) - 3L
-    is of the form convex_min takes.  Bounding both radicals by the
-    smaller or by the larger radicand in dP3/dL = 0 brackets the root in
-    [sqrt(12 sqrt(3) alpha/19), sqrt(12 sqrt(3)/19)], which closes to the
-    point itself at alpha = 1.
+    P3 = w (sqrt(3L^2 + 4 sqrt(3)) + sqrt(3L^2 + 4 sqrt(3) alpha)) - 3L,
+    w = sqrt(7/3), has a strictly increasing, concave slope, so newton_root
+    climbs to its root from the low end of the bracket
+    [sqrt(12 sqrt(3) alpha/19), sqrt(12 sqrt(3)/19)], found by bounding
+    both radicals by the smaller or by the larger radicand in dP3/dL = 0.
+    It closes to the point itself at alpha = 1; a slope still nonpositive
+    at the top end makes that end the minimum.
     """
     check_alpha(alpha)
-    return convex_min(
-        P3_WEIGHT,
-        4.0 * SQRT3,
-        4.0 * SQRT3 * alpha,
-        -3.0,
-        math.sqrt(12.0 * SQRT3 * alpha / 19.0),
-        math.sqrt(12.0 * SQRT3 / 19.0),
-    )
+    w = P3_WEIGHT
+    a1 = 4.0 * SQRT3
+    a2 = 4.0 * SQRT3 * alpha
+
+    def slopes(L: float) -> tuple[float, float]:
+        # (P3'(L), P3''(L))
+        t = 3.0 * L
+        s1 = math.sqrt(a1 + t * L)
+        s2 = math.sqrt(a2 + t * L)
+        return (
+            t * (w / s1) + t * (w / s2) - 3.0,
+            3.0 * w * a1 / s1 / s1 / s1 + 3.0 * w * a2 / s2 / s2 / s2,
+        )
+
+    hi = math.sqrt(12.0 * SQRT3 / 19.0)
+    if slopes(hi)[0] <= 0.0:
+        x = hi
+    else:
+        lo = math.sqrt(12.0 * SQRT3 * alpha / 19.0)
+        d, d2 = slopes(lo)  # unpacked: a star call is slower on this hot path
+        x = newton_root(slopes, lo, hi, d, d2)
+    q = 3.0 * x * x
+    return x, w * math.sqrt(a1 + q) + w * math.sqrt(a2 + q) - 3.0 * x
 
 
 # --- degree-8 polynomial route ----------------------------------------------
 
 
-def _horner(cs: tuple[float, ...], x: float) -> float:
+def horner(cs: tuple[float, ...], x: float) -> float:
+    """Value at x of the polynomial with ascending coefficients cs."""
     acc = 0.0
     for c in reversed(cs):
         acc = acc * x + c
     return acc
 
 
-@dataclass(frozen=True)
-class Poly8:
-    """Dense degree-8 polynomial, coefficients ascending (c0..c8), c8 != 0."""
-
-    coefficients: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        cs = tuple(float(c) for c in self.coefficients)
-        object.__setattr__(self, "coefficients", cs)
-        if len(cs) != 9:
-            raise ValueError("need exactly 9 coefficients")
-        if cs[8] == 0.0 or not all(math.isfinite(c) for c in cs):
-            raise ValueError("leading coefficient must be finite and nonzero")
-
-    def __call__(self, x: float) -> float:
-        return _horner(self.coefficients, x)
-
-
-def build_degree8(alpha: float) -> Poly8:
-    """Radical-free stationarity polynomial for the P3 branch.
+def build_degree8(alpha: float) -> tuple[float, ...]:
+    """Radical-free stationarity polynomial for the P3 branch, as its 9
+    ascending coefficients c0..c8.
 
     With Q = 9L^4 + 12 sqrt(3)(1+alpha) L^2 + 48 alpha and
     R = 6L^4 + 4 sqrt(3)(1+alpha) L^2, clearing radicals in dP3/dL = 0
     gives p = 4 L^4 Q / 441 - (Q/49 - R/21)^2, an even polynomial whose
     positive real root is the P3 minimizer.
+
+    That root is the only one: with s = sqrt(3)(1+alpha), Q/49 - R/21 =
+    48 alpha/49 + (8s/147) L^2 - (5/49) L^4, so c0 = -(48 alpha/49)^2 <= 0,
+    c2 = -2 (48 alpha/49)(8s/147) < 0, c6 = 48s/441 + 240s/21609 > 0,
+    c8 = 171/2401 > 0, c4 has either sign and the odd coefficients are 0.
+    One sign change means one positive root by Descartes' rule, for every
+    alpha > 0.  In floats c0 underflows to 0 below alpha ~ 1e-161 and c2
+    below ~ 3e-323, where c4 ~ -(8 sqrt(3)/147)^2 < 0 keeps the one change.
     """
     check_alpha(alpha)
     s = SQRT3 * (1.0 + alpha)
@@ -229,59 +237,7 @@ def build_degree8(alpha: float) -> Poly8:
         sum(inner[i] * inner[k - i] for i in range(max(0, k - 4), min(k, 4) + 1))
         for k in range(9)
     ]
-    return Poly8(tuple(t1 - t2 for t1, t2 in zip(term1, term2)))
-
-
-def _bisect_root(p: Callable[[float], float], a: float, b: float, fa: float) -> float:
-    # p(a) = fa and p(b) differ in sign; shrink to ~1e-13 relative width
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        if b - a <= 1e-13 * max(1.0, abs(m)):
-            return m
-        fm = p(m)
-        if fm == 0.0:
-            return m
-        if (fm < 0.0) == (fa < 0.0):
-            a, fa = m, fm
-        else:
-            b = m
-    return 0.5 * (a + b)
-
-
-def _roots_in(cs: tuple[float, ...], lo: float, hi: float) -> list[float]:
-    # roots in [lo, hi] of the polynomial with ascending coefficients cs
-    # (leading one nonzero): p is monotone between consecutive roots of p',
-    # found the same way one degree down, so each piece holds at most one
-    if len(cs) == 1:
-        return []
-    deriv = tuple(i * c for i, c in enumerate(cs) if i > 0)
-    p = functools.partial(_horner, cs)
-    knots = [lo, *_roots_in(deriv, lo, hi), hi]
-    vals = [p(x) for x in knots]
-    roots = [x for x, v in zip(knots, vals) if v == 0.0]
-    for a, b, fa, fb in zip(knots, knots[1:], vals, vals[1:]):
-        if fa != 0.0 and fb != 0.0 and (fa < 0.0) != (fb < 0.0):
-            roots.append(_bisect_root(p, a, b, fa))
-    return sorted(roots)
-
-
-def poly_real_roots(p: Poly8) -> list[float]:
-    """Sorted real roots, isolated between the critical points.
-
-    The critical points are the real roots of p', found recursively down
-    to a constant, inside the Cauchy bound 1 + max|c_i|/|c_8|.  p is
-    monotone between consecutive ones, so each sign change there is one
-    root, bisected to ~1e-13 relative accuracy.  A root of even
-    multiplicity is found only when p vanishes exactly at its critical
-    point; the stationarity polynomial has none.
-    """
-    cs = p.coefficients
-    bound = 1.0 + max(abs(c) for c in cs[:-1]) / abs(cs[-1])
-    deduped: list[float] = []
-    for x in _roots_in(cs, -bound, bound):
-        if not deduped or x - deduped[-1] > 1e-9 * max(1.0, abs(x)):
-            deduped.append(x)
-    return deduped
+    return tuple(t1 - t2 for t1, t2 in zip(term1, term2))
 
 
 # --- the full kissing optimum ------------------------------------------------

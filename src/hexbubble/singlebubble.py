@@ -206,36 +206,3 @@ def newton_root(
         fx, dfx = fn(x)
     return x
 
-
-def convex_min(
-    w: float, a1: float, a2: float, b: float, lo: float, hi: float
-) -> tuple[float, float]:
-    """(L*, f(L*)) minimizing the glued diagonal branch P3 on [lo, hi].
-
-    P3 (kissing.p3_minimizer) has the form
-
-        f(L) = w sqrt(a1 + 3 L^2) + w sqrt(a2 + 3 L^2) + b L.
-
-    For w, a1, a2 > 0, f'(L) = 3 w L (1/sqrt(a1 + 3 L^2) + 1/sqrt(a2 + 3 L^2)) + b
-    is strictly increasing and concave, so newton_root climbs from lo,
-    where the caller guarantees f' <= 0, to its root.  When f' is still
-    nonpositive at hi the minimum is hi itself.
-    """
-
-    def slopes(L: float) -> tuple[float, float]:
-        # (f'(L), f''(L))
-        t = 3.0 * L
-        s1 = math.sqrt(a1 + t * L)
-        s2 = math.sqrt(a2 + t * L)
-        return (
-            t * (w / s1) + t * (w / s2) + b,
-            3.0 * w * a1 / s1 / s1 / s1 + 3.0 * w * a2 / s2 / s2 / s2,
-        )
-
-    if slopes(hi)[0] <= 0.0:
-        x = hi
-    else:
-        d, d2 = slopes(lo)  # unpacked: a star call is slower on this hot path
-        x = newton_root(slopes, lo, hi, d, d2)
-    q = 3.0 * x * x
-    return x, w * math.sqrt(a1 + q) + w * math.sqrt(a2 + q) + b * x

@@ -25,8 +25,8 @@ from hexbubble.kissing import (
     kissing_geometry,
     kissing_minimum,
     kissing_perimeter,
+    horner,
     p3_minimizer,
-    poly_real_roots,
     equal_perimeters,
     small_alpha_closed_form,
     unequal_candidates,
@@ -173,12 +173,15 @@ def test_5_degree8_polynomial_consistency():
     rng = Lcg(239)
     for _ in range(20):
         alpha = rng.uniform(0.01, 1.0)
-        p = build_degree8(alpha)
+        cs = build_degree8(alpha)
         L_star, _ = p3_minimizer(alpha)
-        assert abs(p(L_star)) <= 1e-6 * max(abs(c) for c in p.coefficients)
-        positive = [r for r in poly_real_roots(p) if r > 0.0]
-        assert len(positive) == 1
-        assert abs(positive[0] - L_star) <= 1e-8
+        assert abs(horner(cs, L_star)) <= 1e-6 * max(abs(c) for c in cs)
+        # even polynomial whose coefficients change sign once: exactly one
+        # positive root (Descartes), and p rises through 0 within 1e-8 of L*
+        assert cs[1] == cs[3] == cs[5] == cs[7] == 0.0
+        signs = [c > 0.0 for c in cs if c != 0.0]
+        assert sum(a != b for a, b in zip(signs, signs[1:])) == 1
+        assert horner(cs, L_star - 1e-8) < 0.0 < horner(cs, L_star + 1e-8)
 
 
 def test_6_dominance_inequalities():

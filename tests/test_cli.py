@@ -136,6 +136,14 @@ def test_verify_quick_passes_where_the_fixed_side_witness_was_infeasible(seed):
     assert cli.run_verify("quick", seed, out) == 0, out.getvalue()
 
 
+def test_run_verify_rejects_an_unknown_suite():
+    # a misspelt suite once ran all 16 checks and printed "suite: quik"
+    out = io.StringIO()
+    with pytest.raises(ValueError, match="unknown suite 'quik'"):
+        cli.run_verify("quik", 0, out)
+    assert out.getvalue() == ""
+
+
 def test_verify_seed_env_override(monkeypatch, capsys):
     monkeypatch.setenv("HEXBUBBLE_SEED", "42")
     code, out, _ = run_cli(["verify", "--suite", "quick", "--seed", "7"], capsys)
@@ -267,6 +275,10 @@ def test_exit_codes(tmp_path, capsys):
     assert run_cli(
         ["render", "--alpha", "0.5", "--out", "/nonexistent-dir/x.svg"], capsys
     )[0] == 3
+    code, out, err = run_cli(["iso", "--out", "/nonexistent-dir/x.svg"], capsys)
+    assert code == 3
+    assert out.startswith("L0        = ")
+    assert err.startswith("error: cannot write /nonexistent-dir/x.svg")
 
 
 def test_solve_smallest_subnormal_ratio_is_a_domain_error(capsys):

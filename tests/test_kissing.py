@@ -6,19 +6,19 @@ import math
 import pytest
 
 from conftest import SQRT3, golden_min_1d
+from hexbubble import checks, kissing, singlebubble
 from hexbubble.hexnorm import double_bubble_perimeter, polygon_area
 from hexbubble.kissing import (
     BRANCH_EQUAL,
     BRANCH_UNEQUAL,
     HANDOFF_ALPHA,
-    Poly8,
     build_degree8,
     equal_perimeters,
+    horner,
     kissing_geometry,
     kissing_minimum,
     kissing_perimeter,
     p3_minimizer,
-    poly_real_roots,
     small_alpha_closed_form,
     unequal_candidates,
 )
@@ -246,19 +246,32 @@ def test_invalid_alpha():
 # ---------------------------------------------------------------- polynomial route
 
 
+def _sign_changes(cs):
+    signs = [c > 0.0 for c in cs if c != 0.0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _assert_sign_pattern(cs):
+    # c0 <= 0, c2 < 0 (or underflowed), c6, c8 > 0, odd terms exactly 0
+    # (an even polynomial): one change, so one positive root (Descartes)
+    assert len(cs) == 9
+    assert cs[1] == cs[3] == cs[5] == cs[7] == 0.0
+    assert cs[0] <= 0.0 and cs[2] <= 0.0 and cs[6] > 0.0 and cs[8] > 0.0
+    assert _sign_changes(cs) == 1
+
+
+def _brackets(cs, L):
+    return horner(cs, L - 1e-8) < 0.0 < horner(cs, L + 1e-8)
+
+
 def test_degree8_equal_volumes():
-    p = build_degree8(1.0)
-    cs = p.coefficients
+    cs = build_degree8(1.0)
     assert abs(cs[8] - 171.0 / 2401.0) <= 1e-15 * (171.0 / 2401.0)
-    assert cs[1] == 0.0 and cs[3] == 0.0 and cs[5] == 0.0 and cs[7] == 0.0
-    roots = poly_real_roots(p)
+    _assert_sign_pattern(cs)
     L, _ = p3_minimizer(1.0)
-    positive = [r for r in roots if r > 0.0]
-    assert len(positive) == 1
-    assert abs(positive[0] - L) <= 1e-8
-    assert any(abs(r + L) <= 1e-8 for r in roots)  # even polynomial
-    assert abs(p(L)) <= 1e-6 * max(abs(c) for c in cs)
-    assert abs(p(L)) <= 1e-12  # much tighter in practice
+    assert _brackets(cs, L)
+    assert abs(horner(cs, L)) <= 1e-6 * max(abs(c) for c in cs)
+    assert abs(horner(cs, L)) <= 1e-12  # much tighter in practice
 
 
 def test_degree8_random_alpha():
@@ -266,38 +279,49 @@ def test_degree8_random_alpha():
     c8 = 171.0 / 2401.0
     for _ in range(20):
         alpha = rng.uniform(0.01, 1.0)
-        p = build_degree8(alpha)
-        cs = p.coefficients
+        cs = build_degree8(alpha)
         assert abs(cs[8] - c8) <= 1e-15 * c8  # leading term never sees alpha
-        assert cs[1] == cs[3] == cs[5] == cs[7] == 0.0
+        _assert_sign_pattern(cs)
         L, _ = p3_minimizer(alpha)
-        assert abs(p(L)) <= 1e-6 * max(abs(c) for c in cs)
-        positive = [r for r in poly_real_roots(p) if r > 0.0]
-        assert len(positive) == 1
-        assert abs(positive[0] - L) <= 1e-8
+        assert abs(horner(cs, L)) <= 1e-6 * max(abs(c) for c in cs)
+        assert _brackets(cs, L)
+        assert checks.degree8_certificate(alpha, L) == (True, "")
 
 
-def test_poly_real_roots_of_a_general_poly8():
-    # six real roots (two of them 1e-3 apart) and one complex pair
-    real = [-4.0, -0.5, 0.999, 1.0, 2.0, 3.0]
-    cs = [1.0]
-    for factor in [(-r, 1.0) for r in real] + [(1.0, 0.0, 1.0)]:
-        out = [0.0] * (len(cs) + len(factor) - 1)
-        for i, a in enumerate(cs):
-            for j, b in enumerate(factor):
-                out[i + j] += a * b
-        cs = out
-    roots = poly_real_roots(Poly8(tuple(cs)))
-    assert len(roots) == len(real)
-    assert all(abs(got - want) <= 1e-9 for got, want in zip(roots, real))
-    assert poly_real_roots(Poly8((1.0, 0.0, 4.0, 0.0, 6.0, 0.0, 4.0, 0.0, 1.0))) == []
+def test_degree8_certificate_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    log_uniform = st.floats(min_value=math.log10(5e-324), max_value=0.0).map(
+        lambda e: max(5e-324, 10.0 ** e)
+    )
+    uniform = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+    @hypothesis.settings(derandomize=True, deadline=None)
+    @hypothesis.given(st.one_of(log_uniform, uniform))
+    def check(alpha):
+        cs = build_degree8(alpha)
+        _assert_sign_pattern(cs)
+        L, _ = p3_minimizer(alpha)
+        assert _brackets(cs, L)
+        assert checks.degree8_certificate(alpha, L) == (True, "")
+        # a minimizer off by 1e-6 relative lies outside the 1e-8 bracket
+        assert not _brackets(cs, L * (1.0 + 1e-6))
+        assert not checks.degree8_certificate(alpha, L * (1.0 + 1e-6))[0]
+
+    check()
 
 
-def test_poly8_validation():
-    with pytest.raises(ValueError, match="9 coefficients"):
-        Poly8((1.0,) * 8)
-    with pytest.raises(ValueError, match="leading"):
-        Poly8((1.0,) * 8 + (0.0,))
+def test_degree8_certificate_is_independent_of_newton(monkeypatch):
+    minimizers = {a: p3_minimizer(a)[0] for a in (5e-324, 1e-12, 0.125, 0.5, 1.0)}
+
+    def refuse(*args):
+        raise AssertionError("the certificate called the solver's P3 route")
+
+    monkeypatch.setattr(singlebubble, "newton_root", refuse)
+    monkeypatch.setattr(kissing, "newton_root", refuse)
+    monkeypatch.setattr(kissing, "p3_minimizer", refuse)
+    for alpha, L in minimizers.items():
+        assert checks.degree8_certificate(alpha, L) == (True, "")
 
 
 # ---------------------------------------------------------------- geometry
