@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 SQRT3 = math.sqrt(3.0)
@@ -95,6 +96,11 @@ class PolyChain:
     single-vertex open chain is the degenerate geodesic from a point to
     itself (length 0).  Closed chains need three or more vertices, no
     repeated closing vertex, and no self-intersection.
+
+    A closed chain that _certified_simple accepts (convex, or convex but
+    for one notch, with margins) skips the O(n^2) _self_overlaps scan.
+    The edge rows that the metric reads are built on first use, so a
+    chain whose vertices alone are read never builds them.
     """
 
     vertices: tuple[PlanePoint, ...]
@@ -102,9 +108,12 @@ class PolyChain:
 
     def __post_init__(self) -> None:
         pts = [(float(v[0]), float(v[1])) for v in self.vertices]
+        small = True  # every coordinate within +/-64, as _certified_simple needs
         for x, y in pts:
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError("non-finite vertex")
+            if not (-64.0 <= x <= 64.0 and -64.0 <= y <= 64.0):
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ValueError("non-finite vertex")
+                small = False
         closed = self.closed
         if closed:
             if len(pts) < 3:
@@ -112,24 +121,33 @@ class PolyChain:
         elif not pts:
             raise ValueError("chain needs at least 1 vertex")
         object.__setattr__(self, "vertices", tuple(map(PlanePoint._make, pts)))
-        # one float row per edge (see "edge predicates" below) for every edge loop
-        rows = []
         for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1] if closed else pts[1:]):
-            ex, ey = bx - ax, by - ay
-            if abs(ex) <= DEDUP_TOL and abs(ey) <= DEDUP_TOL:
+            if abs(bx - ax) <= DEDUP_TOL and abs(by - ay) <= DEDUP_TOL:
                 raise ValueError("consecutive vertices coincide")
+        if closed and not (small and _certified_simple(pts)) and _self_overlaps(self._rows):
+            raise ValueError("closed chain is not simple")
+
+    @cached_property
+    def _rows(self) -> _EdgeRows:
+        # one float row per edge (see "edge predicates" below) for every edge loop
+        vs = self.vertices
+        rows = []
+        ax, ay = vs[-1] if self.closed else vs[0]
+        for bx, by in vs if self.closed else vs[1:]:
+            ex, ey = bx - ax, by - ay
             length = math.hypot(ex, ey)
             rows.append((
                 ax, ay, bx, by, ex, ey, ex * ex + ey * ey,
                 length, ex / length, ey / length, GEOM_TOL * length,
             ))
-        object.__setattr__(self, "_rows", tuple(rows))
-        if closed and _self_overlaps(rows):
-            raise ValueError("closed chain is not simple")
+            ax, ay = bx, by
+        if self.closed:
+            rows.append(rows.pop(0))  # the closing edge last
+        return tuple(rows)
 
     def edges(self) -> Iterator[tuple[PlanePoint, PlanePoint]]:
-        for ax, ay, bx, by, _, _, _, _, _, _, _ in self._rows:
-            yield PlanePoint(ax, ay), PlanePoint(bx, by)
+        vs = self.vertices
+        return zip(vs, vs[1:] + vs[:1] if self.closed else vs[1:])
 
 
 def merge_vertices(points: Iterable[Sequence[float]], closed: bool) -> list[tuple[float, float]]:
@@ -353,11 +371,11 @@ def point_in_polygon(p: Sequence[float], poly: PolyChain) -> bool:
 # ---------------------------------------------------------------------------
 # edge predicates over flat edge rows
 #
-# A chain's rows, built once by PolyChain, hold per edge from (ax, ay) to
-# (bx, by) the floats (ax, ay, bx, by, ex, ey, sq, length, ux, uy, tol):
-# the edge vector e = b - a, sq = ex*ex + ey*ey, length = hypot(ex, ey),
-# the unit vector u = e/length and tol = GEOM_TOL*length.  The loops below
-# unpack rows in place of calling a helper per edge pair.
+# A chain's rows, built by PolyChain on first use, hold per edge from
+# (ax, ay) to (bx, by) the floats (ax, ay, bx, by, ex, ey, sq, length, ux,
+# uy, tol): the edge vector e = b - a, sq = ex*ex + ey*ey, length =
+# hypot(ex, ey), the unit vector u = e/length and tol = GEOM_TOL*length.
+# The loops below unpack rows in place of calling a helper per edge pair.
 #
 # Three tests skip work by bounding boxes.  Each skip is exact, since a
 # skipped pair or point could not have passed the test it skips:
@@ -379,6 +397,51 @@ def point_in_polygon(p: Sequence[float], poly: PolyChain) -> bool:
 # "Rounding" here is a few ulp of the coordinates, far below GEOM_TOL for
 # coordinates well under GEOM_TOL / 2**-52 (about 4.5e6); solver cells are
 # O(1).  Horizontal edges have boxes of zero height, so no pad may be 0.
+#
+# _certified_simple answers "simple" in O(n), and only where
+# _self_overlaps would find nothing; otherwise it declines.  It needs every
+# coordinate within +/-64 and every side at least s = 8 GEOM_TOL long, and
+# one of two rules:
+#
+# - Convex: every turn is left with sine at least 1/4 (turns of 14.5 to
+#   165.5 degrees), and the edge directions wind once.  With every turn in
+#   (0, pi) the direction passes angle 0 once per winding, at the edges
+#   whose y goes from < 0 to >= 0, so counting those needs no atan2.
+# - One notch: one turn fails that, a right turn at vertex r between p
+#   and q.  The hull, the chain without r (the chord p -> q in place of the
+#   two notch edges), passes the convex rule, and r lies farther than
+#   GEOM_TOL * (8 + |e|) inside the line of each hull edge e.
+#
+# Why _self_overlaps then finds nothing.  Its determinants are products of
+# two coordinate differences, below 2**15 in size, so they round by about
+# 2**15 * 2**-51 (1.5e-11); its other expressions and the certificate's
+# relative tests round by less, and every step below has that slack.  That
+# is why the range is +/-64, not 4.5e6.  A chain whose turns all lie in
+# (0, pi) and add up to 2 pi is a convex polygon: every vertex lies left of
+# every edge line, and along the chain a vertex's height above edge k's
+# line rises, then falls.  So the vertices off edge k are at least
+# s * sin(turn) >= 2 GEOM_TOL above its line (the lowest are those next
+# to k's ends).  Non-adjacent edges i and j, i first:
+#
+# - Convex: they do not cross, since i's ends lie on j's left (d1 and d2
+#   are not negative beyond rounding), and they share no stretch, since
+#   j's start is 2 GEOM_TOL from i's line (|off| > GEOM_TOL).
+# - Notch, two hull edges: as in the convex case.
+# - Notch edge N against hull edge k: N's ends lie left of k's line, the
+#   hull vertex (p or q) by 2 GEOM_TOL and r by more, so they do not cross,
+#   and when k comes first N's start is off k's line.  When N comes first,
+#   a stretch needs k's start c within GEOM_TOL of N's line, at position t
+#   along it.  If t falls on N, c is within GEOM_TOL of N, all of whose
+#   points are 2 GEOM_TOL above k's line.  If t falls beyond N's hull
+#   vertex, c is within GEOM_TOL of a point outside the chord's line, as N
+#   runs from that vertex into the hull; but c, a hull vertex other than p
+#   and q, is 2 GEOM_TOL inside that line.  If t falls beyond r, the point
+#   of k that projects onto r is within GEOM_TOL * (1 + |k|) of r, since k
+#   starts within GEOM_TOL of N's line and tilts from it by at most
+#   GEOM_TOL; but r is GEOM_TOL * (8 + |k|) inside k's line.  That last
+#   case is why the depth grows with |k|: with r only 8 GEOM_TOL inside,
+#   a notch edge 10 long can run within GEOM_TOL of a hull edge 20 long,
+#   which _self_overlaps takes for a shared stretch.
 
 
 def _contacts(rp: _EdgeRows, rq: _EdgeRows) -> tuple[bool, list[tuple[int, int, float, float]]]:
@@ -455,6 +518,66 @@ def _self_overlaps(rows: _EdgeRows) -> bool:
             if not min(length, max(t1, t2)) - max(0.0, min(t1, t2)) <= eps:
                 return True  # a shared stretch
     return False
+
+
+def _certified_simple(pts: list[tuple[float, float]]) -> bool:
+    """True only if closed chain pts, with coordinates within +/-64, passes
+    the convex or the one-notch rule above; False declines."""
+    side = 64.0 * GEOM_TOL * GEOM_TOL  # (8 GEOM_TOL)^2
+    n = len(pts)
+    r = -1  # the one vertex whose turn is not left with sine >= 1/4
+    passes = 0  # edges whose direction passes angle 0
+    (ax, ay), (bx, by) = pts[-2], pts[-1]
+    fx, fy = bx - ax, by - ay
+    fsq = fx * fx + fy * fy
+    for i, (cx, cy) in enumerate(pts):
+        ex, ey = cx - bx, cy - by
+        sq = ex * ex + ey * ey
+        if sq < side:
+            return False
+        c = fx * ey - fy * ex  # the turn at (bx, by), vertex i - 1
+        if not (c > 0.0 and 16.0 * c * c >= fsq * sq):
+            if c >= 0.0 or r >= 0:
+                return False
+            r = (i - 1) % n
+        if fy < 0.0 <= ey:
+            passes += 1
+        fx, fy, fsq, bx, by = ex, ey, sq, cx, cy
+    if r < 0:
+        return passes == 1
+    if n < 4:
+        return False
+    # one notch, a right turn at r: the hull, the chain without r, runs from
+    # q around to p and closes with the chord p -> q; its turns other than
+    # at p and q are the chain's own
+    hull = pts[r + 1:] + pts[:r]
+    (ax, ay), (px, py), (qx, qy), (bx, by) = hull[-2], hull[-1], hull[0], hull[1]
+    cx, cy = qx - px, qy - py
+    csq = cx * cx + cy * cy
+    fx, fy, ex, ey = px - ax, py - ay, bx - qx, by - qy
+    c1, c2 = fx * cy - fy * cx, cx * ey - cy * ex
+    if not (
+        csq >= side
+        and c1 > 0.0 and 16.0 * c1 * c1 >= (fx * fx + fy * fy) * csq
+        and c2 > 0.0 and 16.0 * c2 * c2 >= csq * (ex * ex + ey * ey)
+    ):
+        return False
+    rx, ry = pts[r]
+    tol2 = GEOM_TOL * GEOM_TOL
+    passes = 0
+    ax, ay = px, py
+    for bx, by in hull:
+        ex, ey = bx - ax, by - ay
+        if fy < 0.0 <= ey:
+            passes += 1
+        # r's depth d = c/|e|; d^2 > GEOM_TOL^2 * 2 * (64 + |e|^2) gives
+        # d > GEOM_TOL * (8 + |e|), as (8 + |e|)^2 <= 2 * (64 + |e|^2)
+        sq = ex * ex + ey * ey
+        c = ex * (ry - ay) - ey * (rx - ax)
+        if not (c > 0.0 and c * c > tol2 * (128.0 + 2.0 * sq) * sq):
+            return False
+        fy, ax, ay = ey, bx, by
+    return passes == 1
 
 
 def _strictly_inside(px: float, py: float, rows: _EdgeRows) -> bool:

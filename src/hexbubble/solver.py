@@ -173,5 +173,6 @@ def sweep(alpha_min: float, alpha_max: float, steps: int) -> list[DoubleBubbleRe
         alphas = [alpha_min]
     else:
         span = alpha_max - alpha_min
-        alphas = [alpha_min + span * i / (steps - 1) for i in range(steps)]
+        # the formula can miss alpha_max by an ulp, so the grid ends on it exactly
+        alphas = [alpha_min + span * i / (steps - 1) for i in range(steps - 1)] + [alpha_max]
     return [solve(a) for a in alphas]

@@ -5,6 +5,8 @@ import math
 import pytest
 
 from conftest import SQRT3, random_convex_polygon, unit_ball_hexagon
+from hexbubble import hexnorm
+from hexbubble.embedded import embedded_geometry, minimize_rho1, rho2_minimum
 from hexbubble.hexnorm import (
     GEOM_TOL,
     LATTICE_DIRECTIONS,
@@ -483,6 +485,15 @@ def test_self_intersecting_closed_chain_rejected():
         make_chain([(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)], closed=True)
 
 
+def test_pentagram_rejected():
+    # every turn is 144 degrees to the left, yet the chain winds twice; with
+    # its centre inserted as a notch, one turn is right and the rest left
+    star = [(math.cos(0.8 * math.pi * k), math.sin(0.8 * math.pi * k)) for k in range(5)]
+    for chain in (star, [star[0], (0.0, 0.0), *star[1:]]):
+        with pytest.raises(ValueError, match="not simple"):
+            make_chain(chain, closed=True)
+
+
 def test_collinear_non_lattice_backtrack_rejected():
     # the edge (2, 2)-(1, 1) runs back along the 45-degree first edge
     with pytest.raises(ValueError, match="not simple"):
@@ -532,6 +543,118 @@ def test_non_finite_vertex_rejected():
 def test_chain_errors_come_in_a_fixed_order(vertices, closed, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         PolyChain(vertices, closed=closed)
+
+
+def _closed_rows(pts):
+    # a closed chain's edge rows are those of the open chain back to its start
+    return PolyChain(tuple(pts) + (pts[0],))._rows
+
+
+def test_certified_chains_pass_the_full_scan(monkeypatch):
+    # wherever the O(n) certificate answers "simple", the O(n^2) scan it lets
+    # PolyChain skip finds nothing; every closed chain built below, simple or
+    # not, goes through this check
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    certify = hexnorm._certified_simple
+    certified = []
+
+    def checked(pts):
+        simple = certify(pts)
+        if simple:
+            assert not hexnorm._self_overlaps(_closed_rows(pts)), pts
+            certified.append(pts)
+        return simple
+
+    monkeypatch.setattr(hexnorm, "_certified_simple", checked)
+    settings = hypothesis.settings(derandomize=True, deadline=None, max_examples=60)
+    seeds = st.integers(min_value=0, max_value=2**32)
+
+    def build(points):
+        try:
+            make_chain(points, closed=True)
+        except ValueError:
+            pass
+
+    @settings
+    @hypothesis.given(seeds)
+    def hulls(seed):
+        random_convex_polygon(Lcg(seed))
+
+    # sides along 0, 60, ..., 300 degrees close when a1 + a2 = a4 + a5 and
+    # a2 + a3 = a5 + a6; sides of 0 give trapezoids and smaller cells
+    side = st.one_of(st.just(0.0), st.floats(min_value=-12.0, max_value=0.0).map(lambda e: 10.0**e))
+    offset = st.floats(min_value=-1.0, max_value=1.0)
+
+    @settings
+    @hypothesis.given(side, side, side, side, offset, offset)
+    def lattice(a1, a2, a3, a5, x, y):
+        a5 = min(a5, a1 + a2, a2 + a3)
+        points = []
+        for s, d in zip((a1, a2, a3, a1 + a2 - a5, a5, a2 + a3 - a5), LATTICE_DIRECTIONS):
+            points.append((x, y))
+            x, y = x + s * d.x, y + s * d.y
+        build(points)
+
+    # both volume assignments: rho1 (outer cell volume 1) and rho2
+    ratio = st.floats(min_value=-15.0, max_value=0.0).map(lambda e: 10.0**e)
+    perturbation = st.tuples(
+        st.sampled_from((0.0, 1e-9, 1e-6, 1e-3, 0.1)), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)
+    )
+
+    @settings
+    @hypothesis.given(ratio, st.booleans(), perturbation)
+    def embedded_cells(alpha, swap, eps):
+        L1, L2, _ = rho2_minimum(alpha) if swap else minimize_rho1(alpha)
+        volumes = (alpha, 1.0) if swap else (1.0, alpha)
+        try:
+            embedded_geometry(L1 * (1.0 + eps[0] * eps[1]), L2 * (1.0 + eps[0] * eps[2]), *volumes)
+        except ValueError:
+            pass
+
+    # a vertex r inserted after vertex k of a polygon inscribed in a circle
+    # of radius up to 60, at a point of edge m moved off it by a depth from
+    # 1e-15 to 1 (times the radius), inward or outward
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    notches = []
+
+    @settings
+    @hypothesis.given(seeds, st.integers(3, 9), seeds, seeds, unit, ratio, st.booleans(), unit)
+    def notched(seed, n, k, m, t, depth, outward, size):
+        rng = Lcg(seed)
+        angles = [2.0 * math.pi * (i + 0.6 * rng.uniform()) / n for i in range(n)]
+        radius = 1.0 + 59.0 * size
+        hull = [(radius * math.cos(a), radius * math.sin(a)) for a in angles]
+        k, m = k % n, m % n
+        (ax, ay), (bx, by) = hull[m], hull[(m + 1) % n]
+        ex, ey = bx - ax, by - ay
+        d = radius * (-depth if outward else depth) / math.hypot(ex, ey)
+        r = (ax + t * ex - d * ey, ay + t * ey + d * ex)
+        count = len(certified)
+        build([*hull[: k + 1], r, *hull[k + 1 :]])
+        notches.extend(certified[count:])
+
+    # every family reaches "simple", the notched one by the one-notch rule
+    for family in (hulls, lattice, embedded_cells, notched):
+        certified.clear()
+        family()
+        assert certified, family.__name__
+    assert notches
+
+
+def test_notch_depth_grows_with_the_hull_edge():
+    # r is 9.9 GEOM_TOL above the hull edge from (0, 0) to (20, 0), and the
+    # notch edge p -> r runs 10 along it, tilted from it by under GEOM_TOL:
+    # the full scan calls that a shared stretch, so a certificate that asked
+    # r for a depth of 8 GEOM_TOL whatever the edge's length would pass a
+    # chain that the scan rejects
+    tilt = 0.99 * GEOM_TOL
+    p = (20.0 + 5e-8, (20.0 + 5e-8) * tilt)
+    r = (p[0] - 10.0, p[1] - 10.0 * tilt)
+    points = (p, r, (10.0, 10.0), (0.0, 0.0), (20.0, 0.0))
+    assert hexnorm._self_overlaps(_closed_rows(points))
+    with pytest.raises(ValueError, match="^closed chain is not simple$"):
+        PolyChain(points, closed=True)
 
 
 def test_point_in_polygon_requires_a_closed_chain():

@@ -4,10 +4,10 @@ import math
 
 import pytest
 
-from hexbubble import embedded, solver
+from hexbubble import embedded, hexnorm, solver
 from hexbubble.embedded import minimize_rho1
 from hexbubble.hexnorm import PolyChain, double_bubble_perimeter, polygon_area
-from hexbubble.kissing import kissing_minimum, small_alpha_closed_form
+from hexbubble.kissing import kissing_geometry, kissing_minimum, small_alpha_closed_form
 from hexbubble.singlebubble import fixed_side_polygon
 from hexbubble.solver import (
     CASE_BOTH,
@@ -138,6 +138,12 @@ def test_sweep_grid_and_counts():
     assert flips == 1
     for a, b in zip(results, results[1:]):
         assert b.perimeter >= a.perimeter - 1e-12  # more volume costs boundary
+    # brackets whose grid formula misses alpha_max by an ulp
+    brackets = ((1e-12, 1.0, 200), (0.14317622378273598, 0.3562579057084064, 7))
+    for alpha_min, alpha_max, steps in brackets:
+        results = sweep(alpha_min, alpha_max, steps)
+        assert len(results) == steps
+        assert results[0].alpha == alpha_min and results[-1].alpha == alpha_max
 
 
 def test_sweep_beats_separate_bubbles():
@@ -238,6 +244,38 @@ def test_solve_builds_only_the_reported_cells(monkeypatch):
     kissing_value(0.3)
     find_alpha0()
     assert built == []
+
+
+def test_solver_cells_skip_the_quadratic_scan(monkeypatch):
+    # every cell solve builds is convex, or convex but for the outer cell's
+    # notch, clear of the margins of hexnorm._certified_simple
+    def scan(rows):
+        raise AssertionError("a solver cell needed the O(n^2) simplicity scan")
+
+    full_scan = hexnorm._self_overlaps
+    monkeypatch.setattr(hexnorm, "_self_overlaps", scan)
+    alpha0 = 0.15245721143347343
+    ratios = (1e-8, 1e-5, 0.01, 0.12, 0.13, 0.15, alpha0, 0.16, 0.3, 0.66, 0.67, 1.0)
+    assert {solve(alpha).case for alpha in ratios} == {CASE_EMBEDDED, CASE_BOTH, CASE_KISSING}
+    # solve builds kissing cells only from alpha0 up, on the equal branch P3,
+    # so the unequal branch's cells (below 1/8) are built here directly
+    for alpha in (0.01, 0.12):
+        kis = kissing_minimum(alpha)
+        assert kis.L1 != kis.L2
+        kissing_geometry(kis.L1, kis.L2, alpha)
+
+    # at 1e-12 the inner cell's horizontal sides, 1.86e-12, are below the
+    # 8 GEOM_TOL side margin, so that cell alone takes the full scan
+    scanned = []
+
+    def counting(rows):
+        scanned.append(len(rows))
+        return full_scan(rows)
+
+    monkeypatch.setattr(hexnorm, "_self_overlaps", counting)
+    entry = solve(1e-12).solutions[0]
+    assert 1e-12 < entry.sides_b[0] < 8.0 * hexnorm.GEOM_TOL
+    assert scanned == [len(entry.geometry_b.vertices)] == [6]
 
 
 def test_measured_total_matches_reported():
