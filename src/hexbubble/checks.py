@@ -18,14 +18,9 @@ from . import embedded, hexnorm, kissing, singlebubble, solver
 from .hexnorm import SQRT3, hex_norm, polygon_area
 from .oracle import Lcg, grid_refine_min, perturb_local_min
 from .singlebubble import check_alpha
-
-FMT = "%.12g"  # every number in solve, sweep, iso and verify output
+from .solver import fmt
 
 DIAG_TOL = 1e-6  # diagonal tolerance for the case-2 check
-
-
-def fmt(x: float) -> str:
-    return FMT % float(x)
 
 
 # ---------------------------------------------------------------- objectives
@@ -57,18 +52,28 @@ def _single_bubble_objective(L: float, V: float) -> Posed:
     return objective, (0.0, 0.0), (bound, bound)
 
 
+# The two pair objectives check alpha once, here, and the oracle then
+# calls the unchecked bodies of rho1 and kissing_perimeter.
+
+
 def _embedded_objective(alpha: float) -> Posed:
+    check_alpha(alpha)
     cap1 = math.sqrt(8.0 * SQRT3 * alpha / 3.0)
     return (
-        lambda p: embedded.rho1(p[0], p[1], alpha),
+        lambda p: embedded.rho1_unchecked(p[0], p[1], alpha),
         (1e-3, 1e-3),
         (cap1 * (1.0 + 1e-9), 3.0),
     )
 
 
 def _kissing_objective(alpha: float) -> Posed:
+    check_alpha(alpha)
     lo = 0.05 * min(1.0, math.sqrt(alpha))
-    return lambda p: kissing.kissing_perimeter(p[0], p[1], alpha), (lo, lo), (2.4, 2.4)
+    return (
+        lambda p: kissing.kissing_perimeter_unchecked(p[0], p[1], alpha),
+        (lo, lo),
+        (2.4, 2.4),
+    )
 
 
 # ---------------------------------------------------------------- exclusions

@@ -1,5 +1,6 @@
 """Command-line surface: solve, sweep, verify, render, iso.  The verify
-suites live in `checks`; this module parses, prints and draws.
+suites live in `checks`, imported only when verify runs; this module
+parses, prints and draws.
 
 Numeric output carries 12 significant digits everywhere; JSON payloads
 store numbers as decimal strings so snapshots do not depend on float
@@ -19,8 +20,8 @@ import sys
 from typing import Optional, Sequence
 
 from . import singlebubble, solver
-from .checks import fmt, run_verify
 from .hexnorm import PlanePoint, PolyChain, hex_norm, shared_segments
+from .solver import fmt
 
 SVG_SCALE = 100.0  # SVG user units per plane unit; also stated in the file header
 SVG_TITLE_BAND = 26.0
@@ -253,6 +254,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"{fmt(r.alpha)},{r.case},{fmt(r.perimeter)},{fmt(first.L1)},{fmt(first.L2)}"
         )
     return _write(args.out, "\n".join(rows) + "\n", "ascii")
+
+
+def run_verify(suite: str, seed: int, out, timings: Optional[dict[str, float]] = None) -> int:
+    """checks.run_verify.  The checker, and the oracle with it, is imported
+    here on first use, so that the other commands never load it."""
+    from . import checks
+
+    return checks.run_verify(suite, seed, out, timings)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -83,6 +83,12 @@ def outer_notched(
 def rho1(L1: float, L2: float, alpha: float) -> float:
     """Pair perimeter, outer cell volume 1, inner cell volume alpha."""
     check_alpha(alpha)
+    return rho1_unchecked(L1, L2, alpha)
+
+
+def rho1_unchecked(L1: float, L2: float, alpha: float) -> float:
+    """rho1 for an alpha already checked: the grid oracle's objective
+    checks it once, not at every point."""
     _, outer = outer_notched(L1, L2, 1.0)
     _, inner = inner_hexagon(L1, alpha)
     return outer + inner - L1
@@ -144,11 +150,12 @@ def minimize_rho1(alpha: float) -> tuple[float, float, float]:
     with no iteration, for every alpha down to the smallest double.
     """
     check_alpha(alpha)
-    hi = min(
-        math.sqrt(8.0 * SQRT3 * alpha / 3.0),
-        math.sqrt(4.0 * SQRT3 / 3.0),
-    )
-    L1, value = _cubic_min(8.0 * SQRT3, 4.0 * SQRT3 * alpha / 3.0, hi)
+    # hi = sqrt(8 sqrt(3) alpha/3) from the same rounded c that _cubic_min
+    # gets: at subnormal c, rounding 8 sqrt(3) alpha on its own could put hi
+    # below the stationary point
+    c = 4.0 * SQRT3 * alpha / 3.0
+    hi = min(math.sqrt(2.0 * c), math.sqrt(4.0 * SQRT3 / 3.0))
+    L1, value = _cubic_min(8.0 * SQRT3, c, hi)
     return L1, rho1_optimal_L2(L1), value
 
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from functools import partial
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 SQRT3 = math.sqrt(3.0)
 
@@ -41,6 +41,14 @@ _EdgeRows = tuple[tuple[float, ...], ...]
 class PlanePoint(NamedTuple):
     x: float
     y: float
+
+
+# PlanePoint(*p) for a pair p, without the length check of PlanePoint._make
+_plane_point = partial(tuple.__new__, PlanePoint)
+
+# the rules _certified_simple can prove a closed chain simple by
+CONVEX = "convex"
+NOTCHED = "notched"
 
 
 # Unit vectors at 0, 60, ..., 300 degrees: the vertices of the unit ball.
@@ -88,6 +96,22 @@ def sextant(p: Sequence[float]) -> int:
     return 6
 
 
+class _EdgeData:
+    """A PolyChain attribute built on first read: the rows pass (_edge_data)
+    stores _rows, _length and _box in the chain's own __dict__, where later
+    reads find them before this non-data descriptor.  It is
+    functools.cached_property without the lock that Python 3.11 takes."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, chain: "PolyChain", owner: Optional[type] = None):
+        if chain is None:
+            return self
+        _edge_data(chain)
+        return chain.__dict__[self.name]
+
+
 @dataclass(frozen=True)
 class PolyChain:
     """Ordered vertex chain; closed chains must be simple polygons.
@@ -97,57 +121,86 @@ class PolyChain:
     itself (length 0).  Closed chains need three or more vertices, no
     repeated closing vertex, and no self-intersection.
 
-    A closed chain that _certified_simple accepts (convex, or convex but
-    for one notch, with margins) skips the O(n^2) _self_overlaps scan.
-    The edge rows that the metric reads are built on first use, so a
-    chain whose vertices alone are read never builds them.
+    A closed chain that _certified_simple accepts skips the O(n^2)
+    _self_overlaps scan, and records which rule it passed in `certified`:
+    CONVEX or NOTCHED (convex but for one notch), or None when the
+    certificate declined or the chain is open.  The metric reads it (see
+    "edge predicates" below).  The edge data that the metric reads, the
+    rows, the D-length and the vertex box, is built on first read in one
+    pass, so a chain whose vertices alone are read never builds it.
     """
 
     vertices: tuple[PlanePoint, ...]
     closed: bool = False
+    certified = None  # not a field: set by __post_init__ when a rule passes
+
+    # unannotated, so not fields: the edge data, built on first read
+    _rows = _EdgeData()
+    _length = _EdgeData()
+    _box = _EdgeData()
 
     def __post_init__(self) -> None:
         pts = [(float(v[0]), float(v[1])) for v in self.vertices]
+        closed = self.closed
         small = True  # every coordinate within +/-64, as _certified_simple needs
+        coincide = False  # reported after the non-finite and count errors
+        # an open chain's first vertex has no predecessor
+        ax, ay = pts[-1] if closed and pts else (math.inf, math.inf)
         for x, y in pts:
             if not (-64.0 <= x <= 64.0 and -64.0 <= y <= 64.0):
                 if not (math.isfinite(x) and math.isfinite(y)):
                     raise ValueError("non-finite vertex")
                 small = False
-        closed = self.closed
+            if abs(x - ax) <= DEDUP_TOL and abs(y - ay) <= DEDUP_TOL:
+                coincide = True
+            ax, ay = x, y
         if closed:
             if len(pts) < 3:
                 raise ValueError("closed chain needs at least 3 vertices")
         elif not pts:
             raise ValueError("chain needs at least 1 vertex")
-        object.__setattr__(self, "vertices", tuple(map(PlanePoint._make, pts)))
-        for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1] if closed else pts[1:]):
-            if abs(bx - ax) <= DEDUP_TOL and abs(by - ay) <= DEDUP_TOL:
-                raise ValueError("consecutive vertices coincide")
-        if closed and not (small and _certified_simple(pts)) and _self_overlaps(self._rows):
-            raise ValueError("closed chain is not simple")
-
-    @cached_property
-    def _rows(self) -> _EdgeRows:
-        # one float row per edge (see "edge predicates" below) for every edge loop
-        vs = self.vertices
-        rows = []
-        ax, ay = vs[-1] if self.closed else vs[0]
-        for bx, by in vs if self.closed else vs[1:]:
-            ex, ey = bx - ax, by - ay
-            length = math.hypot(ex, ey)
-            rows.append((
-                ax, ay, bx, by, ex, ey, ex * ex + ey * ey,
-                length, ex / length, ey / length, GEOM_TOL * length,
-            ))
-            ax, ay = bx, by
-        if self.closed:
-            rows.append(rows.pop(0))  # the closing edge last
-        return tuple(rows)
+        if coincide:
+            raise ValueError("consecutive vertices coincide")
+        object.__setattr__(self, "vertices", tuple(map(_plane_point, pts)))
+        if closed:
+            certified = _certified_simple(pts) if small else None
+            if certified:
+                object.__setattr__(self, "certified", certified)
+            elif _self_overlaps(self._rows):
+                raise ValueError("closed chain is not simple")
 
     def edges(self) -> Iterator[tuple[PlanePoint, PlanePoint]]:
         vs = self.vertices
         return zip(vs, vs[1:] + vs[:1] if self.closed else vs[1:])
+
+
+def _edge_data(chain: PolyChain) -> None:
+    # the one rows pass: one float row per edge (see "edge predicates"
+    # below) for every edge loop, the edges' D-lengths (hex_norm, inlined)
+    # summed as polyline_length reports them, and the vertices' box
+    vs = chain.vertices
+    closed = chain.closed
+    rows = []
+    norms = []
+    ax, ay = vs[-1] if closed else vs[0]
+    for bx, by in vs if closed else vs[1:]:
+        ex, ey = bx - ax, by - ay
+        length = math.hypot(ex, ey)
+        rows.append((
+            ax, ay, bx, by, ex, ey, ex * ex + ey * ey,
+            length, ex / length, ey / length, GEOM_TOL * length,
+        ))
+        h = abs(ey) / SQRT3
+        d = abs(ex) + h
+        norms.append(d if d >= 2.0 * h else 2.0 * h)
+        ax, ay = bx, by
+    if closed:
+        rows.append(rows.pop(0))  # the closing edge last
+    xs, ys = zip(*vs)
+    data = chain.__dict__
+    data["_rows"] = tuple(rows)
+    data["_length"] = math.fsum(norms)
+    data["_box"] = (min(xs), max(xs), min(ys), max(ys))
 
 
 def merge_vertices(points: Iterable[Sequence[float]], closed: bool) -> list[tuple[float, float]]:
@@ -214,11 +267,7 @@ def geodesic_path(p: Sequence[float], q: Sequence[float]) -> PolyChain:
 
 def polyline_length(chain: PolyChain) -> float:
     """Total D-length of the chain; closed chains include the closing edge."""
-    # hex_norm of each edge vector, inlined
-    return math.fsum([
-        max(abs(ex) + (ay := abs(ey) / SQRT3), 2.0 * ay)
-        for _, _, _, _, ex, ey, _, _, _, _, _ in chain._rows
-    ])
+    return chain._length
 
 
 def polygon_area(chain: PolyChain) -> float:
@@ -328,12 +377,16 @@ def double_bubble_perimeter(a: PolyChain, b: PolyChain) -> tuple[float, float]:
     if not (a.closed and b.closed):
         raise ValueError("both chains must be closed")
     ra, rb = a._rows, b._rows
-    crossed, stretches = _contacts(ra, rb)
-    if crossed or _any_point_inside(ra, rb) or _any_point_inside(rb, ra):
+    crossed, stretches = _contacts(a, b)
+    if crossed or _any_point_inside(ra, b) or _any_point_inside(rb, a):
         raise ValueError("interiors overlap")
     joint = 0.0
     if stretches:
-        turn = _orientation(ra) * _orientation(rb)
+        # a certified chain is counterclockwise
+        turn = (
+            1.0 if a.certified and b.certified
+            else _orientation(ra) * _orientation(rb)
+        )
         off_lattice = False
         for i, j, lo, hi in stretches:
             ux, uy = ra[i][8], ra[i][9]  # unit vector of a's edge i
@@ -355,7 +408,7 @@ def shared_segments(a: PolyChain, b: PolyChain) -> list[tuple[PlanePoint, PlaneP
     double_bubble_perimeter this tests no interiors and allows any direction."""
     rows = a._rows
     segs = []
-    for i, _, lo, hi in _contacts(rows, b._rows)[1]:
+    for i, _, lo, hi in _contacts(a, b)[1]:
         x, y, _, _, _, _, _, _, ux, uy, _ = rows[i]
         segs.append((PlanePoint(x + lo * ux, y + lo * uy), PlanePoint(x + hi * ux, y + hi * uy)))
     return segs
@@ -371,22 +424,30 @@ def point_in_polygon(p: Sequence[float], poly: PolyChain) -> bool:
 # ---------------------------------------------------------------------------
 # edge predicates over flat edge rows
 #
-# A chain's rows, built by PolyChain on first use, hold per edge from
+# A chain's rows, built by PolyChain on first read, hold per edge from
 # (ax, ay) to (bx, by) the floats (ax, ay, bx, by, ex, ey, sq, length, ux,
 # uy, tol): the edge vector e = b - a, sq = ex*ex + ey*ey, length =
 # hypot(ex, ey), the unit vector u = e/length and tol = GEOM_TOL*length.
-# The loops below unpack rows in place of calling a helper per edge pair.
+# The same pass sums the edges' D-lengths (polyline_length, exactly
+# rounded by fsum, so in any order) and takes the vertices' box.  The
+# loops below unpack rows in place of calling a helper per edge pair.
 #
-# Three tests skip work by bounding boxes.  Each skip is exact, since a
+# Four tests skip work by bounding boxes.  Each skip is exact, since a
 # skipped pair or point could not have passed the test it skips:
 #
-# - _contacts skips edge i of rp and edge j of rq when i's box misses j's
+# - _contacts skips edge i of p and edge j of q when i's box misses j's
 #   box padded by GEOM_TOL * (2 + j's length).  A proper crossing needs no
 #   pad: its determinants lie beyond +/-GEOM_TOL, so the segments really
 #   meet.  A stretch needs j's start within GEOM_TOL of i's line (off) and
 #   j tilted from it by at most GEOM_TOL (cross <= j's tol), so some point
 #   of j lies within GEOM_TOL * (1 + j's length) of a point of i; the
 #   second GEOM_TOL covers the rounding of off, cross and t.
+# - _contacts also drops, before the pair loop, every edge j whose padded
+#   box misses p's whole box, which holds every i's box, and every edge i
+#   whose box misses q's whole box padded by GEOM_TOL * (2 + width +
+#   height): no edge is longer than its chain box's width plus height, so
+#   that box holds every j's padded box, up to a few ulp of the pad, which
+#   its second GEOM_TOL covers.
 # - _strictly_inside skips the distance to an edge, not the ray crossing,
 #   when the point lies outside the edge's box widened by 2 GEOM_TOL: it is
 #   then more than 2 GEOM_TOL from the edge.  The margin beyond GEOM_TOL
@@ -397,6 +458,34 @@ def point_in_polygon(p: Sequence[float], poly: PolyChain) -> bool:
 # "Rounding" here is a few ulp of the coordinates, far below GEOM_TOL for
 # coordinates well under GEOM_TOL / 2**-52 (about 4.5e6); solver cells are
 # O(1).  Horizontal edges have boxes of zero height, so no pad may be 0.
+#
+# Two tests read what PolyChain recorded from _certified_simple (below),
+# which passes only chains with coordinates within +/-64:
+#
+# - double_bubble_perimeter skips _orientation when both chains are
+#   certified, since each is then counterclockwise.  A convex chain turns
+#   left at every vertex and winds once.  A notched chain is its convex
+#   hull less the triangle p r q; for each hull edge e but the chord, the
+#   triangle of e and r lies in the chain, as r sees the hull vertices in
+#   counterclockwise order.  Twice the area of a chain of width w is then
+#   at least GEOM_TOL * w / 12: a convex chain has at most 24 edges and
+#   every vertex 2 GEOM_TOL off each edge line it is not on, and r lies
+#   GEOM_TOL * (8 + |e|) inside each hull edge line.  _orientation's sum,
+#   twice the area, rounds by under 1e-11 w + 1e-13 w^2 within +/-64, so
+#   it stays positive.
+# - _inside_convex tests a point against a CONVEX chain by the height of
+#   the point above each edge line, c / length with c = ex * (py - ay) -
+#   ey * (px - ax), and exits at the first height of at most 0.75 GEOM_TOL.
+#   In exact arithmetic a point inside a convex polygon is as far from
+#   its boundary as from the nearest edge line, so _strictly_inside's
+#   answer is "every height exceeds GEOM_TOL", and the ray crossing agrees
+#   with it, as the point is then at least GEOM_TOL from every crossing.
+#   The points tested lie in the chain's box widened by GEOM_TOL, within
+#   +/-65, so a height and _strictly_inside's distance each round by under
+#   1e-12; only a height within a quarter GEOM_TOL of GEOM_TOL, where the
+#   two might round to different sides, defers to _strictly_inside.  A
+#   point behind a notch is inside the chain but off a notch edge's line,
+#   so NOTCHED chains take _strictly_inside.
 #
 # _certified_simple answers "simple" in O(n), and only where
 # _self_overlaps would find nothing; otherwise it declines.  It needs every
@@ -444,28 +533,44 @@ def point_in_polygon(p: Sequence[float], poly: PolyChain) -> bool:
 #   which _self_overlaps takes for a shared stretch.
 
 
-def _contacts(rp: _EdgeRows, rq: _EdgeRows) -> tuple[bool, list[tuple[int, int, float, float]]]:
-    """(crossed, stretches) over every edge i of rp and edge j of rq.
+def _contacts(p: PolyChain, q: PolyChain) -> tuple[bool, list[tuple[int, int, float, float]]]:
+    """(crossed, stretches) over every edge i of chain p and edge j of
+    chain q.
 
     crossed: some i and j properly cross, each one's endpoints lying
     strictly on opposite sides of the other's line, by more than GEOM_TOL
     in the orientation determinant.  stretches: (i, j, lo, hi) for each i
     and j along one line within GEOM_TOL for longer than GEOM_TOL, in any
-    direction, [lo, hi] being that stretch as distances along i."""
+    direction, [lo, hi] being that stretch as distances along i, in the
+    order of i, then j."""
     eps, neg = GEOM_TOL, -GEOM_TOL
     crossed = False
     stretches = []
-    boxes = []  # rq's edge boxes, padded by GEOM_TOL * (2 + length)
-    for cx, cy, dx, dy, _, _, _, flen, _, _, _ in rq:
+    rq = q._rows
+    # q's edges whose boxes, padded by GEOM_TOL * (2 + length), meet p's box
+    px0, px1, py0, py1 = p._box
+    near = []
+    for j, (cx, cy, dx, dy, _, _, _, flen, _, _, _) in enumerate(rq):
         pad = GEOM_TOL * (2.0 + flen)
         x0, x1 = (cx, dx) if cx <= dx else (dx, cx)
         y0, y1 = (cy, dy) if cy <= dy else (dy, cy)
-        boxes.append((x0 - pad, x1 + pad, y0 - pad, y1 + pad))
-    for i, (ax, ay, bx, by, ex, ey, _, length, ux, uy, _) in enumerate(rp):
+        x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
+        if not (x0 > px1 or x1 < px0 or y0 > py1 or y1 < py0):
+            near.append((j, x0, x1, y0, y1))
+    if not near:
+        return crossed, stretches
+    # p's edges that meet q's box padded by the largest edge pad (no edge is
+    # longer than the box's width plus its height)
+    qx0, qx1, qy0, qy1 = q._box
+    pad = GEOM_TOL * (2.0 + (qx1 - qx0) + (qy1 - qy0))
+    qx0, qx1, qy0, qy1 = qx0 - pad, qx1 + pad, qy0 - pad, qy1 + pad
+    for i, (ax, ay, bx, by, ex, ey, _, length, ux, uy, _) in enumerate(p._rows):
         x0, x1 = (ax, bx) if ax <= bx else (bx, ax)
         y0, y1 = (ay, by) if ay <= by else (by, ay)
-        for j, (qx0, qx1, qy0, qy1) in enumerate(boxes):
-            if qx0 > x1 or qx1 < x0 or qy0 > y1 or qy1 < y0:
+        if qx0 > x1 or qx1 < x0 or qy0 > y1 or qy1 < y0:
+            continue  # edge i misses every padded edge box of q
+        for j, jx0, jx1, jy0, jy1 in near:
+            if jx0 > x1 or jx1 < x0 or jy0 > y1 or jy1 < y0:
                 continue  # too far apart to cross or share a stretch
             cx, cy, dx, dy, fx, fy, _, _, _, _, ftol = rq[j]
             d1 = fx * (ay - cy) - fy * (ax - cx)
@@ -520,9 +625,9 @@ def _self_overlaps(rows: _EdgeRows) -> bool:
     return False
 
 
-def _certified_simple(pts: list[tuple[float, float]]) -> bool:
-    """True only if closed chain pts, with coordinates within +/-64, passes
-    the convex or the one-notch rule above; False declines."""
+def _certified_simple(pts: list[tuple[float, float]]) -> Optional[str]:
+    """CONVEX or NOTCHED only if closed chain pts, with coordinates within
+    +/-64, passes that rule above; None declines."""
     side = 64.0 * GEOM_TOL * GEOM_TOL  # (8 GEOM_TOL)^2
     n = len(pts)
     r = -1  # the one vertex whose turn is not left with sine >= 1/4
@@ -534,19 +639,19 @@ def _certified_simple(pts: list[tuple[float, float]]) -> bool:
         ex, ey = cx - bx, cy - by
         sq = ex * ex + ey * ey
         if sq < side:
-            return False
+            return None
         c = fx * ey - fy * ex  # the turn at (bx, by), vertex i - 1
         if not (c > 0.0 and 16.0 * c * c >= fsq * sq):
             if c >= 0.0 or r >= 0:
-                return False
+                return None
             r = (i - 1) % n
         if fy < 0.0 <= ey:
             passes += 1
         fx, fy, fsq, bx, by = ex, ey, sq, cx, cy
     if r < 0:
-        return passes == 1
+        return CONVEX if passes == 1 else None
     if n < 4:
-        return False
+        return None
     # one notch, a right turn at r: the hull, the chain without r, runs from
     # q around to p and closes with the chord p -> q; its turns other than
     # at p and q are the chain's own
@@ -561,7 +666,7 @@ def _certified_simple(pts: list[tuple[float, float]]) -> bool:
         and c1 > 0.0 and 16.0 * c1 * c1 >= (fx * fx + fy * fy) * csq
         and c2 > 0.0 and 16.0 * c2 * c2 >= csq * (ex * ex + ey * ey)
     ):
-        return False
+        return None
     rx, ry = pts[r]
     tol2 = GEOM_TOL * GEOM_TOL
     passes = 0
@@ -575,9 +680,9 @@ def _certified_simple(pts: list[tuple[float, float]]) -> bool:
         sq = ex * ex + ey * ey
         c = ex * (ry - ay) - ey * (rx - ax)
         if not (c > 0.0 and c * c > tol2 * (128.0 + 2.0 * sq) * sq):
-            return False
+            return None
         fy, ax, ay = ey, bx, by
-    return passes == 1
+    return NOTCHED if passes == 1 else None
 
 
 def _strictly_inside(px: float, py: float, rows: _EdgeRows) -> bool:
@@ -605,22 +710,36 @@ def _strictly_inside(px: float, py: float, rows: _EdgeRows) -> bool:
     return inside
 
 
-def _any_point_inside(rp: _EdgeRows, rq: _EdgeRows) -> bool:
+def _inside_convex(px: float, py: float, rows: _EdgeRows) -> bool:
+    """_strictly_inside(px, py, rows) for a chain certified CONVEX, by the
+    half-planes of its edges; a height above an edge line within a quarter
+    GEOM_TOL of GEOM_TOL defers to _strictly_inside (see "edge predicates")."""
+    near = False
+    for ax, ay, _, _, ex, ey, _, _, _, _, tol in rows:
+        c = ex * (py - ay) - ey * (px - ax)  # the height above the line, times length
+        if c <= 1.25 * tol:
+            if c <= 0.75 * tol:
+                return False
+            near = True
+    return _strictly_inside(px, py, rows) if near else True
+
+
+def _any_point_inside(rp: _EdgeRows, q: PolyChain) -> bool:
     """True iff a vertex or an edge midpoint of closed chain rp lies strictly
-    inside closed chain rq.  Points outside rq's bounding box widened by
+    inside closed chain q.  Points outside q's bounding box widened by
     GEOM_TOL are skipped, which is exact: such a point is more than
-    GEOM_TOL from every edge of rq, and a horizontal ray from it meets rq
+    GEOM_TOL from every edge of q, and a horizontal ray from it meets q
     either nowhere or at every edge that crosses its level, and a closed
     chain crosses any level an even number of times."""
-    xs = [row[0] for row in rq]
-    ys = [row[1] for row in rq]
-    x0, x1 = min(xs) - GEOM_TOL, max(xs) + GEOM_TOL
-    y0, y1 = min(ys) - GEOM_TOL, max(ys) + GEOM_TOL
+    rq = q._rows
+    inside = _inside_convex if q.certified is CONVEX else _strictly_inside
+    x0, x1, y0, y1 = q._box
+    x0, x1, y0, y1 = x0 - GEOM_TOL, x1 + GEOM_TOL, y0 - GEOM_TOL, y1 + GEOM_TOL
     for ax, ay, bx, by, _, _, _, _, _, _, _ in rp:
-        if x0 <= ax <= x1 and y0 <= ay <= y1 and _strictly_inside(ax, ay, rq):
+        if x0 <= ax <= x1 and y0 <= ay <= y1 and inside(ax, ay, rq):
             return True
         mx, my = 0.5 * (ax + bx), 0.5 * (ay + by)
-        if x0 <= mx <= x1 and y0 <= my <= y1 and _strictly_inside(mx, my, rq):
+        if x0 <= mx <= x1 and y0 <= my <= y1 and inside(mx, my, rq):
             return True
     return False
 
@@ -637,5 +756,8 @@ def _orientation(rows: _EdgeRows) -> float:
 
 
 def _on_lattice_axis(ux: float, uy: float) -> bool:
-    # the unit vector (ux, uy) is parallel to the 0, 60 or 120 degree axis
-    return any(abs(ux * d.y - uy * d.x) <= GEOM_TOL for d in LATTICE_DIRECTIONS[:3])
+    # the unit vector (ux, uy) is parallel to the 0, 60 or 120 degree axis:
+    # its cross product with (1, 0), (1/2, sqrt(3)/2) or (-1/2, sqrt(3)/2)
+    # is within GEOM_TOL of 0
+    h, v = ux * (SQRT3 / 2.0), 0.5 * uy
+    return abs(uy) <= GEOM_TOL or abs(h - v) <= GEOM_TOL or abs(h + v) <= GEOM_TOL

@@ -54,6 +54,12 @@ BRANCH_EQUAL = "equal-p3"
 def kissing_perimeter(L1: float, L2: float, alpha: float) -> float:
     """Glued-pair perimeter with each cell in its active regime."""
     check_alpha(alpha)
+    return kissing_perimeter_unchecked(L1, L2, alpha)
+
+
+def kissing_perimeter_unchecked(L1: float, L2: float, alpha: float) -> float:
+    """kissing_perimeter for an alpha already checked: the grid oracle's
+    objective checks it once, not at every point."""
     return (
         optimal_perimeter(L1, 1.0)
         + optimal_perimeter(L2, alpha)

@@ -18,8 +18,7 @@ the boundary, where x1 hits zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .hexnorm import SQRT3, LATTICE_DIRECTIONS, PolyChain, merge_vertices
 
@@ -69,8 +68,7 @@ def x4_from_volume(x1: float, x2: float, L: float, V: float) -> float:
     return math.sqrt(rad)
 
 
-@dataclass(frozen=True)
-class SingleBubbleSolution:
+class SingleBubbleSolution(NamedTuple):
     L: float
     V: float
     regime: str

@@ -28,6 +28,12 @@ TIE_TOL = 1e-9
 ALPHA0_BRACKET = (0.1, 0.3)
 ALPHA0_TOL = 1e-9
 
+FMT = "%.12g"  # every number in solve, sweep, iso and verify output
+
+
+def fmt(x: float) -> str:
+    return FMT % float(x)
+
 
 @dataclass(frozen=True)
 class SolutionEntry:

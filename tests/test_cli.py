@@ -359,6 +359,23 @@ def test_solve_does_not_import_numpy(tmp_path):
     ]
 
 
+def test_only_verify_imports_the_checker(tmp_path):
+    # the solve command runs without checks and oracle; run_verify loads them
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from hexbubble import cli\n"
+        "loaded = lambda: sorted(m for m in ('hexbubble.checks', 'hexbubble.oracle') if m in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['solve', '--alpha', '0.3', '--format', 'json'])\n"
+        "    before = loaded()\n"
+        "    cli.main(['verify', '--suite', 'quick'])\n"
+        "print(json.dumps([before, loaded()]))\n"
+    )
+    proc = _run_child(["-c", script], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], ["hexbubble.checks", "hexbubble.oracle"]]
+
+
 @pytest.mark.skipif(os.name != "posix", reason="needs a POSIX pipe")
 @pytest.mark.parametrize(
     "args",

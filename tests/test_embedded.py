@@ -305,9 +305,8 @@ def test_convex_minimizers_are_stationary():
     # both 1-D objectives are f(L) = sqrt(a + 3 L^2) + L/2 + c/L.  In
     # z = L/sqrt(c), f' = 3 sqrt(c) z/sqrt(a + 3 c z^2) + 1/2 - 1/z^2 stays
     # O(1) for every double, where f' in L loses meaning below alpha ~ 1e-30.
-    # The minimum on (0, hi] is stationary, or it is hi with f' < 0 there:
-    # at subnormal ratios the rounding of rho1's hi = sqrt(8 sqrt(3) alpha/3)
-    # can fall below the root
+    # rho1's minimum is stationary down to the smallest double: its hi comes
+    # from the same rounded c, so it never falls below the root
     def slope(L, a, c):
         z = L / math.sqrt(c)
         return 3.0 * math.sqrt(c) * z / math.sqrt(a + 3.0 * c * z * z) + 0.5 - 1.0 / (z * z)
@@ -317,9 +316,7 @@ def test_convex_minimizers_are_stationary():
         # log-uniform in [5e-324, 1]
         alpha = max(5e-324, 10.0 ** (math.log10(5e-324) * rng.uniform()))
         L1 = minimize_rho1(alpha)[0]
-        r = slope(L1, 8.0 * SQRT3, 4.0 * SQRT3 * alpha / 3.0)
-        clamped = L1 == math.sqrt(8.0 * SQRT3 * alpha / 3.0) and r < 0.0
-        assert abs(r) <= 1e-12 or clamped, alpha
+        assert abs(slope(L1, 8.0 * SQRT3, 4.0 * SQRT3 * alpha / 3.0)) <= 1e-12, alpha
         beta = 1.0 - rng.uniform() / 3.0  # in (2/3, 1], the interior rho2 branch
         L1 = rho2_minimum(beta)[0]
         assert abs(slope(L1, 8.0 * SQRT3 * beta, 4.0 * SQRT3 / 3.0)) <= 1e-12, beta

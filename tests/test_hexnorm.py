@@ -450,6 +450,19 @@ def test_double_bubble_joins_horizontal_edges_offset_within_tolerance():
     assert abs(total - 11.0) <= 1e-12
 
 
+@pytest.mark.parametrize("side", [1.0, -1.0], ids=["above", "below"])
+@pytest.mark.parametrize("swap", [False, True], ids=["a-first", "b-first"])
+def test_box_prefilters_keep_flat_edges_offset_within_tolerance(side, swap):
+    # b's flat edge runs 0.9 GEOM_TOL beyond a's, above or below it, so it
+    # lies outside a's box, and a's outside b's: only the pads of the edge
+    # and chain boxes in _contacts keep the pair
+    a = unit_ball_hexagon()
+    b = unit_ball_hexagon(0.0, side * (SQRT3 + 0.9 * GEOM_TOL))
+    total, joint = double_bubble_perimeter(*((b, a) if swap else (a, b)))
+    assert abs(joint - 1.0) <= 1e-12
+    assert abs(total - 11.0) <= 1e-12
+
+
 def test_point_just_inside_a_flat_top_edge_is_on_the_boundary():
     hexagon = unit_ball_hexagon()
     assert not point_in_polygon((0.0, SQRT3 / 2.0 - 0.5 * GEOM_TOL), hexagon)
@@ -552,8 +565,9 @@ def _closed_rows(pts):
 
 def test_certified_chains_pass_the_full_scan(monkeypatch):
     # wherever the O(n) certificate answers "simple", the O(n^2) scan it lets
-    # PolyChain skip finds nothing; every closed chain built below, simple or
-    # not, goes through this check
+    # PolyChain skip finds nothing, and the chain is counterclockwise, as
+    # double_bubble_perimeter assumes when it skips _orientation; every
+    # closed chain built below, simple or not, goes through this check
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     certify = hexnorm._certified_simple
@@ -562,7 +576,10 @@ def test_certified_chains_pass_the_full_scan(monkeypatch):
     def checked(pts):
         simple = certify(pts)
         if simple:
-            assert not hexnorm._self_overlaps(_closed_rows(pts)), pts
+            assert simple in (hexnorm.CONVEX, hexnorm.NOTCHED)
+            rows = _closed_rows(pts)
+            assert not hexnorm._self_overlaps(rows), pts
+            assert hexnorm._orientation(rows) == 1.0, pts
             certified.append(pts)
         return simple
 
@@ -661,3 +678,135 @@ def test_point_in_polygon_requires_a_closed_chain():
     open_square = make_chain([(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)], closed=False)
     with pytest.raises(ValueError, match="^point_in_polygon requires a closed chain$"):
         point_in_polygon((1.0, 1.0), open_square)
+
+
+# ---------------------------------------------------------------- the metric's shortcuts
+
+
+def _convex_cells(rng):
+    # solver cells that the certificate passes as convex: both glued cells
+    # and the nested inner cell, at perturbed parameters
+    cells = []
+    for _ in range(6):
+        alpha = 10.0 ** (-6.0 * rng.uniform())
+        sol = kissing_minimum(alpha)
+        f = 1.0 + 1e-3 * rng.uniform(-1.0, 1.0)
+        cells.extend(kissing_geometry(sol.L1 * f, sol.L2, alpha)[:2])
+        L1, L2, _ = minimize_rho1(alpha)
+        cells.append(embedded_geometry(L1 * f, L2, 1.0, alpha)[1])
+    return cells
+
+
+def _at_height(row, t, h):
+    # the point at fraction t along edge row, h above its line (left of it)
+    ax, ay, _, _, ex, ey, _, _, ux, uy, _ = row
+    return ax + t * ex - h * uy, ay + t * ey + h * ux
+
+
+def test_half_planes_agree_with_the_full_inside_test():
+    # on certified convex chains the half-plane test decides as
+    # _strictly_inside does: near an edge line, at vertices, far inside
+    # and far outside
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    settings = hypothesis.settings(derandomize=True, deadline=None, max_examples=150)
+    side = st.floats(min_value=-7.0, max_value=0.5).map(lambda e: 10.0**e)
+    offset = st.floats(min_value=-8.0, max_value=8.0)
+    cells = _convex_cells(Lcg(61))
+
+    def lattice(a1, a2, a3, a5, x, y):
+        a5 = min(a5, a1 + a2, a2 + a3)
+        points = []
+        for s, d in zip((a1, a2, a3, a1 + a2 - a5, a5, a2 + a3 - a5), LATTICE_DIRECTIONS):
+            points.append((x, y))
+            x, y = x + s * d.x, y + s * d.y
+        return make_chain(points, closed=True)
+
+    chains = st.one_of(
+        st.builds(lattice, side, side, side, side, offset, offset),
+        st.integers(0, 2**32).map(lambda seed: random_convex_polygon(Lcg(seed))),
+        st.sampled_from(cells),
+    )
+    where = st.one_of(
+        st.tuples(st.just("edge"), st.floats(0.0, 1.0), st.floats(-3.0, 3.0)),
+        st.tuples(st.just("vertex"), st.just(0.0), st.just(0.0)),
+        st.tuples(st.just("far"), st.floats(0.0, 1.0), st.sampled_from((-0.25, 0.25))),
+    )
+
+    @settings
+    @hypothesis.given(chains, st.integers(0, 63), where)
+    def agree(chain, k, point):
+        hypothesis.assume(chain.certified is hexnorm.CONVEX)
+        rows = chain._rows
+        row = rows[k % len(rows)]
+        kind, t, h = point
+        if kind == "edge":
+            h *= GEOM_TOL
+        elif kind == "far":
+            # a quarter of the chain's width inside or outside the edge
+            x0, x1, y0, y1 = chain._box
+            h *= max(x1 - x0, y1 - y0)
+        px, py = _at_height(row, t, h)
+        assert hexnorm._inside_convex(px, py, rows) == hexnorm._strictly_inside(px, py, rows)
+
+    agree()
+
+
+def test_half_plane_band_decides_heights_at_geom_tol_as_the_full_test():
+    # heights within 6e-7 relative of GEOM_TOL, where the height above an
+    # edge line and _strictly_inside's distance to the edge round to
+    # different sides of GEOM_TOL now and then: without the deferral band
+    # the half-plane test disagrees on some of these points
+    rng = Lcg(67)
+    for chain in _convex_cells(rng):
+        assert chain.certified is hexnorm.CONVEX
+        rows = chain._rows
+        for row in rows:
+            for _ in range(60):
+                h = GEOM_TOL * (1.0 + 1e-7 * (rng.next_u64() % 13 - 6.0))
+                px, py = _at_height(row, rng.uniform(0.05, 0.95), h)
+                want = hexnorm._strictly_inside(px, py, rows)
+                assert hexnorm._inside_convex(px, py, rows) == want, (px, py)
+
+
+def test_length_from_the_rows_pass_is_the_edge_sum_bit_for_bit():
+    # polyline_length and the metric's total read the D-length that the
+    # rows pass sums; it is the exactly rounded sum of hex_norm per edge
+    rng = Lcg(71)
+    chains = _convex_cells(rng)
+    for _ in range(200):
+        chains.append(random_convex_polygon(rng))
+        p = (rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+        chains.append(geodesic_path(p, (rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))))
+    for L1, L2, _ in (minimize_rho1(0.05), minimize_rho1(1e-9)):
+        chains.extend(embedded_geometry(L1, L2, 1.0, 0.05)[:2])
+    for chain in chains:
+        want = math.fsum([hex_norm((q.x - p.x, q.y - p.y)) for p, q in chain.edges()])
+        assert polyline_length(chain).hex() == want.hex()
+
+
+def test_a_cell_behind_the_notch_of_a_notched_cell_overlaps_it():
+    # the half-plane test serves convex chains only: just past the notch
+    # vertex r of the nested outer cell, on the far side of the line
+    # through the notch edge p -> r, lies a point inside the cell
+    L1, L2, _ = minimize_rho1(0.05)
+    outer = embedded_geometry(L1, L2, 1.0, 0.05)[0]
+    assert outer.certified is hexnorm.NOTCHED
+    vs = outer.vertices
+    turns = [
+        (b.x - a.x) * (c.y - b.y) - (b.y - a.y) * (c.x - b.x)
+        for a, b, c in zip(vs[-1:] + vs[:-1], vs, vs[1:] + vs[:1])
+    ]
+    k = min(range(len(vs)), key=turns.__getitem__)  # the one right turn
+    p, r = vs[k - 1], vs[k]
+    dx, dy = r.x - p.x, r.y - p.y
+    # half an edge beyond r, then a tenth of an edge to the right of the line
+    x, y = r.x + 0.5 * dx + 0.1 * dy, r.y + 0.5 * dy - 0.1 * dx
+    s = math.hypot(dx, dy) / 40.0
+    tiny = make_chain([(x - s, y - s), (x + s, y - s), (x, y + s)], closed=True)
+    for v in tiny.vertices:
+        assert point_in_polygon(v, outer)
+        assert dx * (v.y - p.y) - dy * (v.x - p.x) < 0.0  # right of the line p -> r
+    for pair in ((outer, tiny), (tiny, outer)):
+        with pytest.raises(ValueError, match="^interiors overlap$"):
+            double_bubble_perimeter(*pair)

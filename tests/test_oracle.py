@@ -1,10 +1,11 @@
 """Brute-force oracle: LCG reproducibility, grid+refine, perturbation probe."""
 
+import hashlib
 import math
 
 import pytest
 
-from hexbubble import checks, embedded
+from hexbubble import checks, embedded, hexnorm, kissing, singlebubble
 from hexbubble.embedded import embedded_geometry, minimize_rho1
 from hexbubble.kissing import kissing_geometry, kissing_minimum, kissing_perimeter
 from hexbubble.oracle import Lcg, grid_refine_min, perturb_local_min
@@ -387,15 +388,16 @@ def test_perturb_propagates_exceptions_other_than_value_error():
 
 def test_embedded_objective_evaluates_rho1_once_per_call(monkeypatch):
     # infeasibility comes from rho1 raising, not from a separate predicate
-    # that evaluates it a second time
+    # that evaluates it a second time; the objective calls rho1's body with
+    # alpha checked once, when it is posed
     counts = {"rho1": 0, "objective": 0}
-    rho1 = embedded.rho1
+    rho1 = embedded.rho1_unchecked
 
     def counted_rho1(*args):
         counts["rho1"] += 1
         return rho1(*args)
 
-    monkeypatch.setattr(embedded, "rho1", counted_rho1)
+    monkeypatch.setattr(embedded, "rho1_unchecked", counted_rho1)
     objective, lower, upper = checks._embedded_objective(0.1)
 
     def counted_objective(p):
@@ -405,3 +407,65 @@ def test_embedded_objective_evaluates_rho1_once_per_call(monkeypatch):
     grid_refine_min(counted_objective, lower, upper, grid=64, refine_iters=60)
     assert counts["objective"] > 0
     assert counts["rho1"] == counts["objective"]
+
+
+@pytest.mark.parametrize("posed", ["_embedded_objective", "_kissing_objective"])
+def test_pair_objectives_check_alpha_once_when_posed(monkeypatch, posed):
+    # the objective checks alpha when it is posed, and no grid point checks
+    # it again; an invalid alpha is refused before the scan
+    calls = []
+    check = singlebubble.check_alpha
+
+    def counted(alpha):
+        calls.append(alpha)
+        check(alpha)
+
+    for module in (checks, embedded, kissing, singlebubble):
+        monkeypatch.setattr(module, "check_alpha", counted)
+    objective, lower, upper = getattr(checks, posed)(0.3)
+    grid_refine_min(objective, lower, upper, grid=16, refine_iters=4)
+    assert calls == [0.3]
+    with pytest.raises(ValueError, match="volume ratio"):
+        getattr(checks, posed)(1.5)
+
+
+@pytest.mark.parametrize(
+    "alpha, minimum, build, want",
+    [
+        (
+            0.05,
+            embedded.embedded_minimum,
+            lambda L1, L2, a: embedded_geometry(L1, L2, 1.0, a),
+            "426d997edb56567acc7305a8f7cf53e0e2a21e19974bfb814b33e66a08f17f88",
+        ),
+        (
+            1.0,
+            kissing_minimum,
+            kissing_geometry,
+            "b827050dc5c92986fe45c6871455cd025e5d2af2d44603771f37c1f325828293",
+        ),
+    ],
+    ids=["nested", "glued"],
+)
+def test_perturbation_trial_totals_are_pinned(monkeypatch, alpha, minimum, build, want):
+    # sha256 of the float.hex of the baseline and of all 500 trial totals
+    # that perturb_local_min measures, frozen before the metric read the
+    # cell certificate: its shortcuts change no total by a bit
+    totals = []
+    measure = hexnorm.double_bubble_perimeter
+
+    def recorded(a, b):
+        total, joint = measure(a, b)
+        totals.append(total.hex())
+        return total, joint
+
+    monkeypatch.setattr(hexnorm, "double_bubble_perimeter", recorded)
+    sol = minimum(alpha)
+    params = (sol.L1, sol.L2)
+
+    def rebuild(p):
+        return build(p[0], p[1], alpha)[:2]
+
+    assert perturb_local_min(*rebuild(params), rebuild, params, trials=500, eps=1e-3, seed=0)
+    assert len(totals) == 501
+    assert hashlib.sha256(" ".join(totals).encode()).hexdigest() == want
