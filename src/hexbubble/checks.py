@@ -46,34 +46,57 @@ def _single_bubble_objective(L: float, V: float) -> Posed:
         x5 = x1 + x2 - x4
         if x3 < -1e-12 or x5 < -1e-12:
             raise ValueError("negative closing side")
-        return L + sum((x1, x2, x3, x4, x5))
+        # added left to right: sum() of floats is compensated from Python 3.12
+        return L + (x1 + x2 + x3 + x4 + x5)
 
     bound = L + 3.0 * math.sqrt(V) + 1.0
     return objective, (0.0, 0.0), (bound, bound)
 
 
-# The two pair objectives check alpha once, here, and the oracle then
-# calls the unchecked bodies of rho1 and kissing_perimeter.
+# The two pair objectives check alpha once, when posed, and add the same
+# parts in the same order as rho1 and kissing_perimeter.  The oracle's
+# product grid repeats each side length 64 times, so a posed objective
+# keeps each single-cell length it has computed, keyed by its side; a
+# side whose cell raises ValueError is not kept, and raises again at the
+# next point with that side.  Each posing starts with empty memos.
 
 
 def _embedded_objective(alpha: float) -> Posed:
+    """rho1 over (L1, L2): the notched host at every point, then the
+    inner cell, once per L1."""
     check_alpha(alpha)
     cap1 = math.sqrt(8.0 * SQRT3 * alpha / 3.0)
-    return (
-        lambda p: embedded.rho1_unchecked(p[0], p[1], alpha),
-        (1e-3, 1e-3),
-        (cap1 * (1.0 + 1e-9), 3.0),
-    )
+    inner_by_L1: dict[float, float] = {}
+
+    def objective(p: tuple[float, ...]) -> float:
+        L1, L2 = p
+        outer = embedded.outer_notched(L1, L2, 1.0)[1]
+        inner = inner_by_L1.get(L1)
+        if inner is None:
+            inner = inner_by_L1[L1] = embedded.inner_hexagon(L1, alpha)[1]
+        return outer + inner - L1
+
+    return objective, (1e-3, 1e-3), (cap1 * (1.0 + 1e-9), 3.0)
 
 
 def _kissing_objective(alpha: float) -> Posed:
+    """kissing_perimeter over (L1, L2), each cell's length once per side."""
     check_alpha(alpha)
     lo = 0.05 * min(1.0, math.sqrt(alpha))
-    return (
-        lambda p: kissing.kissing_perimeter_unchecked(p[0], p[1], alpha),
-        (lo, lo),
-        (2.4, 2.4),
-    )
+    big_by_L1: dict[float, float] = {}
+    small_by_L2: dict[float, float] = {}
+
+    def objective(p: tuple[float, ...]) -> float:
+        L1, L2 = p
+        big = big_by_L1.get(L1)
+        if big is None:
+            big = big_by_L1[L1] = singlebubble.optimal_perimeter(L1, 1.0)
+        small = small_by_L2.get(L2)
+        if small is None:
+            small = small_by_L2[L2] = singlebubble.optimal_perimeter(L2, alpha)
+        return big + small - min(L1, L2)
+
+    return objective, (lo, lo), (2.4, 2.4)
 
 
 # ---------------------------------------------------------------- exclusions

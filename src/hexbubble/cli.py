@@ -92,9 +92,14 @@ def _text_report(result: solver.DoubleBubbleResult) -> str:
 
 
 def _centroid(chain: PolyChain) -> tuple[float, float]:
-    xs = [v.x for v in chain.vertices]
-    ys = [v.y for v in chain.vertices]
-    return sum(xs) / len(xs), sum(ys) / len(ys)
+    # added left to right, not by sum(), whose float result changed in
+    # Python 3.12, so the SVG text is the same on every supported version
+    sx = sy = 0.0
+    for v in chain.vertices:
+        sx += v.x
+        sy += v.y
+    n = len(chain.vertices)
+    return sx / n, sy / n
 
 
 class _Panel:

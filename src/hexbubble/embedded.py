@@ -62,7 +62,7 @@ def outer_notched(
     L1 is the notch mouth width; feasibility needs L2 >= L1 (the slant
     hosting the notch must fit it) and a nonnegative horizontal side y1.
     """
-    if not all(map(math.isfinite, (L1, L2, V))) or V <= 0.0:
+    if not (math.isfinite(L1) and math.isfinite(L2) and math.isfinite(V)) or V <= 0.0:
         raise ValueError("need positive finite volume")
     if L1 < MIN_SIDE or L2 < MIN_SIDE:
         raise ValueError(f"sides must be >= {MIN_SIDE}")
@@ -83,12 +83,6 @@ def outer_notched(
 def rho1(L1: float, L2: float, alpha: float) -> float:
     """Pair perimeter, outer cell volume 1, inner cell volume alpha."""
     check_alpha(alpha)
-    return rho1_unchecked(L1, L2, alpha)
-
-
-def rho1_unchecked(L1: float, L2: float, alpha: float) -> float:
-    """rho1 for an alpha already checked: the grid oracle's objective
-    checks it once, not at every point."""
     _, outer = outer_notched(L1, L2, 1.0)
     _, inner = inner_hexagon(L1, alpha)
     return outer + inner - L1

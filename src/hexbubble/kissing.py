@@ -54,12 +54,6 @@ BRANCH_EQUAL = "equal-p3"
 def kissing_perimeter(L1: float, L2: float, alpha: float) -> float:
     """Glued-pair perimeter with each cell in its active regime."""
     check_alpha(alpha)
-    return kissing_perimeter_unchecked(L1, L2, alpha)
-
-
-def kissing_perimeter_unchecked(L1: float, L2: float, alpha: float) -> float:
-    """kissing_perimeter for an alpha already checked: the grid oracle's
-    objective checks it once, not at every point."""
     return (
         optimal_perimeter(L1, 1.0)
         + optimal_perimeter(L2, alpha)
@@ -238,11 +232,14 @@ def build_degree8(alpha: float) -> tuple[float, ...]:
     term1 = (0.0,) * 4 + tuple(4.0 / 441.0 * qi for qi in q)
     inner = [qi / 49.0 - ri / 21.0 for qi, ri in zip(q, r)]
     # inner * inner; every odd coefficient sums products with an exact
-    # 0.0 factor, so it stays exactly 0.0
-    term2 = [
-        sum(inner[i] * inner[k - i] for i in range(max(0, k - 4), min(k, 4) + 1))
-        for k in range(9)
-    ]
+    # 0.0 factor, so it stays exactly 0.0.  The products are added left to
+    # right, not by sum(), whose float result changed in Python 3.12
+    term2 = []
+    for k in range(9):
+        acc = 0.0
+        for i in range(max(0, k - 4), min(k, 4) + 1):
+            acc += inner[i] * inner[k - i]
+        term2.append(acc)
     return tuple(t1 - t2 for t1, t2 in zip(term1, term2))
 
 

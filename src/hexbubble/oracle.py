@@ -38,6 +38,12 @@ IMPROVE_TOL = 1e-10  # perturbation must beat the baseline by more than this
 BOX_SLACK = 1e-15  # a coordinate this far outside the box still counts as inside
 
 
+def _require_int(name: str, value: object) -> None:
+    # bool is an int subclass, so True would otherwise pass as 1
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 class Lcg:
     """64-bit linear congruential generator (documented in module docstring)."""
 
@@ -82,7 +88,10 @@ def grid_refine_min(
 
     `directions` defaults to the coordinate axes; extra unit directions
     (e.g. the diagonal, for objectives with a valley along it) may be
-    supplied and are used with the same per-axis step scaling.
+    supplied and are used with the same per-axis step scaling.  `grid` and
+    `refine_iters` must be ints (not bool), and every direction finite,
+    nonzero and of the box's dimension; anything else raises ValueError
+    before the scan.
     """
     lower = tuple(float(v) for v in lower)
     upper = tuple(float(v) for v in upper)
@@ -91,9 +100,21 @@ def grid_refine_min(
     for lo, hi in zip(lower, upper):
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
             raise ValueError("need finite lower < upper per axis")
+    _require_int("grid", grid)
     if grid < MIN_GRID:
         raise ValueError(f"grid must be >= {MIN_GRID}")
+    _require_int("refine_iters", refine_iters)
+    if refine_iters < 0:
+        raise ValueError("refine_iters must be >= 0")
     dim = len(lower)
+    dirs: list[tuple[float, ...]] = []
+    for given in () if directions is None else directions:
+        d = tuple(float(c) for c in given)
+        if len(d) != dim:
+            raise ValueError(f"direction {d} has {len(d)} components, the box has {dim}")
+        if not all(map(math.isfinite, d)) or not any(d):
+            raise ValueError(f"direction {d} must be finite and nonzero")
+        dirs.append(d)
     bounds = [(lo - BOX_SLACK, hi + BOX_SLACK) for lo, hi in zip(lower, upper)]
     axes = [
         [v for v in (lo + (hi - lo) * j / (grid - 1) for j in range(grid)) if a <= v <= b]
@@ -112,10 +133,6 @@ def grid_refine_min(
     if best_x is None:
         raise ValueError("no feasible grid point in the box")
 
-    if directions is None:
-        dirs: list[tuple[float, ...]] = []
-    else:
-        dirs = [tuple(float(c) for c in d) for d in directions]
     for i in range(dim):
         e = [0.0] * dim
         e[i] = 1.0
@@ -162,10 +179,12 @@ def perturb_local_min(
     infeasible; such trials are skipped.  Each trial multiplies every
     parameter by (1 + eps*u) with u drawn uniformly from [-1, 1] via the
     documented LCG, and the perturbed double-bubble perimeter must not
-    undercut the baseline by more than 1e-10.
+    undercut the baseline by more than 1e-10.  `trials` must be an int
+    (not bool).
     """
     if not (0.0 < eps <= 1e-2):
         raise ValueError("eps must be in (0, 1e-2]")
+    _require_int("trials", trials)
     if trials < 1:
         raise ValueError("trials must be positive")
     base = list(float(v) for v in params)

@@ -128,10 +128,24 @@ def solve_fixed_side(L: float, V: float) -> SingleBubbleSolution:
     return SingleBubbleSolution(L, V, REGIME_FOUR, sides, 3.0 * L - s)
 
 
+# the two closed forms on inputs already checked by _check_inputs
+
+
+def _p1(L: float, V: float) -> float:
+    return 7.0 * math.sqrt((3.0 * L * L + 4.0 * SQRT3 * V) / 21.0) - L
+
+
+def _p2(L: float, V: float) -> float:
+    rad = (3.0 * L * L - 4.0 * SQRT3 * V) / 3.0
+    if rad < 0.0:
+        raise ValueError("volume too large for a four-sided cell on this side")
+    return 3.0 * L - math.sqrt(rad)
+
+
 def perimeter_P1(L: float, V: float) -> float:
     """Six-sided closed-form perimeter 7*sqrt((3L^2 + 4 sqrt(3)V)/21) - L."""
     _check_inputs(L, V)
-    return 7.0 * math.sqrt((3.0 * L * L + 4.0 * SQRT3 * V) / 21.0) - L
+    return _p1(L, V)
 
 
 def perimeter_P2(L: float, V: float) -> float:
@@ -141,17 +155,19 @@ def perimeter_P2(L: float, V: float) -> float:
     that no trapezoid over the side encloses V and a ValueError is raised.
     """
     _check_inputs(L, V)
-    rad = (3.0 * L * L - 4.0 * SQRT3 * V) / 3.0
-    if rad < 0.0:
-        raise ValueError("volume too large for a four-sided cell on this side")
-    return 3.0 * L - math.sqrt(rad)
+    return _p2(L, V)
 
 
 def optimal_perimeter(L: float, V: float) -> float:
-    """Perimeter of the active regime (P1 below the threshold, else P2)."""
-    if is_six_sided(L, V):
-        return perimeter_P1(L, V)
-    return perimeter_P2(L, V)
+    """Perimeter of the active regime (P1 below the threshold, else P2).
+
+    Checks its inputs once, then applies is_six_sided's test inline and
+    the active closed form.
+    """
+    _check_inputs(L, V)
+    if 3.0 * SQRT3 * L * L < 16.0 * V:
+        return _p1(L, V)
+    return _p2(L, V)
 
 
 def isoperimetric_optimum(V: float) -> tuple[float, float]:

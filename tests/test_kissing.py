@@ -274,6 +274,41 @@ def test_degree8_equal_volumes():
     assert abs(horner(cs, L)) <= 1e-12  # much tighter in practice
 
 
+@pytest.mark.parametrize(
+    "alpha, want",
+    [
+        (
+            "0x1.0000000000000p-3",
+            ["-0x1.eb50b6898aedcp-7", "-0x1.a97dd425484d9p-6", "0x1.1735468c62cdap-4",
+             "0x1.dead8ea9f1574p-3", "0x1.23b7ec61aa7d4p-4"],
+        ),
+        (
+            "0x1.0b26286c1e801p-1",
+            ["-0x1.0b8556436282ap-2", "-0x1.2c4fddad52383p-3", "0x1.3e5d52f554358p-2",
+             "0x1.43c0541a935e7p-2", "0x1.23b7ec61aa7d4p-4"],
+        ),
+        (
+            "0x1.879b086f0496dp-1",
+            ["-0x1.1f6bb7024b851p-1", "-0x1.fe892f3279464p-3", "0x1.d53a588513263p-2",
+             "0x1.77772120da1b4p-2", "0x1.23b7ec61aa7d4p-4"],
+        ),
+        (
+            "0x1.0000000000000p+0",
+            ["-0x1.eb50b6898aedcp-1", "-0x1.7a36f57679289p-2", "0x1.33127215f6d4ap-1",
+             "0x1.a97dd425484dap-2", "0x1.23b7ec61aa7d4p-4"],
+        ),
+    ],
+    ids=["1/8", "0.5218", "0.7649", "1"],
+)
+def test_degree8_coefficients_are_pinned(alpha, want):
+    # float.hex of c0, c2, ..., c8 (the odd ones are exactly 0), frozen
+    # under Python 3.11; at the two middle ratios sum() of floats on 3.12
+    # and later rounds c4 differently, so the products are added by hand
+    cs = build_degree8(float.fromhex(alpha))
+    assert [c.hex() for c in cs[0::2]] == want
+    assert all(c == 0.0 for c in cs[1::2])
+
+
 def test_degree8_random_alpha():
     rng = Lcg(89)
     c8 = 171.0 / 2401.0

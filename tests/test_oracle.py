@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import pytest
 
@@ -124,6 +125,49 @@ def test_box_bounds_validation():
     ]:
         with pytest.raises(ValueError, match=match):
             grid_refine_min(lambda p: p[0], lower, upper)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        (dict(grid=16.0), "grid must be an int, got 16.0"),
+        (dict(grid=True), "grid must be an int, got True"),
+        (dict(grid=8), "grid must be >= 16"),
+        (dict(refine_iters=2.5), "refine_iters must be an int, got 2.5"),
+        (dict(refine_iters=False), "refine_iters must be an int, got False"),
+        (dict(refine_iters=-1), "refine_iters must be >= 0"),
+        (dict(directions=[(1.0, 1.0, 1.0)]), "has 3 components, the box has 2"),
+        (dict(directions=[(1.0,)]), "has 1 components, the box has 2"),
+        (dict(directions=[(0.0, 0.0)]), "must be finite and nonzero"),
+        (dict(directions=[(1.0, math.nan)]), "must be finite and nonzero"),
+        (dict(directions=[(math.inf, 1.0)]), "must be finite and nonzero"),
+        (dict(trials=True), "trials must be an int, got True"),
+        (dict(trials=2.5), "trials must be an int, got 2.5"),
+        (dict(trials=0), "trials must be positive"),
+    ],
+)
+def test_oracle_arguments_are_validated(kwargs, match):
+    # a malformed argument raises ValueError up front, before any objective
+    # or rebuild call: no silently dropped component, no IndexError from
+    # the objective, no trial run for trials=True
+    calls = []
+    sol = kissing_minimum(1.0)
+    ga, gb, _, _ = kissing_geometry(sol.L1, sol.L2, 1.0)
+
+    def objective(p):
+        calls.append(p)
+        return p[0] * p[0] + p[1] * p[1]
+
+    def rebuild(p):
+        calls.append(p)
+        return ga, gb
+
+    with pytest.raises(ValueError, match=re.escape(match)):
+        if "trials" in kwargs:
+            perturb_local_min(ga, gb, rebuild, (sol.L1, sol.L2), **kwargs)
+        else:
+            grid_refine_min(objective, (0.0, 0.0), (1.0, 1.0), **kwargs)
+    assert calls == []
 
 
 def test_grid_scan_skips_grid_values_outside_the_box():
@@ -386,27 +430,77 @@ def test_perturb_propagates_exceptions_other_than_value_error():
         perturb_local_min(ga, gb, broken, (sol.L1, sol.L2), trials=10)
 
 
-def test_embedded_objective_evaluates_rho1_once_per_call(monkeypatch):
-    # infeasibility comes from rho1 raising, not from a separate predicate
-    # that evaluates it a second time; the objective calls rho1's body with
-    # alpha checked once, when it is posed
-    counts = {"rho1": 0, "objective": 0}
-    rho1 = embedded.rho1_unchecked
+def _counted(monkeypatch, module, name, log):
+    # patch module.name to append (args, "ok" or "raised") to log per call
+    real = getattr(module, name)
 
-    def counted_rho1(*args):
-        counts["rho1"] += 1
-        return rho1(*args)
+    def counted(*args):
+        try:
+            value = real(*args)
+        except ValueError:
+            log.append((args, "raised"))
+            raise
+        log.append((args, "ok"))
+        return value
 
-    monkeypatch.setattr(embedded, "rho1_unchecked", counted_rho1)
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_embedded_objective_evaluates_the_inner_cell_once_per_l1(monkeypatch):
+    # the notched host is evaluated at every point and the inner cell at
+    # most once per feasible L1; infeasible points raise from these two
+    # single-cell routines, not from a separate predicate, and a raise is
+    # never kept, so a side that raised is tried again at its next point
+    hosts, cells, points = [], [], []
+    _counted(monkeypatch, embedded, "outer_notched", hosts)
+    _counted(monkeypatch, embedded, "inner_hexagon", cells)
     objective, lower, upper = checks._embedded_objective(0.1)
 
     def counted_objective(p):
-        counts["objective"] += 1
-        return objective(p)
+        try:
+            value = objective(p)
+        except ValueError:
+            points.append((p, "raised"))
+            raise
+        points.append((p, "ok"))
+        return value
 
     grid_refine_min(counted_objective, lower, upper, grid=64, refine_iters=60)
-    assert counts["objective"] > 0
-    assert counts["rho1"] == counts["objective"]
+    assert [args[:2] for args, _ in hosts] == [p for p, _ in points]
+    assert all(args[2] == 1.0 for args, _ in hosts)
+    kept = [args[0] for args, outcome in cells if outcome == "ok"]
+    assert len(kept) == len(set(kept)) > 64
+    assert all(args[1] == 0.1 for args, _ in cells)
+    raised = [p for (p, outcome) in points if outcome == "raised"]
+    assert raised
+    host_raised = sum(outcome == "raised" for _, outcome in hosts)
+    cell_raised = sum(outcome == "raised" for _, outcome in cells)
+    assert host_raised > 0 and cell_raised > 0
+    assert host_raised + cell_raised == len(raised)
+    raising_sides = [args[0] for args, outcome in cells if outcome == "raised"]
+    assert len(raising_sides) > len(set(raising_sides))
+
+
+def test_kissing_objective_evaluates_each_cell_once_per_side(monkeypatch):
+    # during one oracle-kissing run optimal_perimeter runs at most once per
+    # distinct (side, volume), though the scan alone visits every side 64
+    # times per cell
+    calls = []
+    _counted(monkeypatch, singlebubble, "optimal_perimeter", calls)
+    objective, lower, upper = checks._kissing_objective(0.5)
+    points = []
+
+    def counted_objective(p):
+        points.append(p)
+        return objective(p)
+
+    grid_refine_min(counted_objective, lower, upper, grid=64, refine_iters=60,
+                    directions=[(1.0, 1.0)])
+    args = [a for a, _ in calls]
+    assert len(args) == len(set(args))
+    assert {a for a in args if a[1] == 1.0} == {(p[0], 1.0) for p in points}
+    assert {a for a in args if a[1] == 0.5} == {(p[1], 0.5) for p in points}
+    assert len(points) > 64 * 64 > 2 * len(args)
 
 
 @pytest.mark.parametrize("posed", ["_embedded_objective", "_kissing_objective"])
