@@ -5,9 +5,8 @@ Run: python3 demos/demo_kissing.py
 
 import math
 
+from hexbubble.checks import build_degree8, horner
 from hexbubble.kissing import (
-    build_degree8,
-    horner,
     kissing_minimum,
     p3_minimizer,
     small_alpha_closed_form,

@@ -274,20 +274,67 @@ def _chk_alpha0(rng: Lcg) -> tuple[bool, str]:
     return True, ""
 
 
+# The degree-8 route: P3's stationarity polynomial in L, built from its own
+# algebra, apart from the solver's quartic in L^2 (kissing.p3_minimizer).
+
+
+def horner(cs: tuple[float, ...], x: float) -> float:
+    """Value at x of the polynomial with ascending coefficients cs."""
+    acc = 0.0
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def build_degree8(alpha: float) -> tuple[float, ...]:
+    """Radical-free stationarity polynomial for the P3 branch, as its 9
+    ascending coefficients c0..c8.
+
+    With Q = 9L^4 + 12 sqrt(3)(1+alpha) L^2 + 48 alpha and
+    R = 6L^4 + 4 sqrt(3)(1+alpha) L^2, clearing radicals in dP3/dL = 0
+    gives p = 4 L^4 Q / 441 - (Q/49 - R/21)^2, an even polynomial whose
+    positive real root is the P3 minimizer.
+
+    That root is the only one: with s = sqrt(3)(1+alpha), Q/49 - R/21 =
+    48 alpha/49 + (8s/147) L^2 - (5/49) L^4, so c0 = -(48 alpha/49)^2 <= 0,
+    c2 = -2 (48 alpha/49)(8s/147) < 0, c6 = 48s/441 + 240s/21609 > 0,
+    c8 = 171/2401 > 0, c4 has either sign and the odd coefficients are 0.
+    One sign change means one positive root by Descartes' rule, for every
+    alpha > 0.  In floats c0 underflows to 0 below alpha ~ 1e-161 and c2
+    below ~ 3e-323, where c4 ~ -(8 sqrt(3)/147)^2 < 0 keeps the one change.
+    """
+    check_alpha(alpha)
+    s = SQRT3 * (1.0 + alpha)
+    q = (48.0 * alpha, 0.0, 12.0 * s, 0.0, 9.0)
+    r = (0.0, 0.0, 4.0 * s, 0.0, 6.0)
+    term1 = (0.0,) * 4 + tuple(4.0 / 441.0 * qi for qi in q)
+    inner = [qi / 49.0 - ri / 21.0 for qi, ri in zip(q, r)]
+    # inner * inner; every odd coefficient sums products with an exact
+    # 0.0 factor, so it stays exactly 0.0.  The products are added left to
+    # right, not by sum(), whose float result changed in Python 3.12
+    term2 = []
+    for k in range(9):
+        acc = 0.0
+        for i in range(max(0, k - 4), min(k, 4) + 1):
+            acc += inner[i] * inner[k - i]
+        term2.append(acc)
+    return tuple(t1 - t2 for t1, t2 in zip(term1, term2))
+
+
 def degree8_certificate(alpha: float, L: float) -> tuple[bool, str]:
     """Whether build_degree8(alpha) alone certifies L as the P3 minimizer:
     one coefficient sign change (so one positive root, by Descartes' rule),
     |p(L)| small against the largest coefficient, and p rising through 0
     between L - 1e-8 and L + 1e-8, which puts that root within 1e-8 of L."""
-    cs = kissing.build_degree8(alpha)
+    cs = build_degree8(alpha)
     signs = [c > 0.0 for c in cs if c != 0.0]
     changes = sum(a != b for a, b in zip(signs, signs[1:]))
     if changes != 1:
         return False, f"{changes} coefficient sign changes at alpha={fmt(alpha)}, expected 1"
-    value = kissing.horner(cs, L)
+    value = horner(cs, L)
     if abs(value) > 1e-6 * max(abs(c) for c in cs):
         return False, f"|p(L*)|={fmt(abs(value))} too large at alpha={fmt(alpha)}"
-    if not kissing.horner(cs, L - 1e-8) < 0.0 < kissing.horner(cs, L + 1e-8):
+    if not horner(cs, L - 1e-8) < 0.0 < horner(cs, L + 1e-8):
         return False, f"no positive root near L* at alpha={fmt(alpha)}"
     return True, ""
 

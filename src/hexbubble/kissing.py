@@ -13,10 +13,11 @@ wherever the others are defined.  The global optimum is the admissible
 unequal candidate below alpha = 1/8 and the P3 minimizer at or above it;
 the two branches agree at the handoff.
 
-The P3 minimizer is also the one positive root of an even degree-8
-polynomial obtained by clearing the radicals in dP3/dL = 0.  The solver
-finds it by Newton (p3_minimizer); the checker certifies that answer
-from the polynomial alone, by Descartes' rule and a sign change at it.
+Clearing the radicals in dP3/dL = 0 leaves a quartic in L^2 with one
+positive root; the solver takes the P3 minimizer as that root in closed
+form, with no iteration (p3_minimizer).  The checker certifies the
+answer from an independent even degree-8 polynomial in L, by Descartes'
+rule and a sign change at it (checks.degree8_certificate).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .singlebubble import (
     REGIME_SIX,
     check_alpha,
     fixed_side_vertices,
-    newton_root,
     optimal_perimeter,
     solve_fixed_side,
 )
@@ -44,8 +44,8 @@ REGIME_TOL = 1e-12
 HANDOFF_ALPHA = 0.125
 HANDOFF_TOL = 1e-12
 
-# 7 sqrt((3L^2 + a)/21) = P3_WEIGHT sqrt(3L^2 + a)
-P3_WEIGHT = math.sqrt(7.0 / 3.0)
+# 7 sqrt((3L^2 + 4 sqrt(3) V)/21) = sqrt(7 L^2 + P3_VOLUME_TERM * V)
+P3_VOLUME_TERM = 28.0 * SQRT3 / 3.0
 
 BRANCH_UNEQUAL = "unequal-candidate"
 BRANCH_EQUAL = "equal-p3"
@@ -161,86 +161,87 @@ def equal_perimeters(
 
 
 def p3_minimizer(alpha: float) -> tuple[float, float]:
-    """(L*, P3(L*)): the unique stationary point of the double-six branch.
+    """(L*, P3(L*)): the unique stationary point of the double-six branch,
+    in closed form.
 
-    P3 = w (sqrt(3L^2 + 4 sqrt(3)) + sqrt(3L^2 + 4 sqrt(3) alpha)) - 3L,
-    w = sqrt(7/3), has a strictly increasing, concave slope, so newton_root
-    climbs to its root from the low end of the bracket
-    [sqrt(12 sqrt(3) alpha/19), sqrt(12 sqrt(3)/19)], found by bounding
-    both radicals by the smaller or by the larger radicand in dP3/dL = 0.
-    It closes to the point itself at alpha = 1; a slope still nonpositive
-    at the top end makes that end the minimum.
+    With y = L^2, a1 = 4 sqrt(3), a2 = 4 sqrt(3) alpha and s_i =
+    sqrt(3y + a_i), P3 = w (s1 + s2) - 3L, w = sqrt(7/3), and dP3/dL = 0
+    reads w L (s1 + s2) = s1 s2.  Squaring it, with S = a1 + a2 and
+    P = a1 a2 = 48 alpha, leaves (14/3) y s1 s2 = P + (2/3) S y - 5 y^2;
+    squaring that gives the quartic
+
+        171 y^4 + 72 S y^3 + ((286 P - 4 S^2)/9) y^2 - (4/3) P S y - P^2 = 0.
+
+    Its coefficient signs run +, +, either, -, -: one change, so it has
+    one positive root (Descartes' rule) and every other real root is
+    <= 0.  The largest real root is that positive one, y* = L*^2.
+
+    Ferrari's method loses digits to cancellation on this quartic's
+    depressed form, so the root is taken in t = s2/s1 in (0, 1] instead.
+    With u_i = w L/s_i, stationarity is u1 + u2 = 1, and t = u1/u2.
+    Solving u1 = w L/s1 for y gives y = 12 sqrt(3) t^2/(7 + 14 t - 2 t^2),
+    increasing in t on (0, 1]; solving u2 = w L/s2 likewise and equating
+    the two gives
+
+        G(t) = 7 t^4 + 14 t^3 - 2 (1 - alpha) t^2 - 14 alpha t - 7 alpha = 0.
+
+    At that y the quartic in y is G(t) times a quartic in t with no
+    positive coefficient, over a positive denominator, so the one positive
+    root t* of G (one sign change again) maps to y*.  Ferrari's split of G
+    is
+
+        G = 7 ((t^2 + t - mu)^2 - (K t + m)^2),
+
+    exact when mu solves the resolvent cubic 14 mu^3 - 2 e mu^2 - 9 alpha e
+    = 0 (e = 1 - alpha), m = sqrt(alpha + mu^2) and K = (alpha - mu)/m.
+    The cubic has one real root, and it has mu >= e/7, so |K| <= 1: the
+    factor t^2 + (1 + K) t + m - mu has no positive root, and t* is the
+    positive root of t^2 + (1 - K) t - (m + mu).  Every step below adds
+    positive terms only:
+
+    - Cardano, with the second cube root taken as e^2/U (Kahan 1986, as
+      in embedded._cubic_min): H = 9261 * 9 alpha e/28,
+      U^3 = e^3 + H + sqrt(H (2 e^3 + H)), mu = (U + e^2/U + e)/21;
+    - 1 - K = alpha (e + 2 mu)/(m (m + alpha - mu)) when alpha > mu,
+      else (m + mu - alpha)/m;
+    - t* = 2 (m + mu)/((1 - K) + sqrt((1 - K)^2 + 4 (m + mu)));
+    - L* = t* sqrt(12 sqrt(3)/(7 + 2 t* (7 - t*))).
+
+    No Newton step follows.  Against 50-digit roots, over 7,600 random
+    ratios in (0, 1], L* lands within 3.6 ulp; one step on dP3/dL from
+    there moves it by that slope's rounding noise, to 5.2 ulp on [1/8, 1]
+    and 20 ulp below.
+
+    At alpha = 1, e = 0: the resolvent's root mu = 0 is triple and e^2/U
+    is 0/0, but t* = 1 exactly (m = K = 1), so that case sets t = 1, and
+    L* comes out as the correctly rounded sqrt(12 sqrt(3)/19) (12 sqrt(3)
+    over 7 + 2 * 6).  Every alpha in (0, 1] is served, down to 5e-324:
+    each quantity but a2 stays O(1).
+
+    The value is P3 written as sqrt(7 L^2 + 28 sqrt(3)/3) +
+    sqrt(7 L^2 + 28 sqrt(3) alpha/3) - 3L, whose fewer roundings keep it
+    within 2.5 ulp of the 50-digit minimum on the same draws.
     """
     check_alpha(alpha)
-    w = P3_WEIGHT
-    a1 = 4.0 * SQRT3
-    a2 = 4.0 * SQRT3 * alpha
-
-    def slopes(L: float) -> tuple[float, float]:
-        # (P3'(L), P3''(L))
-        t = 3.0 * L
-        s1 = math.sqrt(a1 + t * L)
-        s2 = math.sqrt(a2 + t * L)
-        return (
-            t * (w / s1) + t * (w / s2) - 3.0,
-            3.0 * w * a1 / s1 / s1 / s1 + 3.0 * w * a2 / s2 / s2 / s2,
-        )
-
-    hi = math.sqrt(12.0 * SQRT3 / 19.0)
-    if slopes(hi)[0] <= 0.0:
-        x = hi
+    e = 1.0 - alpha
+    if e == 0.0:
+        t = 1.0
     else:
-        lo = math.sqrt(12.0 * SQRT3 * alpha / 19.0)
-        d, d2 = slopes(lo)  # unpacked: a star call is slower on this hot path
-        x = newton_root(slopes, lo, hi, d, d2)
-    q = 3.0 * x * x
-    return x, w * math.sqrt(a1 + q) + w * math.sqrt(a2 + q) - 3.0 * x
-
-
-# --- degree-8 polynomial route ----------------------------------------------
-
-
-def horner(cs: tuple[float, ...], x: float) -> float:
-    """Value at x of the polynomial with ascending coefficients cs."""
-    acc = 0.0
-    for c in reversed(cs):
-        acc = acc * x + c
-    return acc
-
-
-def build_degree8(alpha: float) -> tuple[float, ...]:
-    """Radical-free stationarity polynomial for the P3 branch, as its 9
-    ascending coefficients c0..c8.
-
-    With Q = 9L^4 + 12 sqrt(3)(1+alpha) L^2 + 48 alpha and
-    R = 6L^4 + 4 sqrt(3)(1+alpha) L^2, clearing radicals in dP3/dL = 0
-    gives p = 4 L^4 Q / 441 - (Q/49 - R/21)^2, an even polynomial whose
-    positive real root is the P3 minimizer.
-
-    That root is the only one: with s = sqrt(3)(1+alpha), Q/49 - R/21 =
-    48 alpha/49 + (8s/147) L^2 - (5/49) L^4, so c0 = -(48 alpha/49)^2 <= 0,
-    c2 = -2 (48 alpha/49)(8s/147) < 0, c6 = 48s/441 + 240s/21609 > 0,
-    c8 = 171/2401 > 0, c4 has either sign and the odd coefficients are 0.
-    One sign change means one positive root by Descartes' rule, for every
-    alpha > 0.  In floats c0 underflows to 0 below alpha ~ 1e-161 and c2
-    below ~ 3e-323, where c4 ~ -(8 sqrt(3)/147)^2 < 0 keeps the one change.
-    """
-    check_alpha(alpha)
-    s = SQRT3 * (1.0 + alpha)
-    q = (48.0 * alpha, 0.0, 12.0 * s, 0.0, 9.0)
-    r = (0.0, 0.0, 4.0 * s, 0.0, 6.0)
-    term1 = (0.0,) * 4 + tuple(4.0 / 441.0 * qi for qi in q)
-    inner = [qi / 49.0 - ri / 21.0 for qi, ri in zip(q, r)]
-    # inner * inner; every odd coefficient sums products with an exact
-    # 0.0 factor, so it stays exactly 0.0.  The products are added left to
-    # right, not by sum(), whose float result changed in Python 3.12
-    term2 = []
-    for k in range(9):
-        acc = 0.0
-        for i in range(max(0, k - 4), min(k, 4) + 1):
-            acc += inner[i] * inner[k - i]
-        term2.append(acc)
-    return tuple(t1 - t2 for t1, t2 in zip(term1, term2))
+        # h, u and k are H, U and 1 - K above; 2976.75 = 9261 * 9/28 exactly
+        h = 2976.75 * alpha * e
+        e3 = e * e * e
+        u = (e3 + h + math.sqrt(h * (2.0 * e3 + h))) ** (1.0 / 3.0)
+        mu = (u + e * e / u + e) / 21.0
+        m = math.sqrt(alpha + mu * mu)
+        if alpha > mu:
+            k = alpha * (e + 2.0 * mu) / (m * (m + alpha - mu))
+        else:
+            k = (m + mu - alpha) / m
+        q = m + mu
+        t = 2.0 * q / (k + math.sqrt(k * k + 4.0 * q))
+    x = t * math.sqrt(12.0 * SQRT3 / (7.0 + 2.0 * t * (7.0 - t)))
+    p = 7.0 * x * x
+    return x, math.sqrt(p + P3_VOLUME_TERM) + math.sqrt(p + P3_VOLUME_TERM * alpha) - 3.0 * x
 
 
 # --- the full kissing optimum ------------------------------------------------

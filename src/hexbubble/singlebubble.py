@@ -18,7 +18,7 @@ the boundary, where x1 hits zero.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .hexnorm import SQRT3, LATTICE_DIRECTIONS, PolyChain, merge_vertices
 
@@ -27,13 +27,6 @@ REGIME_FOUR = "four-sided"
 
 # sides shorter than this give effectively unbounded perimeters
 MIN_SIDE = 1e-8
-
-# cap on newton_root's steps; P3 takes at most 8 on [1/8, 1], where the
-# solver uses it (16 on direct calls down to 5e-324), and find_alpha0 at
-# most 4 at its default tol (9 at 1e-15), counted over 4,001 ratios and
-# 201 brackets; bisection alone narrows any bracket to adjacent floats in
-# under 60
-NEWTON_MAX_ITER = 60
 
 
 def check_alpha(alpha: float) -> None:
@@ -180,43 +173,3 @@ def isoperimetric_optimum(V: float) -> tuple[float, float]:
         raise ValueError("volume must be positive and finite")
     root = math.sqrt(2.0 * V)
     return root / 3.0 ** 0.75, 2.0 * root * 3.0 ** 0.25
-
-
-def newton_root(
-    fn: Callable[[float], tuple[float, float]],
-    lo: float,
-    hi: float,
-    flo: float,
-    slope_lo: float,
-    tol: float = 0.0,
-) -> float:
-    """Root of an increasing, concave f in [lo, hi] by safeguarded Newton.
-
-    fn(x) returns (f(x), f'(x)); the caller passes the pair at lo, where
-    f <= 0.  Because f is concave, a Newton step from the left of the root
-    does not pass it, so the iterates climb from lo.  A step that leaves the
-    shrinking sign bracket, lands back on one of its ends (only rounding can
-    cause either) or comes from a slope that is not positive is replaced by
-    bisection (Brent 1973).  The iteration stops on an exact zero or once a
-    step is at most max(tol, 2 ulp), returning the point that step reached.
-    """
-    x, fx, dfx = lo, flo, slope_lo
-    for _ in range(NEWTON_MAX_ITER):
-        if fx == 0.0:
-            break
-        if fx < 0.0:
-            lo = x
-        else:
-            hi = x
-        step = x - fx / dfx if dfx > 0.0 else math.nan
-        if step != x and not lo < step < hi:
-            # outside the bracket, or back on its other end; rounding
-            # alone can send a step there, and the latter would cycle
-            step = 0.5 * (lo + hi)
-        x, dx = step, abs(step - x)
-        # two comparisons: max(tol, ...) would add a builtin call per step
-        if dx <= tol or dx <= 2.0 * math.ulp(x):
-            break
-        fx, dfx = fn(x)
-    return x
-

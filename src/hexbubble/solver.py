@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from . import embedded as embedded_mod
 from . import kissing as kissing_mod
 from .hexnorm import SQRT3, PolyChain
-from .singlebubble import check_alpha, newton_root
+from .singlebubble import check_alpha
 
 CASE_EMBEDDED = "embedded"
 CASE_KISSING = "kissing"
@@ -27,6 +28,12 @@ TIE_TOL = 1e-9
 
 ALPHA0_BRACKET = (0.1, 0.3)
 ALPHA0_TOL = 1e-9
+
+# cap on newton_root's steps; find_alpha0 takes at most 4 at its default
+# tol (9 at 1e-15), counted over the default bracket and 200 random ones
+# in [0.10, 0.15] x [0.155, 0.30]; bisection alone narrows any bracket to
+# adjacent floats in under 60
+NEWTON_MAX_ITER = 60
 
 FMT = "%.12g"  # every number in solve, sweep, iso and verify output
 
@@ -132,6 +139,45 @@ def _difference_and_slope(alpha: float) -> tuple[float, float]:
     return g, 4.0 * SQRT3 / (3.0 * emb.L1) - 2.0 * SQRT3 / (3.0 * u2)
 
 
+def newton_root(
+    fn: Callable[[float], tuple[float, float]],
+    lo: float,
+    hi: float,
+    flo: float,
+    slope_lo: float,
+    tol: float = 0.0,
+) -> float:
+    """Root of an increasing, concave f in [lo, hi] by safeguarded Newton.
+
+    fn(x) returns (f(x), f'(x)); the caller passes the pair at lo, where
+    f <= 0.  Because f is concave, a Newton step from the left of the root
+    does not pass it, so the iterates climb from lo.  A step that leaves the
+    shrinking sign bracket, lands back on one of its ends (only rounding can
+    cause either) or comes from a slope that is not positive is replaced by
+    bisection (Brent 1973).  The iteration stops on an exact zero or once a
+    step is at most max(tol, 2 ulp), returning the point that step reached.
+    """
+    x, fx, dfx = lo, flo, slope_lo
+    for _ in range(NEWTON_MAX_ITER):
+        if fx == 0.0:
+            break
+        if fx < 0.0:
+            lo = x
+        else:
+            hi = x
+        step = x - fx / dfx if dfx > 0.0 else math.nan
+        if step != x and not lo < step < hi:
+            # outside the bracket, or back on its other end; rounding
+            # alone can send a step there, and the latter would cycle
+            step = 0.5 * (lo + hi)
+        x, dx = step, abs(step - x)
+        # two comparisons: max(tol, ...) would add a builtin call per step
+        if dx <= tol or dx <= 2.0 * math.ulp(x):
+            break
+        fx, dfx = fn(x)
+    return x
+
+
 def find_alpha0(
     lo: float = ALPHA0_BRACKET[0],
     hi: float = ALPHA0_BRACKET[1],
@@ -139,14 +185,14 @@ def find_alpha0(
 ) -> float:
     """The crossover ratio: embedded below, kissing above.
 
-    singlebubble.newton_root, the safeguarded Newton iteration that also
-    serves the glued diagonal minimizer P3, runs on g = embedded_value -
-    kissing_value, negative at the bracket's left end and positive at its
-    right end, from the left end.  Above the 1/8 handoff, where alpha0
-    lies, g is increasing and concave, so a step from the left of the root
-    does not pass it; below 1/8 g is convex, and below about 0.03 it
-    decreases.  A step that leaves the shrinking sign bracket, or a slope
-    that is not positive, gives way to bisection.
+    newton_root runs on g = embedded_value - kissing_value, negative at
+    the bracket's left end and positive at its right end, from the left
+    end.  Above the 1/8 handoff, where alpha0 lies, g is increasing and
+    concave, so a step from the left of the root does not pass it; below
+    1/8 g is convex, and below about 0.03 it decreases.  A step that
+    leaves the shrinking sign bracket, or a slope that is not positive,
+    gives way to bisection.  Each step evaluates both minima in closed
+    form, so g costs no inner iteration.
 
     tol is the step size at which the iteration stops, returning the point
     that step reached; steps of 2 ulp or less stop it too.  After a Newton

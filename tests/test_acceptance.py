@@ -11,6 +11,7 @@ import time
 from conftest import random_convex_polygon
 
 from hexbubble import cli
+from hexbubble.checks import build_degree8, horner
 from hexbubble.embedded import embedded_geometry, minimize_rho1, rho1, rho2_minimum
 from hexbubble.hexnorm import (
     circumscribing_hexagon,
@@ -21,11 +22,9 @@ from hexbubble.hexnorm import (
     polyline_length,
 )
 from hexbubble.kissing import (
-    build_degree8,
     kissing_geometry,
     kissing_minimum,
     kissing_perimeter,
-    horner,
     p3_minimizer,
     equal_perimeters,
     small_alpha_closed_form,

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import SQRT3, golden_min_1d
 from hexbubble.checks import case2_check, case2_report, notch_skew_perimeter
-from hexbubble import embedded, singlebubble
+from hexbubble import embedded, solver
 from hexbubble.embedded import (
     embedded_geometry,
     embedded_minimum,
@@ -328,7 +328,7 @@ def test_nested_minima_do_not_iterate(monkeypatch):
     def iterate(*args):
         raise AssertionError("a nested minimizer called a root-finder")
 
-    monkeypatch.setattr(singlebubble, "newton_root", iterate)
+    monkeypatch.setattr(solver, "newton_root", iterate)
     assert not hasattr(embedded, "newton_root")
     # 0.01282... sits at the switch between the trigonometric and Cardano roots
     ratios = (5e-324, 1e-310, 1e-100, 1e-12, 0.0128268678975132, 0.125,

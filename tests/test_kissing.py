@@ -1,20 +1,19 @@
 """Glued-pair family: regimes, candidate rows, the diagonal branch, and
-the radical-free polynomial route."""
+the checker's radical-free polynomial route."""
 
 import math
 
 import pytest
 
 from conftest import SQRT3, golden_min_1d
-from hexbubble import checks, kissing, singlebubble
+from hexbubble import checks, kissing, solver
+from hexbubble.checks import build_degree8, horner
 from hexbubble.hexnorm import double_bubble_perimeter, polygon_area
 from hexbubble.kissing import (
     BRANCH_EQUAL,
     BRANCH_UNEQUAL,
     HANDOFF_ALPHA,
-    build_degree8,
     equal_perimeters,
-    horner,
     kissing_geometry,
     kissing_minimum,
     kissing_perimeter,
@@ -114,6 +113,23 @@ def test_p3_minimizer_stationarity():
         u1 = math.sqrt((3.0 * L * L + 4.0 * SQRT3) / 21.0)
         u2 = math.sqrt((3.0 * L * L + 4.0 * SQRT3 * alpha) / 21.0)
         assert abs(L / u1 + L / u2 - 3.0) <= 1e-11
+
+
+def test_p3_minimizer_does_not_iterate(monkeypatch):
+    # P3's minimizer is the closed-form root of a quartic in L^2; it may not
+    # fall back on find_alpha0's safeguarded Newton loop
+    def iterate(*args):
+        raise AssertionError("p3_minimizer called a root-finder")
+
+    monkeypatch.setattr(solver, "newton_root", iterate)
+    assert not hasattr(kissing, "newton_root")
+    # 0.5625 = 9/16 is where the closed form switches its 1 - K formula
+    ratios = (5e-324, 1e-310, 1e-100, 1e-12, 0.01, 0.125,
+              0.15245721143347343, 0.5, 0.5625, 2.0 / 3.0, 0.9, 1.0)
+    for alpha in ratios:
+        L, value = p3_minimizer(alpha)
+        assert 0.0 < L <= math.sqrt(12.0 * SQRT3 / 19.0), alpha
+        assert math.isfinite(value), alpha
 
 
 def test_p3_minimizer_equal_volumes():
@@ -352,8 +368,7 @@ def test_degree8_certificate_is_independent_of_newton(monkeypatch):
     def refuse(*args):
         raise AssertionError("the certificate called the solver's P3 route")
 
-    monkeypatch.setattr(singlebubble, "newton_root", refuse)
-    monkeypatch.setattr(kissing, "newton_root", refuse)
+    monkeypatch.setattr(solver, "newton_root", refuse)
     monkeypatch.setattr(kissing, "p3_minimizer", refuse)
     for alpha, L in minimizers.items():
         assert checks.degree8_certificate(alpha, L) == (True, "")

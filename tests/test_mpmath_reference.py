@@ -85,6 +85,18 @@ def test_p3_minimizer_within_4_ulp_of_the_50_digit_root():
             assert abs(mp.mpf(L) - _p3_root(mp.mpf(alpha))) <= 4 * math.ulp(L), alpha
 
 
+def test_p3_minimizer_below_the_handoff_against_the_50_digit_root():
+    # kissing_minimum serves the unequal candidate below 1/8, but P3's
+    # closed form answers there too; 9.02 ulp is the worst the Newton route
+    # it replaced reached on these draws, its rounding noise in dP3/dL
+    rng = Lcg(14)
+    ratios = [10.0 ** rng.uniform(-300.0, math.log10(0.125)) for _ in range(300)]
+    with mp.workdps(DIGITS):
+        for alpha in ratios:
+            L, _ = p3_minimizer(alpha)
+            assert abs(mp.mpf(L) - _p3_root(mp.mpf(alpha))) <= 9.02 * math.ulp(L), alpha
+
+
 def test_nested_minimizers_within_2_ulp_of_the_50_digit_root():
     rng = Lcg(12)
     ratios = [10.0 ** (-300.0 * rng.uniform()) for _ in range(300)]  # log-uniform in [1e-300, 1]

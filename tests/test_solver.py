@@ -114,7 +114,7 @@ def test_solver_path_never_evaluates_rho2(monkeypatch):
         return g(alpha)
 
     monkeypatch.setattr(solver, "_difference_and_slope", counting)
-    assert find_alpha0() == 0.15245721143347343
+    assert find_alpha0() == 0.152457211433471
     assert len(calls) == 5  # both bracket ends, then three Newton steps
 
 
