@@ -5,13 +5,8 @@ Run: python3 demos/demo_kissing.py
 
 import math
 
-from hexbubble.checks import build_degree8, horner
-from hexbubble.kissing import (
-    kissing_minimum,
-    p3_minimizer,
-    small_alpha_closed_form,
-    unequal_candidates,
-)
+from hexbubble.checks import build_degree8, horner, unequal_candidates
+from hexbubble.kissing import kissing_minimum, p3_minimizer, small_alpha_closed_form
 
 
 def main() -> None:

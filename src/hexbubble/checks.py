@@ -2,22 +2,27 @@
 
 Every check pits a closed form against a route that shares none of its
 algebra: the brute-force grid oracle, the perturbation test, the degree-8
-polynomial, or measurement of the built cells.  The solver path
-(hexnorm, singlebubble, kissing, embedded, solver) imports nothing from
-here or from `oracle`, so the checkers stay independent of what they
-check.  `run_verify` runs a suite and prints one line per check.
+polynomial, or measurement of the built cells.  The exclusions are the
+configurations that the paper's reduction rules out, so `solve` never
+evaluates them: the glued pair's other stationary rows and its diagonal
+branches P4..P6 (unequal_candidates, equal_perimeters), the degenerate
+nested variant and the off-center notch.  The solver path (hexnorm,
+singlebubble, kissing, embedded, solver) holds only what `solve`
+evaluates and imports nothing from here or from `oracle`, so the
+checkers stay independent of what they check.  `run_verify` runs a suite
+and prints one line per check.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import embedded, hexnorm, kissing, singlebubble, solver
 from .hexnorm import SQRT3, hex_norm, polygon_area
 from .oracle import Lcg, grid_refine_min, perturb_local_min
-from .singlebubble import check_alpha
+from .singlebubble import MIN_SIDE, REGIME_FOUR, REGIME_SIX, check_alpha
 from .solver import fmt
 
 DIAG_TOL = 1e-6  # diagonal tolerance for the case-2 check
@@ -32,6 +37,18 @@ DIAG_TOL = 1e-6  # diagonal tolerance for the case-2 check
 Posed = tuple[Callable[[tuple[float, ...]], float], tuple[float, ...], tuple[float, ...]]
 
 
+def x4_from_volume(x1: float, x2: float, L: float, V: float) -> float:
+    """Invert the shoelace area for x4 >= 0 given x1, x2, L, V.
+
+    Raises ValueError when the radicand is negative, i.e. the requested
+    volume exceeds what any x4 can enclose with these sides.
+    """
+    rad = x1 * x1 + 2.0 * x1 * x2 + 2.0 * L * (x1 + x2) - 4.0 * V / SQRT3
+    if rad < 0.0:
+        raise ValueError("infeasible volume for the given sides")
+    return math.sqrt(rad)
+
+
 def _single_bubble_objective(L: float, V: float) -> Posed:
     """Perimeter over the two free sides (x1, x2) of a volume-V cell on a
     fixed side L.  The remaining sides come from closure and the volume
@@ -41,7 +58,7 @@ def _single_bubble_objective(L: float, V: float) -> Posed:
         x1, x2 = p
         if x1 < 0.0 or x2 < 0.0:
             raise ValueError("negative free side")
-        x4 = singlebubble.x4_from_volume(x1, x2, L, V)  # raises if no real x4
+        x4 = x4_from_volume(x1, x2, L, V)  # raises if no real x4
         x3 = L + x1 - x4
         x5 = x1 + x2 - x4
         if x3 < -1e-12 or x5 < -1e-12:
@@ -101,6 +118,105 @@ def _kissing_objective(alpha: float) -> Posed:
 
 # ---------------------------------------------------------------- exclusions
 
+
+# The glued pair off its optimum.  kissing_minimum evaluates two closed
+# forms; what follows is why no other glued configuration beats them: the
+# other unequal-side stationary rows, and the diagonal branches P4..P6.
+
+# relative slack when holding a candidate to its claimed regime; stationary
+# side pairs may sit exactly on the regime boundary
+REGIME_TOL = 1e-12
+
+# Stationarity of Popt(L, V) - indicator*L in L.  For the six-sided form
+# d/dL [7 sqrt((3L^2+4 sqrt(3)V)/21) - (1+i) L] = 0 gives
+# L^2 = 4 sqrt(3) V (1+i)^2 / (21 - 3 (1+i)^2); for the trapezoid form
+# d/dL [3L - sqrt((3L^2-4 sqrt(3)V)/3) - i L] = 0 gives
+# L^2 = 4 sqrt(3) V (3-i)^2 / (3 ((3-i)^2 - 1)).  The indicator marks the
+# cell whose side is the shorter (fully shared) one.
+
+_ROWS = (
+    ((REGIME_SIX, 1), (REGIME_SIX, 0)),
+    ((REGIME_SIX, 0), (REGIME_SIX, 1)),
+    ((REGIME_FOUR, 1), (REGIME_FOUR, 0)),
+    ((REGIME_FOUR, 0), (REGIME_FOUR, 1)),
+    ((REGIME_SIX, 1), (REGIME_FOUR, 0)),
+    ((REGIME_SIX, 0), (REGIME_FOUR, 1)),
+    ((REGIME_FOUR, 1), (REGIME_SIX, 0)),
+    ((REGIME_FOUR, 0), (REGIME_SIX, 1)),
+)
+
+
+class CandidateRow(NamedTuple):
+    L1: float
+    L2: float
+    admissible: bool
+
+
+def _stationary_side(form: str, indicator: int, V: float) -> float:
+    if form == REGIME_SIX:
+        c = float((1 + indicator) ** 2)
+        return math.sqrt(4.0 * SQRT3 * V * c / (21.0 - 3.0 * c))
+    c = float((3 - indicator) ** 2)
+    return math.sqrt(4.0 * SQRT3 * V * c / (3.0 * (c - 1.0)))
+
+
+def _regime_consistent(form: str, L: float, V: float) -> bool:
+    t = 3.0 * SQRT3 * L * L
+    if form == REGIME_SIX:
+        return t <= 16.0 * V * (1.0 + REGIME_TOL)
+    return t >= 16.0 * V * (1.0 - REGIME_TOL)
+
+
+def unequal_candidates(alpha: float) -> list[CandidateRow]:
+    """The eight stationary (L1, L2) pairs with their admissibility.
+
+    A row is admissible when the cell carrying the indicator has the
+    strictly shorter side (equivalently: alpha lies in the row's validity
+    range, which is that same inequality in closed form) and both sides
+    sit in their claimed regimes.  On (0, 1] only the rows pairing a
+    plain six-sided volume-1 cell with an indicator-carrying volume-alpha
+    cell survive, and only below alpha = 1/8; row 2 is the pair that
+    kissing_minimum computes in closed form.
+    """
+    check_alpha(alpha)
+    rows: list[CandidateRow] = []
+    for (form1, i1), (form2, i2) in _ROWS:
+        L1 = _stationary_side(form1, i1, 1.0)
+        L2 = _stationary_side(form2, i2, alpha)
+        ordered = L1 < L2 if i1 == 1 else L2 < L1
+        ok = (
+            ordered
+            and _regime_consistent(form1, L1, 1.0)
+            and _regime_consistent(form2, L2, alpha)
+        )
+        rows.append(CandidateRow(L1, L2, ok))
+    return rows
+
+
+def equal_perimeters(
+    L: float, alpha: float
+) -> tuple[float, Optional[float], Optional[float], Optional[float]]:
+    """(P3, P4, P5, P6) on the diagonal L1 = L2 = L; None when infeasible.
+
+    P3 glues two six-sided cells, P4/P5 mix regimes, P6 glues two
+    trapezoids; each value is present exactly when its radicands are
+    nonnegative.  P3 always exists.
+    """
+    check_alpha(alpha)
+    if not math.isfinite(L) or L < MIN_SIDE:
+        raise ValueError(f"side must be >= {MIN_SIDE}")
+    u1 = math.sqrt((3.0 * L * L + 4.0 * SQRT3) / 21.0)
+    u2 = math.sqrt((3.0 * L * L + 4.0 * SQRT3 * alpha) / 21.0)
+    r1 = (3.0 * L * L - 4.0 * SQRT3) / 3.0
+    ra = (3.0 * L * L - 4.0 * SQRT3 * alpha) / 3.0
+    p3 = 7.0 * u1 + 7.0 * u2 - 3.0 * L
+    p4 = 7.0 * u1 + L - math.sqrt(ra) if ra >= 0.0 else None
+    p5 = 7.0 * u2 + L - math.sqrt(r1) if r1 >= 0.0 else None
+    p6 = 5.0 * L - math.sqrt(r1) - math.sqrt(ra) if r1 >= 0.0 and ra >= 0.0 else None
+    return p3, p4, p5, p6
+
+
+# The nested pair's degenerate variant and its off-center notch.
 
 def _case2_objectives(alpha: float) -> dict[str, Callable[[tuple[float, ...]], float]]:
     c = 4.0 * SQRT3 / 3.0
@@ -243,7 +359,7 @@ def _chk_p3_dominance(rng: Lcg) -> tuple[bool, str]:
         Lmax = math.sqrt(16.0 * a / (3.0 * SQRT3))
         for i in range(8):
             L = Lmax * (0.4 + 0.59 * i / 7.0)
-            p3, _, p5, p6 = kissing.equal_perimeters(L, a)
+            p3, _, p5, p6 = equal_perimeters(L, a)
             direct = kissing.kissing_perimeter(L, L, a)
             if abs(p3 - direct) > 1e-9:
                 return False, f"P3 disagrees with the glued-pair perimeter at L={fmt(L)}, alpha={fmt(a)}"

@@ -5,13 +5,14 @@ mirrored below), the pair's perimeter is
 
     Popt(L1, 1) + Popt(L2, alpha) - min(L1, L2),
 
-Popt being the active single-cell regime.  Stationarity in (L1, L2)
-yields eight sign/regime combinations of candidate side pairs; on the
-equal-side diagonal L1 = L2 = L the objective splits into the four
-branches P3..P6 by regime, of which P3 (both six-sided) dominates
-wherever the others are defined.  The global optimum is the admissible
-unequal candidate below alpha = 1/8 and the P3 minimizer at or above it;
-the two branches agree at the handoff.
+Popt being the active single-cell regime.  The global optimum is the
+unequal stationary pair below alpha = 1/8 and the minimizer of the
+equal-side branch P3 (both cells six-sided) at or above it; the two agree
+at the handoff.  This module holds only what the solver evaluates: those
+two closed forms and the cells they build.  The paper's exclusions, the
+eight-row stationary table in (L1, L2) and the diagonal branches P4..P6
+that P3 dominates, live with the checker (checks.unequal_candidates,
+checks.equal_perimeters).
 
 Clearing the radicals in dP3/dL = 0 leaves a quartic in L^2 with one
 positive root; the solver takes the P3 minimizer as that root in closed
@@ -23,22 +24,10 @@ rule and a sign change at it (checks.degree8_certificate).
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .hexnorm import SQRT3, PolyChain, anchored_pair
-from .singlebubble import (
-    MIN_SIDE,
-    REGIME_FOUR,
-    REGIME_SIX,
-    check_alpha,
-    fixed_side_vertices,
-    optimal_perimeter,
-    solve_fixed_side,
-)
-
-# relative slack when holding a candidate to its claimed regime; stationary
-# side pairs may sit exactly on the regime boundary
-REGIME_TOL = 1e-12
+from .singlebubble import check_alpha, fixed_side_vertices, optimal_perimeter, solve_fixed_side
 
 # alpha at which the unequal candidate collapses onto the diagonal
 HANDOFF_ALPHA = 0.125
@@ -61,103 +50,10 @@ def kissing_perimeter(L1: float, L2: float, alpha: float) -> float:
     )
 
 
-# --- unequal-side stationary candidates -----------------------------------
-
-# Stationarity of Popt(L, V) - indicator*L in L.  For the six-sided form
-# d/dL [7 sqrt((3L^2+4 sqrt(3)V)/21) - (1+i) L] = 0 gives
-# L^2 = 4 sqrt(3) V (1+i)^2 / (21 - 3 (1+i)^2); for the trapezoid form
-# d/dL [3L - sqrt((3L^2-4 sqrt(3)V)/3) - i L] = 0 gives
-# L^2 = 4 sqrt(3) V (3-i)^2 / (3 ((3-i)^2 - 1)).  The indicator marks the
-# cell whose side is the shorter (fully shared) one.
-
-_ROWS = (
-    ((REGIME_SIX, 1), (REGIME_SIX, 0)),
-    ((REGIME_SIX, 0), (REGIME_SIX, 1)),
-    ((REGIME_FOUR, 1), (REGIME_FOUR, 0)),
-    ((REGIME_FOUR, 0), (REGIME_FOUR, 1)),
-    ((REGIME_SIX, 1), (REGIME_FOUR, 0)),
-    ((REGIME_SIX, 0), (REGIME_FOUR, 1)),
-    ((REGIME_FOUR, 1), (REGIME_SIX, 0)),
-    ((REGIME_FOUR, 0), (REGIME_SIX, 1)),
-)
-
-
-class CandidateRow(NamedTuple):
-    L1: float
-    L2: float
-    admissible: bool
-
-
-def _stationary_side(form: str, indicator: int, V: float) -> float:
-    if form == REGIME_SIX:
-        c = float((1 + indicator) ** 2)
-        return math.sqrt(4.0 * SQRT3 * V * c / (21.0 - 3.0 * c))
-    c = float((3 - indicator) ** 2)
-    return math.sqrt(4.0 * SQRT3 * V * c / (3.0 * (c - 1.0)))
-
-
-def _regime_consistent(form: str, L: float, V: float) -> bool:
-    t = 3.0 * SQRT3 * L * L
-    if form == REGIME_SIX:
-        return t <= 16.0 * V * (1.0 + REGIME_TOL)
-    return t >= 16.0 * V * (1.0 - REGIME_TOL)
-
-
-def unequal_candidates(alpha: float) -> list[CandidateRow]:
-    """The eight stationary (L1, L2) pairs with their admissibility.
-
-    A row is admissible when the cell carrying the indicator has the
-    strictly shorter side (equivalently: alpha lies in the row's validity
-    range, which is that same inequality in closed form) and both sides
-    sit in their claimed regimes.  On (0, 1] only the rows pairing a
-    plain six-sided volume-1 cell with an indicator-carrying volume-alpha
-    cell survive, and only below alpha = 1/8.
-    """
-    check_alpha(alpha)
-    rows: list[CandidateRow] = []
-    for (form1, i1), (form2, i2) in _ROWS:
-        L1 = _stationary_side(form1, i1, 1.0)
-        L2 = _stationary_side(form2, i2, alpha)
-        ordered = L1 < L2 if i1 == 1 else L2 < L1
-        ok = (
-            ordered
-            and _regime_consistent(form1, L1, 1.0)
-            and _regime_consistent(form2, L2, alpha)
-        )
-        rows.append(CandidateRow(L1, L2, ok))
-    return rows
-
-
 def small_alpha_closed_form(alpha: float) -> float:
     """Perimeter of the admissible unequal candidate: 2*3^(1/4)(sqrt(2)+sqrt(alpha))."""
     check_alpha(alpha)
     return 2.0 * 3.0 ** 0.25 * (math.sqrt(2.0) + math.sqrt(alpha))
-
-
-# --- the equal-side family --------------------------------------------------
-
-
-def equal_perimeters(
-    L: float, alpha: float
-) -> tuple[float, Optional[float], Optional[float], Optional[float]]:
-    """(P3, P4, P5, P6) on the diagonal L1 = L2 = L; None when infeasible.
-
-    P3 glues two six-sided cells, P4/P5 mix regimes, P6 glues two
-    trapezoids; each value is present exactly when its radicands are
-    nonnegative.  P3 always exists.
-    """
-    check_alpha(alpha)
-    if not math.isfinite(L) or L < MIN_SIDE:
-        raise ValueError(f"side must be >= {MIN_SIDE}")
-    u1 = math.sqrt((3.0 * L * L + 4.0 * SQRT3) / 21.0)
-    u2 = math.sqrt((3.0 * L * L + 4.0 * SQRT3 * alpha) / 21.0)
-    r1 = (3.0 * L * L - 4.0 * SQRT3) / 3.0
-    ra = (3.0 * L * L - 4.0 * SQRT3 * alpha) / 3.0
-    p3 = 7.0 * u1 + 7.0 * u2 - 3.0 * L
-    p4 = 7.0 * u1 + L - math.sqrt(ra) if ra >= 0.0 else None
-    p5 = 7.0 * u2 + L - math.sqrt(r1) if r1 >= 0.0 else None
-    p6 = 5.0 * L - math.sqrt(r1) - math.sqrt(ra) if r1 >= 0.0 and ra >= 0.0 else None
-    return p3, p4, p5, p6
 
 
 def p3_minimizer(alpha: float) -> tuple[float, float]:
@@ -275,14 +171,25 @@ def kissing_geometry(
 def kissing_minimum(alpha: float) -> KissingSolution:
     """Global minimum over the glued-pair family.
 
-    Below the handoff ratio 1/8 the admissible unequal candidate (row 2)
-    wins; at and above it the diagonal P3 minimizer does.  The two agree
-    at the handoff, where the candidate collapses onto the diagonal.
+    Below the handoff ratio 1/8 the unequal candidate wins: both cells are
+    six-sided, and cell B's side is the shorter, fully shared one.  Each
+    side makes 7 sqrt((3L^2 + 4 sqrt(3) V)/21) - (1 + i) L stationary,
+    where i = 1 marks the cell whose side is shared in full, so
+
+        L^2 = 4 sqrt(3) V (1 + i)^2 / (21 - 3 (1 + i)^2):
+
+    L1^2 = 4 sqrt(3)/18 for cell A (V = 1, i = 0) and L2^2 = 16 sqrt(3)
+    alpha/9 for cell B (V = alpha, i = 1).  L2 < L1 exactly when
+    alpha < 1/8, and B sits on its regime boundary 3 sqrt(3) L^2 = 16 V,
+    where the six- and four-sided forms agree.  (checks.unequal_candidates
+    holds all eight stationary rows with their admissibility.)  At and
+    above 1/8 the diagonal P3 minimizer wins.  The two agree at the
+    handoff, where the candidate collapses onto the diagonal.
     """
     check_alpha(alpha)
     if alpha < HANDOFF_ALPHA * (1.0 - HANDOFF_TOL):
-        L1 = _stationary_side(REGIME_SIX, 0, 1.0)
-        L2 = _stationary_side(REGIME_SIX, 1, alpha)
+        L1 = math.sqrt(4.0 * SQRT3 / 18.0)
+        L2 = math.sqrt(4.0 * SQRT3 * alpha * 4.0 / 9.0)
         perimeter = kissing_perimeter(L1, L2, alpha)
         return KissingSolution(alpha, L1, L2, perimeter, BRANCH_UNEQUAL)
     L, perimeter = p3_minimizer(alpha)

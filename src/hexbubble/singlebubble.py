@@ -49,18 +49,6 @@ def _check_inputs(L: float, V: float) -> None:
         raise ValueError(f"fixed side must be >= {MIN_SIDE}")
 
 
-def x4_from_volume(x1: float, x2: float, L: float, V: float) -> float:
-    """Invert the shoelace area for x4 >= 0 given x1, x2, L, V.
-
-    Raises ValueError when the radicand is negative, i.e. the requested
-    volume exceeds what any x4 can enclose with these sides.
-    """
-    rad = x1 * x1 + 2.0 * x1 * x2 + 2.0 * L * (x1 + x2) - 4.0 * V / SQRT3
-    if rad < 0.0:
-        raise ValueError("infeasible volume for the given sides")
-    return math.sqrt(rad)
-
-
 class SingleBubbleSolution(NamedTuple):
     L: float
     V: float

@@ -3,16 +3,16 @@
 For each volume ratio alpha the optimal pair is either the nested
 (embedded) configuration or the glued (kissing) one; the embedded case
 wins below a critical ratio alpha0 ~ 0.152 and the kissing case above
-it.  alpha0 is located by safeguarded Newton steps on the perimeter
-difference, which changes sign exactly once on (0, 1); the envelope
-theorem gives its exact derivative.
+it.  find_alpha0 locates alpha0 by safeguarded Newton steps on the
+perimeter difference, which changes sign exactly once on (0, 1); the
+envelope theorem gives its exact derivative.  Both cases' minima are
+closed forms, so that loop is the only iteration on the solver path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from . import embedded as embedded_mod
 from . import kissing as kissing_mod
@@ -29,7 +29,7 @@ TIE_TOL = 1e-9
 ALPHA0_BRACKET = (0.1, 0.3)
 ALPHA0_TOL = 1e-9
 
-# cap on newton_root's steps; find_alpha0 takes at most 4 at its default
+# cap on find_alpha0's Newton steps; it takes at most 4 at its default
 # tol (9 at 1e-15), counted over the default bracket and 200 random ones
 # in [0.10, 0.15] x [0.155, 0.30]; bisection alone narrows any bracket to
 # adjacent floats in under 60
@@ -139,33 +139,48 @@ def _difference_and_slope(alpha: float) -> tuple[float, float]:
     return g, 4.0 * SQRT3 / (3.0 * emb.L1) - 2.0 * SQRT3 / (3.0 * u2)
 
 
-def newton_root(
-    fn: Callable[[float], tuple[float, float]],
-    lo: float,
-    hi: float,
-    flo: float,
-    slope_lo: float,
-    tol: float = 0.0,
+def find_alpha0(
+    lo: float = ALPHA0_BRACKET[0],
+    hi: float = ALPHA0_BRACKET[1],
+    tol: float = ALPHA0_TOL,
 ) -> float:
-    """Root of an increasing, concave f in [lo, hi] by safeguarded Newton.
+    """The crossover ratio: embedded below, kissing above.
 
-    fn(x) returns (f(x), f'(x)); the caller passes the pair at lo, where
-    f <= 0.  Because f is concave, a Newton step from the left of the root
-    does not pass it, so the iterates climb from lo.  A step that leaves the
-    shrinking sign bracket, lands back on one of its ends (only rounding can
-    cause either) or comes from a slope that is not positive is replaced by
-    bisection (Brent 1973).  The iteration stops on an exact zero or once a
-    step is at most max(tol, 2 ulp), returning the point that step reached.
+    Safeguarded Newton steps run on g = embedded_value - kissing_value,
+    negative at the bracket's left end and positive at its right end, from
+    the left end.  Above the 1/8 handoff, where alpha0 lies, g is
+    increasing and concave, so a step from the left of the root does not
+    pass it and the iterates climb from lo; below 1/8 g is convex, and
+    below about 0.03 it decreases.  A step that leaves the shrinking sign
+    bracket, lands back on one of its ends (only rounding can cause
+    either) or comes from a slope that is not positive is replaced by
+    bisection (Brent 1973).  Each step evaluates both minima in closed
+    form, so g costs no inner iteration.
+
+    tol is the step size at which the iteration stops, returning the point
+    that step reached; an exact zero of g or a step of 2 ulp or less stops
+    it too.  After a Newton step that small the error is of order tol^2;
+    after a bisection step it is at most tol.  The default 1e-9 lands on
+    alpha0 to the rounding of g, a few 1e-15.
+
+    Raises if the bracket does not straddle the sign change, or if tol is
+    not positive and finite.
     """
-    x, fx, dfx = lo, flo, slope_lo
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be positive and finite")
+    gx, slope = _difference_and_slope(lo)
+    ghi, _ = _difference_and_slope(hi)
+    if not (gx < 0.0 < ghi):
+        raise ValueError("bracket does not straddle the transition")
+    x = lo
     for _ in range(NEWTON_MAX_ITER):
-        if fx == 0.0:
+        if gx == 0.0:
             break
-        if fx < 0.0:
+        if gx < 0.0:
             lo = x
         else:
             hi = x
-        step = x - fx / dfx if dfx > 0.0 else math.nan
+        step = x - gx / slope if slope > 0.0 else math.nan
         if step != x and not lo < step < hi:
             # outside the bracket, or back on its other end; rounding
             # alone can send a step there, and the latter would cycle
@@ -174,42 +189,8 @@ def newton_root(
         # two comparisons: max(tol, ...) would add a builtin call per step
         if dx <= tol or dx <= 2.0 * math.ulp(x):
             break
-        fx, dfx = fn(x)
+        gx, slope = _difference_and_slope(x)
     return x
-
-
-def find_alpha0(
-    lo: float = ALPHA0_BRACKET[0],
-    hi: float = ALPHA0_BRACKET[1],
-    tol: float = ALPHA0_TOL,
-) -> float:
-    """The crossover ratio: embedded below, kissing above.
-
-    newton_root runs on g = embedded_value - kissing_value, negative at
-    the bracket's left end and positive at its right end, from the left
-    end.  Above the 1/8 handoff, where alpha0 lies, g is increasing and
-    concave, so a step from the left of the root does not pass it; below
-    1/8 g is convex, and below about 0.03 it decreases.  A step that
-    leaves the shrinking sign bracket, or a slope that is not positive,
-    gives way to bisection.  Each step evaluates both minima in closed
-    form, so g costs no inner iteration.
-
-    tol is the step size at which the iteration stops, returning the point
-    that step reached; steps of 2 ulp or less stop it too.  After a Newton
-    step that small the error is of order tol^2; after a bisection step it
-    is at most tol.  The default 1e-9 lands on alpha0 to the rounding of g,
-    a few 1e-15.
-
-    Raises if the bracket does not straddle the sign change, or if tol is
-    not positive and finite.
-    """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError("tol must be positive and finite")
-    glo, slope = _difference_and_slope(lo)
-    ghi, _ = _difference_and_slope(hi)
-    if not (glo < 0.0 < ghi):
-        raise ValueError("bracket does not straddle the transition")
-    return newton_root(_difference_and_slope, lo, hi, glo, slope, tol)
 
 
 def sweep(alpha_min: float, alpha_max: float, steps: int) -> list[DoubleBubbleResult]:

@@ -11,7 +11,13 @@ import time
 from conftest import random_convex_polygon
 
 from hexbubble import cli
-from hexbubble.checks import build_degree8, horner
+from hexbubble.checks import (
+    build_degree8,
+    equal_perimeters,
+    horner,
+    unequal_candidates,
+    x4_from_volume,
+)
 from hexbubble.embedded import embedded_geometry, minimize_rho1, rho1, rho2_minimum
 from hexbubble.hexnorm import (
     circumscribing_hexagon,
@@ -26,9 +32,7 @@ from hexbubble.kissing import (
     kissing_minimum,
     kissing_perimeter,
     p3_minimizer,
-    equal_perimeters,
     small_alpha_closed_form,
-    unequal_candidates,
 )
 from hexbubble.oracle import Lcg, grid_refine_min, perturb_local_min
 from hexbubble.singlebubble import (
@@ -36,7 +40,6 @@ from hexbubble.singlebubble import (
     perimeter_P1,
     perimeter_P2,
     solve_fixed_side,
-    x4_from_volume,
 )
 from hexbubble.solver import embedded_value, find_alpha0, kissing_value, solve
 

@@ -156,15 +156,15 @@ def test_verify_seed_env_override(monkeypatch, capsys):
 
 
 def test_verify_catches_distorted_formula(monkeypatch, capsys):
-    import hexbubble.kissing as kissing_mod
+    import hexbubble.checks as checks_mod
 
-    real = kissing_mod.equal_perimeters
+    real = checks_mod.equal_perimeters
 
     def distorted(L, alpha):
         p3, p4, p5, p6 = real(L, alpha)
         return p3 + 1e-6, p4, p5, p6
 
-    monkeypatch.setattr(kissing_mod, "equal_perimeters", distorted)
+    monkeypatch.setattr(checks_mod, "equal_perimeters", distorted)
     code, out, _ = run_cli(["verify", "--suite", "quick", "--seed", "0"], capsys)
     assert code == 1
     assert "FAIL p3-dominance" in out
@@ -360,20 +360,32 @@ def test_solve_does_not_import_numpy(tmp_path):
 
 
 def test_only_verify_imports_the_checker(tmp_path):
-    # the solve command runs without checks and oracle; run_verify loads them
+    # solve, sweep, render, iso and a library find_alpha0 run without checks
+    # and oracle, which hold the paper's exclusions; run_verify loads them
     script = (
         "import contextlib, io, json, sys\n"
-        "from hexbubble import cli\n"
+        "from hexbubble import cli, find_alpha0\n"
         "loaded = lambda: sorted(m for m in ('hexbubble.checks', 'hexbubble.oracle') if m in sys.modules)\n"
+        "steps = {}\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    cli.main(['solve', '--alpha', '0.3', '--format', 'json'])\n"
-        "    before = loaded()\n"
+        "    for argv in (['solve', '--alpha', '0.3', '--format', 'json'],\n"
+        "                 ['sweep', '--from', '0.05', '--to', '1', '--steps', '5', '--out', 'sweep.csv'],\n"
+        "                 ['render', '--alpha', '0.152', '--out', 'pair.svg'],\n"
+        "                 ['iso', '--volume', '2', '--out', 'hexagon.svg']):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "        steps[argv[0]] = loaded()\n"
+        "    find_alpha0()\n"
+        "    steps['find_alpha0'] = loaded()\n"
         "    cli.main(['verify', '--suite', 'quick'])\n"
-        "print(json.dumps([before, loaded()]))\n"
+        "    steps['verify'] = loaded()\n"
+        "print(json.dumps(steps))\n"
     )
     proc = _run_child(["-c", script], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[], ["hexbubble.checks", "hexbubble.oracle"]]
+    assert json.loads(proc.stdout) == {
+        "solve": [], "sweep": [], "render": [], "iso": [], "find_alpha0": [],
+        "verify": ["hexbubble.checks", "hexbubble.oracle"],
+    }
 
 
 @pytest.mark.skipif(os.name != "posix", reason="needs a POSIX pipe")

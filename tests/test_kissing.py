@@ -7,19 +7,17 @@ import pytest
 
 from conftest import SQRT3, golden_min_1d
 from hexbubble import checks, kissing, solver
-from hexbubble.checks import build_degree8, horner
+from hexbubble.checks import build_degree8, equal_perimeters, horner, unequal_candidates
 from hexbubble.hexnorm import double_bubble_perimeter, polygon_area
 from hexbubble.kissing import (
     BRANCH_EQUAL,
     BRANCH_UNEQUAL,
     HANDOFF_ALPHA,
-    equal_perimeters,
     kissing_geometry,
     kissing_minimum,
     kissing_perimeter,
     p3_minimizer,
     small_alpha_closed_form,
-    unequal_candidates,
 )
 from hexbubble.oracle import Lcg, grid_refine_min
 from hexbubble.singlebubble import is_six_sided, optimal_perimeter
@@ -121,7 +119,7 @@ def test_p3_minimizer_does_not_iterate(monkeypatch):
     def iterate(*args):
         raise AssertionError("p3_minimizer called a root-finder")
 
-    monkeypatch.setattr(solver, "newton_root", iterate)
+    monkeypatch.setattr(solver, "_difference_and_slope", iterate)
     assert not hasattr(kissing, "newton_root")
     # 0.5625 = 9/16 is where the closed form switches its 1 - K formula
     ratios = (5e-324, 1e-310, 1e-100, 1e-12, 0.01, 0.125,
@@ -193,9 +191,13 @@ def test_candidates_collapse_at_the_handoff():
 
 
 def test_small_alpha_branch():
+    # kissing_minimum's closed-form sides against the checker's stationary
+    # table, which derives them apart; the fixed ratios add one near the
+    # smallest that MIN_SIDE admits for L2 (about 3.2e-17) and one just
+    # below the handoff
     rng = Lcg(83)
-    for _ in range(20):
-        alpha = rng.uniform(1e-4, 0.125 - 1e-9)
+    draws = [rng.uniform(1e-4, 0.125 - 1e-9) for _ in range(20)]
+    for alpha in draws + [1e-16, 1e-12, 0.125 * (1.0 - 1e-11)]:
         sol = kissing_minimum(alpha)
         assert sol.branch == BRANCH_UNEQUAL
         row = unequal_candidates(alpha)[1]
@@ -368,7 +370,7 @@ def test_degree8_certificate_is_independent_of_newton(monkeypatch):
     def refuse(*args):
         raise AssertionError("the certificate called the solver's P3 route")
 
-    monkeypatch.setattr(solver, "newton_root", refuse)
+    monkeypatch.setattr(solver, "_difference_and_slope", refuse)
     monkeypatch.setattr(kissing, "p3_minimizer", refuse)
     for alpha, L in minimizers.items():
         assert checks.degree8_certificate(alpha, L) == (True, "")

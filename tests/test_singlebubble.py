@@ -5,6 +5,7 @@ import math
 import pytest
 
 from conftest import SQRT3, golden_min_1d
+from hexbubble.checks import x4_from_volume
 from hexbubble.hexnorm import hex_norm, polygon_area, polyline_length
 from hexbubble.oracle import Lcg, grid_refine_min
 from hexbubble.singlebubble import (
@@ -16,7 +17,6 @@ from hexbubble.singlebubble import (
     perimeter_P1,
     perimeter_P2,
     solve_fixed_side,
-    x4_from_volume,
 )
 
 
