@@ -6,7 +6,9 @@ polynomial, or measurement of the built cells.  The exclusions are the
 configurations that the paper's reduction rules out, so `solve` never
 evaluates them: the glued pair's other stationary rows and its diagonal
 branches P4..P6 (unequal_candidates, equal_perimeters), the degenerate
-nested variant and the off-center notch.  The solver path (hexnorm,
+nested variant and the off-center notch.  The glued pair's perimeter
+summed from its two cells (kissing_perimeter) is here too: the solver
+takes that value in closed form.  The solver path (hexnorm,
 singlebubble, kissing, embedded, solver) holds only what `solve`
 evaluates and imports nothing from here or from `oracle`, so the
 checkers stay independent of what they check.  `run_verify` runs a suite
@@ -94,6 +96,16 @@ def _embedded_objective(alpha: float) -> Posed:
         return outer + inner - L1
 
     return objective, (1e-3, 1e-3), (cap1 * (1.0 + 1e-9), 3.0)
+
+
+def kissing_perimeter(L1: float, L2: float, alpha: float) -> float:
+    """Glued-pair perimeter with each cell in its active regime."""
+    check_alpha(alpha)
+    return (
+        singlebubble.optimal_perimeter(L1, 1.0)
+        + singlebubble.optimal_perimeter(L2, alpha)
+        - min(L1, L2)
+    )
 
 
 def _kissing_objective(alpha: float) -> Posed:
@@ -346,10 +358,10 @@ def _chk_regime_continuity(rng: Lcg) -> tuple[bool, str]:
 def _chk_small_alpha(rng: Lcg) -> tuple[bool, str]:
     for _ in range(8):
         a = rng.uniform(1e-3, 0.124)
-        got = kissing.kissing_minimum(a).perimeter
-        want = kissing.small_alpha_closed_form(a)
-        if abs(got - want) > 1e-12:
-            return False, f"closed form off by {fmt(got - want)} at alpha={fmt(a)}"
+        sol = kissing.kissing_minimum(a)
+        want = kissing_perimeter(sol.L1, sol.L2, a)
+        if abs(sol.perimeter - want) > 1e-12:
+            return False, f"closed form off by {fmt(sol.perimeter - want)} at alpha={fmt(a)}"
     return True, ""
 
 
@@ -360,7 +372,7 @@ def _chk_p3_dominance(rng: Lcg) -> tuple[bool, str]:
         for i in range(8):
             L = Lmax * (0.4 + 0.59 * i / 7.0)
             p3, _, p5, p6 = equal_perimeters(L, a)
-            direct = kissing.kissing_perimeter(L, L, a)
+            direct = kissing_perimeter(L, L, a)
             if abs(p3 - direct) > 1e-9:
                 return False, f"P3 disagrees with the glued-pair perimeter at L={fmt(L)}, alpha={fmt(a)}"
             if p5 is not None and p3 > p5 + 1e-12:

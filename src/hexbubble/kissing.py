@@ -9,10 +9,11 @@ Popt being the active single-cell regime.  The global optimum is the
 unequal stationary pair below alpha = 1/8 and the minimizer of the
 equal-side branch P3 (both cells six-sided) at or above it; the two agree
 at the handoff.  This module holds only what the solver evaluates: those
-two closed forms and the cells they build.  The paper's exclusions, the
-eight-row stationary table in (L1, L2) and the diagonal branches P4..P6
-that P3 dominates, live with the checker (checks.unequal_candidates,
-checks.equal_perimeters).
+two closed forms in alpha, which call no single-cell routine, and the
+cells they build.  The sum above (checks.kissing_perimeter) and the
+paper's exclusions, the eight-row stationary table in (L1, L2) and the
+diagonal branches P4..P6 that P3 dominates, live with the checker
+(checks.unequal_candidates, checks.equal_perimeters).
 
 Clearing the radicals in dP3/dL = 0 leaves a quartic in L^2 with one
 positive root; the solver takes the P3 minimizer as that root in closed
@@ -27,7 +28,7 @@ import math
 from typing import NamedTuple
 
 from .hexnorm import SQRT3, PolyChain, anchored_pair
-from .singlebubble import check_alpha, fixed_side_vertices, optimal_perimeter, solve_fixed_side
+from .singlebubble import check_alpha, fixed_side_vertices, solve_fixed_side
 
 # alpha at which the unequal candidate collapses onto the diagonal
 HANDOFF_ALPHA = 0.125
@@ -38,16 +39,6 @@ P3_VOLUME_TERM = 28.0 * SQRT3 / 3.0
 
 BRANCH_UNEQUAL = "unequal-candidate"
 BRANCH_EQUAL = "equal-p3"
-
-
-def kissing_perimeter(L1: float, L2: float, alpha: float) -> float:
-    """Glued-pair perimeter with each cell in its active regime."""
-    check_alpha(alpha)
-    return (
-        optimal_perimeter(L1, 1.0)
-        + optimal_perimeter(L2, alpha)
-        - min(L1, L2)
-    )
 
 
 def small_alpha_closed_form(alpha: float) -> float:
@@ -182,15 +173,16 @@ def kissing_minimum(alpha: float) -> KissingSolution:
     alpha/9 for cell B (V = alpha, i = 1).  L2 < L1 exactly when
     alpha < 1/8, and B sits on its regime boundary 3 sqrt(3) L^2 = 16 V,
     where the six- and four-sided forms agree.  (checks.unequal_candidates
-    holds all eight stationary rows with their admissibility.)  At and
-    above 1/8 the diagonal P3 minimizer wins.  The two agree at the
-    handoff, where the candidate collapses onto the diagonal.
+    holds all eight stationary rows with their admissibility.)  The pair's
+    perimeter there is the closed form 2 3^(1/4) (sqrt(2) + sqrt(alpha)),
+    which no side floor limits.  At and above 1/8 the diagonal P3
+    minimizer wins.  The two agree at the handoff, where the candidate
+    collapses onto the diagonal.
     """
     check_alpha(alpha)
     if alpha < HANDOFF_ALPHA * (1.0 - HANDOFF_TOL):
         L1 = math.sqrt(4.0 * SQRT3 / 18.0)
         L2 = math.sqrt(4.0 * SQRT3 * alpha * 4.0 / 9.0)
-        perimeter = kissing_perimeter(L1, L2, alpha)
-        return KissingSolution(alpha, L1, L2, perimeter, BRANCH_UNEQUAL)
+        return KissingSolution(alpha, L1, L2, small_alpha_closed_form(alpha), BRANCH_UNEQUAL)
     L, perimeter = p3_minimizer(alpha)
     return KissingSolution(alpha, L, L, perimeter, BRANCH_EQUAL)

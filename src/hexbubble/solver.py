@@ -29,10 +29,10 @@ TIE_TOL = 1e-9
 ALPHA0_BRACKET = (0.1, 0.3)
 ALPHA0_TOL = 1e-9
 
-# cap on find_alpha0's Newton steps; it takes at most 4 at its default
-# tol (9 at 1e-15), counted over the default bracket and 200 random ones
-# in [0.10, 0.15] x [0.155, 0.30]; bisection alone narrows any bracket to
-# adjacent floats in under 60
+# cap on find_alpha0's Newton steps; it takes at most 4 to ALPHA0_TOL,
+# counted over the default bracket and 200 random ones in [0.10, 0.15] x
+# [0.155, 0.30]; bisection alone narrows any bracket to adjacent floats in
+# under 60
 NEWTON_MAX_ITER = 60
 
 FMT = "%.12g"  # every number in solve, sweep, iso and verify output
@@ -89,20 +89,12 @@ def _kissing_entry(sol: kissing_mod.KissingSolution) -> SolutionEntry:
 def solve(alpha: float) -> DoubleBubbleResult:
     """Optimal double bubble at ratio alpha; ties within 1e-9 report both.
 
-    The comparison set always holds both cases; below the 1/8 handoff the
-    kissing side is the unequal candidate, whose closed form is surfaced
-    separately in `candidates`.  Cells are built only for the reported
-    entries.
+    `candidates` holds both cases' minima; cells are built only for the
+    reported entries.
     """
     check_alpha(alpha)
     emb = embedded_mod.embedded_minimum(alpha)
     kis = kissing_mod.kissing_minimum(alpha)
-    candidates: dict[str, float] = {
-        CASE_EMBEDDED: emb.perimeter,
-        CASE_KISSING: kis.perimeter,
-    }
-    if kis.branch == kissing_mod.BRANCH_UNEQUAL:
-        candidates["kissing-closed-form"] = kissing_mod.small_alpha_closed_form(alpha)
     diff = emb.perimeter - kis.perimeter
     if abs(diff) <= TIE_TOL:
         case = CASE_BOTH
@@ -119,7 +111,7 @@ def solve(alpha: float) -> DoubleBubbleResult:
         min(emb.perimeter, kis.perimeter),
         entries,
         entries[0].joint_length,
-        candidates,
+        {CASE_EMBEDDED: emb.perimeter, CASE_KISSING: kis.perimeter},
     )
 
 
@@ -139,11 +131,7 @@ def _difference_and_slope(alpha: float) -> tuple[float, float]:
     return g, 4.0 * SQRT3 / (3.0 * emb.L1) - 2.0 * SQRT3 / (3.0 * u2)
 
 
-def find_alpha0(
-    lo: float = ALPHA0_BRACKET[0],
-    hi: float = ALPHA0_BRACKET[1],
-    tol: float = ALPHA0_TOL,
-) -> float:
+def find_alpha0(lo: float = ALPHA0_BRACKET[0], hi: float = ALPHA0_BRACKET[1]) -> float:
     """The crossover ratio: embedded below, kissing above.
 
     Safeguarded Newton steps run on g = embedded_value - kissing_value,
@@ -157,17 +145,14 @@ def find_alpha0(
     bisection (Brent 1973).  Each step evaluates both minima in closed
     form, so g costs no inner iteration.
 
-    tol is the step size at which the iteration stops, returning the point
-    that step reached; an exact zero of g or a step of 2 ulp or less stops
-    it too.  After a Newton step that small the error is of order tol^2;
-    after a bisection step it is at most tol.  The default 1e-9 lands on
+    The iteration stops at a step of ALPHA0_TOL = 1e-9 or less, returning
+    the point that step reached; an exact zero of g or a step of 2 ulp or
+    less stops it too.  After a Newton step that small the error is of
+    order 1e-18; after a bisection step it is at most 1e-9.  It lands on
     alpha0 to the rounding of g, a few 1e-15.
 
-    Raises if the bracket does not straddle the sign change, or if tol is
-    not positive and finite.
+    Raises if the bracket does not straddle the sign change.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError("tol must be positive and finite")
     gx, slope = _difference_and_slope(lo)
     ghi, _ = _difference_and_slope(hi)
     if not (gx < 0.0 < ghi):
@@ -186,8 +171,8 @@ def find_alpha0(
             # alone can send a step there, and the latter would cycle
             step = 0.5 * (lo + hi)
         x, dx = step, abs(step - x)
-        # two comparisons: max(tol, ...) would add a builtin call per step
-        if dx <= tol or dx <= 2.0 * math.ulp(x):
+        # two comparisons: max(ALPHA0_TOL, ...) would add a builtin call per step
+        if dx <= ALPHA0_TOL or dx <= 2.0 * math.ulp(x):
             break
         gx, slope = _difference_and_slope(x)
     return x

@@ -15,6 +15,7 @@ from hexbubble.checks import (
     build_degree8,
     equal_perimeters,
     horner,
+    kissing_perimeter,
     unequal_candidates,
     x4_from_volume,
 )
@@ -30,7 +31,6 @@ from hexbubble.hexnorm import (
 from hexbubble.kissing import (
     kissing_geometry,
     kissing_minimum,
-    kissing_perimeter,
     p3_minimizer,
     small_alpha_closed_form,
 )

@@ -171,6 +171,23 @@ def test_verify_catches_distorted_formula(monkeypatch, capsys):
     assert "result: FAIL" in out
 
 
+def test_verify_reports_a_crashed_check(monkeypatch, capsys):
+    # bench/workloads.py tells "raised, not wrong" apart by this line's text
+    import hexbubble.checks as checks_mod
+
+    def crashing(rng):
+        raise ValueError("no such cell")
+
+    quick = [(name, crashing if name == "regime-continuity" else check)
+             for name, check in checks_mod._SUITES["quick"]]
+    monkeypatch.setitem(checks_mod._SUITES, "quick", quick)
+    code, out, _ = run_cli(["verify", "--suite", "quick", "--seed", "0"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert "FAIL regime-continuity: raised ValueError: no such cell" in lines
+    assert lines[-1] == "result: FAIL (9/10)"
+
+
 # ---------------------------------------------------------------- render
 
 
@@ -275,6 +292,9 @@ def test_exit_codes(tmp_path, capsys):
     assert run_cli(
         ["render", "--alpha", "0.5", "--out", "/nonexistent-dir/x.svg"], capsys
     )[0] == 3
+    out_of_domain = tmp_path / "bad.svg"
+    assert run_cli(["render", "--alpha", "1.5", "--out", str(out_of_domain)], capsys)[0] == 2
+    assert not out_of_domain.exists()
     code, out, err = run_cli(["iso", "--out", "/nonexistent-dir/x.svg"], capsys)
     assert code == 3
     assert out.startswith("L0        = ")

@@ -7,7 +7,13 @@ import pytest
 
 from conftest import SQRT3, golden_min_1d
 from hexbubble import checks, kissing, solver
-from hexbubble.checks import build_degree8, equal_perimeters, horner, unequal_candidates
+from hexbubble.checks import (
+    build_degree8,
+    equal_perimeters,
+    horner,
+    kissing_perimeter,
+    unequal_candidates,
+)
 from hexbubble.hexnorm import double_bubble_perimeter, polygon_area
 from hexbubble.kissing import (
     BRANCH_EQUAL,
@@ -15,7 +21,6 @@ from hexbubble.kissing import (
     HANDOFF_ALPHA,
     kissing_geometry,
     kissing_minimum,
-    kissing_perimeter,
     p3_minimizer,
     small_alpha_closed_form,
 )
@@ -192,8 +197,9 @@ def test_candidates_collapse_at_the_handoff():
 
 def test_small_alpha_branch():
     # kissing_minimum's closed-form sides against the checker's stationary
-    # table, which derives them apart; the fixed ratios add one near the
-    # smallest that MIN_SIDE admits for L2 (about 3.2e-17) and one just
+    # table, which derives them apart, and its closed-form value against
+    # the two cells summed at those sides; the fixed ratios add one near
+    # the smallest that MIN_SIDE admits for L2 (about 3.2e-17) and one just
     # below the handoff
     rng = Lcg(83)
     draws = [rng.uniform(1e-4, 0.125 - 1e-9) for _ in range(20)]
@@ -202,7 +208,8 @@ def test_small_alpha_branch():
         assert sol.branch == BRANCH_UNEQUAL
         row = unequal_candidates(alpha)[1]
         assert (sol.L1, sol.L2) == (row.L1, row.L2)
-        assert abs(sol.perimeter - small_alpha_closed_form(alpha)) <= 1e-12
+        assert sol.perimeter == small_alpha_closed_form(alpha)
+        assert abs(sol.perimeter - kissing_perimeter(sol.L1, sol.L2, alpha)) <= 1e-12
     sol = kissing_minimum(1.0 / 16.0)
     assert abs(sol.perimeter - 2.0 * 3.0 ** 0.25 * (math.sqrt(2.0) + 0.25)) <= 1e-12
 
@@ -342,6 +349,7 @@ def test_degree8_random_alpha():
 
 
 def test_degree8_certificate_property():
+    # also: the glued value is finite at every ratio, however small
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     log_uniform = st.floats(min_value=math.log10(5e-324), max_value=0.0).map(
@@ -360,6 +368,7 @@ def test_degree8_certificate_property():
         # a minimizer off by 1e-6 relative lies outside the 1e-8 bracket
         assert not _brackets(cs, L * (1.0 + 1e-6))
         assert not checks.degree8_certificate(alpha, L * (1.0 + 1e-6))[0]
+        assert math.isfinite(solver.kissing_value(alpha))
 
     check()
 

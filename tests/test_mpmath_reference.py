@@ -68,7 +68,8 @@ def test_find_alpha0_lands_on_the_50_digit_root():
         alpha0 = mp.findroot(lambda a: _rho1_min(a) - _p3_min(a), mp.mpf("0.15"))
         assert abs(alpha0 - mp.mpf("0.152457211433471419015546700016683880096")) <= mp.mpf("1e-38")
         rng = Lcg(6)
-        brackets = [(0.1, 0.3)] + [
+        # g decreases at lo = 0.001, 0.01 and 0.03, so their first step bisects
+        brackets = [(0.1, 0.3), (0.001, 0.3), (0.01, 0.3), (0.03, 0.3)] + [
             (rng.uniform(0.10, 0.15), rng.uniform(0.155, 0.30)) for _ in range(32)
         ]
         for lo, hi in brackets:

@@ -7,9 +7,9 @@ import re
 import pytest
 
 from hexbubble import checks, embedded, hexnorm, kissing, singlebubble
-from hexbubble.checks import x4_from_volume
+from hexbubble.checks import kissing_perimeter, x4_from_volume
 from hexbubble.embedded import embedded_geometry, minimize_rho1
-from hexbubble.kissing import kissing_geometry, kissing_minimum, kissing_perimeter
+from hexbubble.kissing import kissing_geometry, kissing_minimum
 from hexbubble.oracle import Lcg, grid_refine_min, perturb_local_min
 from hexbubble.singlebubble import solve_fixed_side
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from hexbubble import embedded, hexnorm, solver
+from hexbubble import embedded, hexnorm, kissing, singlebubble, solver
 from hexbubble.embedded import minimize_rho1
 from hexbubble.hexnorm import PolyChain, double_bubble_perimeter, polygon_area
 from hexbubble.kissing import kissing_geometry, kissing_minimum, small_alpha_closed_form
@@ -46,13 +46,14 @@ def test_frozen_anchor_solutions():
 
 def test_candidates_map():
     r = solve(0.05)
-    assert set(r.candidates) == {"embedded", "kissing", "kissing-closed-form"}
-    assert r.candidates["kissing-closed-form"] == small_alpha_closed_form(0.05)
-    assert r.candidates["kissing"] == r.candidates["kissing-closed-form"]
+    assert set(r.candidates) == {"embedded", "kissing"}
+    assert r.candidates["kissing"] == small_alpha_closed_form(0.05)
     assert abs(r.candidates["embedded"] - r.perimeter) <= 1e-15
     r = solve(0.3)
     assert set(r.candidates) == {"embedded", "kissing"}
     assert abs(r.candidates["kissing"] - r.perimeter) <= 1e-15
+    for alpha in (1e-12, 0.1, 0.125 * (1.0 - 1e-11), 0.125, 0.15245721143346874, 1.0):
+        assert set(solve(alpha).candidates) == {"embedded", "kissing"}, alpha
 
 
 # ---------------------------------------------------------------- transition
@@ -93,11 +94,21 @@ def test_exactly_one_sign_change():
 
 def test_solver_path_never_evaluates_rho2(monkeypatch):
     # the paper excludes rho2, so solve, sweep and find_alpha0 run on rho1
-    # alone, even at the doubles just below 1 where rho2 rounds 1-2 ulp below
+    # alone, even at the doubles just below 1 where rho2 rounds 1-2 ulp below;
+    # and both values are closed forms in alpha, so none sums single cells
     def excluded(alpha):
         raise AssertionError("rho2_minimum evaluated on the solver path")
 
+    def summed(L, V):
+        raise AssertionError("optimal_perimeter evaluated on the value path")
+
     monkeypatch.setattr(embedded, "rho2_minimum", excluded)
+    # a module that imported the name itself would keep the original
+    for mod in (singlebubble, embedded, kissing, solver):
+        monkeypatch.setattr(mod, "optimal_perimeter", summed, raising=False)
+    for alpha in (5e-324, 1e-300, 1e-17, 0.05, 0.125, 0.3, 1.0):
+        assert math.isfinite(kissing_value(alpha)), alpha
+        assert math.isfinite(embedded_value(alpha)), alpha
     near_one = (
         0.9999999999999999, 0.9999999999999998, 0.9999999999999982, 0.9999999999999981
     )
@@ -114,7 +125,7 @@ def test_solver_path_never_evaluates_rho2(monkeypatch):
         return g(alpha)
 
     monkeypatch.setattr(solver, "_difference_and_slope", counting)
-    assert find_alpha0() == 0.152457211433471
+    assert find_alpha0() == 0.15245721143346874
     assert len(calls) == 5  # both bracket ends, then three Newton steps
 
 
@@ -216,14 +227,6 @@ def test_build_figure_geometry():
     total, joint = double_bubble_perimeter(a, b)
     assert abs(total - r.perimeter) <= 1e-9
     assert abs(joint - r.joint_length) <= 1e-9
-
-
-def test_find_alpha0_rejects_unreachable_tolerances():
-    # nan first: on a build without the check it returns at once instead of
-    # bisecting forever as the nonpositive ones do
-    for tol in (math.nan, 0.0, -1e-9, math.inf):
-        with pytest.raises(ValueError, match="tol"):
-            find_alpha0(tol=tol)
 
 
 def test_solve_builds_only_the_reported_cells(monkeypatch):
