@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 SQRT3 = math.sqrt(3.0)
@@ -43,10 +42,7 @@ class PlanePoint(NamedTuple):
     y: float
 
 
-# PlanePoint(*p) for a pair p, without the length check of PlanePoint._make
-_plane_point = partial(tuple.__new__, PlanePoint)
-
-# the rules _certified_simple can prove a closed chain simple by
+# the rules by which PolyChain's certificate proves a closed chain simple
 CONVEX = "convex"
 NOTCHED = "notched"
 
@@ -116,18 +112,21 @@ class _EdgeData:
 class PolyChain:
     """Ordered vertex chain; closed chains must be simple polygons.
 
-    Vertices may be any float pairs and are stored as PlanePoints.  A
-    single-vertex open chain is the degenerate geodesic from a point to
-    itself (length 0).  Closed chains need three or more vertices, no
-    repeated closing vertex, and no self-intersection.
+    Vertices may be any iterable of float pairs and are stored as
+    PlanePoints.  A single-vertex open chain is the degenerate geodesic
+    from a point to itself (length 0).  Closed chains need three or more
+    vertices, no repeated closing vertex, and no self-intersection.
 
-    A closed chain that _certified_simple accepts skips the O(n^2)
-    _self_overlaps scan, and records which rule it passed in `certified`:
-    CONVEX or NOTCHED (convex but for one notch), or None when the
-    certificate declined or the chain is open.  The metric reads it (see
-    "edge predicates" below).  The edge data that the metric reads, the
-    rows, the D-length and the vertex box, is built on first read in one
-    pass, so a chain whose vertices alone are read never builds it.
+    One pass over the vertices converts and checks each, makes its
+    PlanePoint and applies the certificate's convex rule (see "edge
+    predicates" below); only a chain with one right turn takes a second
+    pass, _notched's hull test.  A closed chain the certificate accepts
+    skips the O(n^2) _self_overlaps scan, and records which rule it passed
+    in `certified`: CONVEX or NOTCHED (convex but for one notch), or None
+    when it declined or the chain is open.  The edge data that the metric
+    reads, the rows, the D-length and the vertex box, is built on first
+    read in one pass, so a chain whose vertices alone are read never
+    builds it.
     """
 
     vertices: tuple[PlanePoint, ...]
@@ -140,32 +139,57 @@ class PolyChain:
     _box = _EdgeData()
 
     def __post_init__(self) -> None:
-        pts = [(float(v[0]), float(v[1])) for v in self.vertices]
+        given = tuple(self.vertices)  # any iterable of pairs, read once
         closed = self.closed
-        small = True  # every coordinate within +/-64, as _certified_simple needs
+        n = len(given)
+        certify = closed and n >= 3  # so far every coordinate within +/-64, and the rule holds
+        if certify:  # a closed chain's walk starts on its closing edge
+            a, b = given[-2], given[-1]
+            ax, ay, bx, by = float(a[0]), float(a[1]), float(b[0]), float(b[1])
+        else:  # an open chain's first vertex has no predecessor
+            ax = ay = bx = by = math.inf
+        fx, fy = bx - ax, by - ay
+        fsq = fx * fx + fy * fy
+        side = 64.0 * GEOM_TOL * GEOM_TOL  # (8 GEOM_TOL)^2
+        r = -1  # the one vertex whose turn is not left with sine >= 1/4
+        passes = 0  # edges whose direction passes angle 0
         coincide = False  # reported after the non-finite and count errors
-        # an open chain's first vertex has no predecessor
-        ax, ay = pts[-1] if closed and pts else (math.inf, math.inf)
-        for x, y in pts:
+        pts: list[PlanePoint] = []
+        append, point = pts.append, tuple.__new__  # point skips PlanePoint.__new__
+        for v in given:
+            x, y = float(v[0]), float(v[1])
             if not (-64.0 <= x <= 64.0 and -64.0 <= y <= 64.0):
                 if not (math.isfinite(x) and math.isfinite(y)):
                     raise ValueError("non-finite vertex")
-                small = False
-            if abs(x - ax) <= DEDUP_TOL and abs(y - ay) <= DEDUP_TOL:
-                coincide = True
-            ax, ay = x, y
+                certify = False
+            ex, ey = x - bx, y - by
+            sq = ex * ex + ey * ey
+            if sq < side:  # a coinciding pair is shorter still
+                certify = False
+                if abs(ex) <= DEDUP_TOL and abs(ey) <= DEDUP_TOL:
+                    coincide = True
+            c = fx * ey - fy * ex  # the turn at (bx, by)
+            if not (c > 0.0 and 16.0 * c * c >= fsq * sq):
+                if c >= 0.0 or r >= 0:
+                    certify = False
+                r = len(pts) - 1 if pts else n - 1
+            if fy < 0.0 <= ey:
+                passes += 1
+            append(point(PlanePoint, (x, y)))
+            fx, fy, fsq, bx, by = ex, ey, sq, x, y
         if closed:
-            if len(pts) < 3:
+            if n < 3:
                 raise ValueError("closed chain needs at least 3 vertices")
-        elif not pts:
+        elif not n:
             raise ValueError("chain needs at least 1 vertex")
         if coincide:
             raise ValueError("consecutive vertices coincide")
-        object.__setattr__(self, "vertices", tuple(map(_plane_point, pts)))
+        object.__setattr__(self, "vertices", tuple(pts))
         if closed:
-            certified = _certified_simple(pts) if small else None
-            if certified:
-                object.__setattr__(self, "certified", certified)
+            if certify:
+                certify = _notched(pts, r) if r >= 0 else CONVEX if passes == 1 else None
+            if certify:
+                object.__setattr__(self, "certified", certify)
             elif _self_overlaps(self._rows):
                 raise ValueError("closed chain is not simple")
 
@@ -175,15 +199,16 @@ class PolyChain:
 
 
 def _edge_data(chain: PolyChain) -> None:
-    # the one rows pass: one float row per edge (see "edge predicates"
-    # below) for every edge loop, the edges' D-lengths (hex_norm, inlined)
-    # summed as polyline_length reports them, and the vertices' box
+    # the one rows pass, in chain order (a closed chain's closing edge last):
+    # one float row per edge (see "edge predicates" below), the edges'
+    # D-lengths (hex_norm, inlined) as polyline_length sums them, and the box
     vs = chain.vertices
-    closed = chain.closed
     rows = []
     norms = []
-    ax, ay = vs[-1] if closed else vs[0]
-    for bx, by in vs if closed else vs[1:]:
+    ax, ay = vs[0]
+    x0 = x1 = ax
+    y0 = y1 = ay
+    for bx, by in vs[1:] + vs[:1] if chain.closed else vs[1:]:
         ex, ey = bx - ax, by - ay
         length = math.hypot(ex, ey)
         rows.append((
@@ -193,14 +218,19 @@ def _edge_data(chain: PolyChain) -> None:
         h = abs(ey) / SQRT3
         d = abs(ex) + h
         norms.append(d if d >= 2.0 * h else 2.0 * h)
+        if bx < x0:
+            x0 = bx
+        elif bx > x1:
+            x1 = bx
+        if by < y0:
+            y0 = by
+        elif by > y1:
+            y1 = by
         ax, ay = bx, by
-    if closed:
-        rows.append(rows.pop(0))  # the closing edge last
-    xs, ys = zip(*vs)
     data = chain.__dict__
     data["_rows"] = tuple(rows)
     data["_length"] = math.fsum(norms)
-    data["_box"] = (min(xs), max(xs), min(ys), max(ys))
+    data["_box"] = (x0, x1, y0, y1)
 
 
 def merge_vertices(points: Iterable[Sequence[float]], closed: bool) -> list[tuple[float, float]]:
@@ -210,11 +240,12 @@ def merge_vertices(points: Iterable[Sequence[float]], closed: bool) -> list[tupl
     lengths (boundary cases of the solvers) thus collapse cleanly.
     """
     pts: list[tuple[float, float]] = []
+    px = py = math.inf  # the last point kept; the first point has none
     for p in points:
         x, y = float(p[0]), float(p[1])
-        if pts and abs(pts[-1][0] - x) <= DEDUP_TOL and abs(pts[-1][1] - y) <= DEDUP_TOL:
-            continue
-        pts.append((x, y))
+        if not (abs(px - x) <= DEDUP_TOL and abs(py - y) <= DEDUP_TOL):
+            pts.append((x, y))
+            px, py = x, y
     if closed and len(pts) > 1:
         (fx, fy), (lx, ly) = pts[0], pts[-1]
         if abs(fx - lx) <= DEDUP_TOL and abs(fy - ly) <= DEDUP_TOL:
@@ -459,7 +490,7 @@ def point_in_polygon(p: Sequence[float], poly: PolyChain) -> bool:
 # coordinates well under GEOM_TOL / 2**-52 (about 4.5e6); solver cells are
 # O(1).  Horizontal edges have boxes of zero height, so no pad may be 0.
 #
-# Two tests read what PolyChain recorded from _certified_simple (below),
+# Two tests read what PolyChain recorded from its certificate (below),
 # which passes only chains with coordinates within +/-64:
 #
 # - double_bubble_perimeter skips _orientation when both chains are
@@ -487,10 +518,10 @@ def point_in_polygon(p: Sequence[float], poly: PolyChain) -> bool:
 #   point behind a notch is inside the chain but off a notch edge's line,
 #   so NOTCHED chains take _strictly_inside.
 #
-# _certified_simple answers "simple" in O(n), and only where
-# _self_overlaps would find nothing; otherwise it declines.  It needs every
-# coordinate within +/-64 and every side at least s = 8 GEOM_TOL long, and
-# one of two rules:
+# The certificate answers "simple" in O(n), and only where _self_overlaps
+# would find nothing; otherwise it declines.  It needs every coordinate
+# within +/-64 and every side at least s = 8 GEOM_TOL long, and one of two
+# rules:
 #
 # - Convex: every turn is left with sine at least 1/4 (turns of 14.5 to
 #   165.5 degrees), and the edge directions wind once.  With every turn in
@@ -500,6 +531,11 @@ def point_in_polygon(p: Sequence[float], poly: PolyChain) -> bool:
 #   and q.  The hull, the chain without r (the chord p -> q in place of the
 #   two notch edges), passes the convex rule, and r lies farther than
 #   GEOM_TOL * (8 + |e|) inside the line of each hull edge e.
+#
+# PolyChain's one pass takes every side and turn, the last vertex's too,
+# as its walk starts on the closing edge; each rule is over all of them,
+# so the order changes no answer.  A chain with exactly one failing turn,
+# a right one, then takes _notched's hull pass.
 #
 # Why _self_overlaps then finds nothing.  Its determinants are products of
 # two coordinate differences, below 2**15 in size, so they round by about
@@ -625,32 +661,11 @@ def _self_overlaps(rows: _EdgeRows) -> bool:
     return False
 
 
-def _certified_simple(pts: list[tuple[float, float]]) -> Optional[str]:
-    """CONVEX or NOTCHED only if closed chain pts, with coordinates within
-    +/-64, passes that rule above; None declines."""
-    side = 64.0 * GEOM_TOL * GEOM_TOL  # (8 GEOM_TOL)^2
-    n = len(pts)
-    r = -1  # the one vertex whose turn is not left with sine >= 1/4
-    passes = 0  # edges whose direction passes angle 0
-    (ax, ay), (bx, by) = pts[-2], pts[-1]
-    fx, fy = bx - ax, by - ay
-    fsq = fx * fx + fy * fy
-    for i, (cx, cy) in enumerate(pts):
-        ex, ey = cx - bx, cy - by
-        sq = ex * ex + ey * ey
-        if sq < side:
-            return None
-        c = fx * ey - fy * ex  # the turn at (bx, by), vertex i - 1
-        if not (c > 0.0 and 16.0 * c * c >= fsq * sq):
-            if c >= 0.0 or r >= 0:
-                return None
-            r = (i - 1) % n
-        if fy < 0.0 <= ey:
-            passes += 1
-        fx, fy, fsq, bx, by = ex, ey, sq, cx, cy
-    if r < 0:
-        return CONVEX if passes == 1 else None
-    if n < 4:
+def _notched(pts: list[PlanePoint], r: int) -> Optional[str]:
+    """NOTCHED only if closed chain pts, with coordinates within +/-64 and
+    every turn but the right turn at vertex r passing the convex rule above,
+    passes the one-notch rule's hull test; None declines."""
+    if len(pts) < 4:
         return None
     # one notch, a right turn at r: the hull, the chain without r, runs from
     # q around to p and closes with the chord p -> q; its turns other than
@@ -662,7 +677,7 @@ def _certified_simple(pts: list[tuple[float, float]]) -> Optional[str]:
     fx, fy, ex, ey = px - ax, py - ay, bx - qx, by - qy
     c1, c2 = fx * cy - fy * cx, cx * ey - cy * ex
     if not (
-        csq >= side
+        csq >= 64.0 * GEOM_TOL * GEOM_TOL  # (8 GEOM_TOL)^2
         and c1 > 0.0 and 16.0 * c1 * c1 >= (fx * fx + fy * fy) * csq
         and c2 > 0.0 and 16.0 * c2 * c2 >= csq * (ex * ex + ey * ey)
     ):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .hexnorm import SQRT3, LATTICE_DIRECTIONS, PolyChain, merge_vertices
+from .hexnorm import DEDUP_TOL, SQRT3, LATTICE_DIRECTIONS, PolyChain
 
 REGIME_SIX = "six-sided"
 REGIME_FOUR = "four-sided"
@@ -64,16 +64,21 @@ class SingleBubbleSolution(NamedTuple):
 def fixed_side_vertices(L: float, sides: tuple[float, ...]) -> list[tuple[float, float]]:
     """Vertices of the polygon from the fixed side plus the five free sides.
 
-    Zero-length sides collapse, so boundary-regime solutions come out as
-    quadrilaterals without special-casing.
+    Zero-length sides collapse as the walk goes, by merge_vertices' test,
+    so boundary-regime solutions come out as quadrilaterals without
+    special-casing.
     """
-    x, y = L, 0.0
-    pts = [(0.0, 0.0), (x, y)]
-    for k, s in enumerate(sides, start=1):
+    x = y = px = py = 0.0  # (px, py): the last vertex kept
+    pts = [(x, y)]
+    for k, s in enumerate((L, *sides)):
         dx, dy = LATTICE_DIRECTIONS[k % 6]
         x, y = x + s * dx, y + s * dy
-        pts.append((x, y))
-    return merge_vertices(pts, closed=True)
+        if not (abs(px - x) <= DEDUP_TOL and abs(py - y) <= DEDUP_TOL):
+            pts.append((x, y))
+            px, py = x, y
+    if len(pts) > 1 and abs(px) <= DEDUP_TOL and abs(py) <= DEDUP_TOL:
+        pts.pop()  # the last vertex closes onto the first
+    return pts
 
 
 def fixed_side_polygon(L: float, sides: tuple[float, ...]) -> PolyChain:

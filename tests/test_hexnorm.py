@@ -529,6 +529,26 @@ def test_make_chain_merges_near_duplicates():
     assert len(chain.vertices) == 4  # repeated start and closing vertex dropped
 
 
+@pytest.mark.parametrize("closed", [False, True])
+def test_chain_takes_any_iterable_of_pairs(closed):
+    # the one pass reads its input once, so generators and iterators build
+    # the same chain as a tuple, and int pairs come out as floats
+    pts = ((0.0, 0.0), (2.0, 0.0), (3.0, 2.0), (0.0, 1.0))
+    expected = PolyChain(pts, closed=closed)
+    given = (
+        (p for p in pts),
+        iter(pts),
+        [[int(x), int(y)] for x, y in pts],
+    )
+    for vertices in given:
+        chain = PolyChain(vertices, closed=closed)
+        assert chain.vertices == expected.vertices
+        assert all(type(c) is float for v in chain.vertices for c in v)
+        assert all(type(v) is PlanePoint for v in chain.vertices)
+        assert chain.certified == expected.certified
+        assert polyline_length(chain) == polyline_length(expected)
+
+
 def test_non_finite_vertex_rejected():
     with pytest.raises(ValueError, match="finite"):
         PolyChain((PlanePoint(0.0, 0.0), PlanePoint(math.inf, 0.0)), closed=False)
@@ -564,26 +584,28 @@ def _closed_rows(pts):
 
 
 def test_certified_chains_pass_the_full_scan(monkeypatch):
-    # wherever the O(n) certificate answers "simple", the O(n^2) scan it lets
-    # PolyChain skip finds nothing, and the chain is counterclockwise, as
-    # double_bubble_perimeter assumes when it skips _orientation; every
-    # closed chain built below, simple or not, goes through this check
+    # wherever the O(n) certificate in PolyChain's one pass answers "simple",
+    # the O(n^2) scan it lets PolyChain skip finds nothing, and the chain is
+    # counterclockwise, as double_bubble_perimeter assumes when it skips
+    # _orientation; every closed chain built below, simple or not, goes
+    # through this check
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    certify = hexnorm._certified_simple
+    validate = PolyChain.__post_init__
     certified = []
 
-    def checked(pts):
-        simple = certify(pts)
+    def checked(chain):
+        validate(chain)
+        simple = chain.certified
         if simple:
-            assert simple in (hexnorm.CONVEX, hexnorm.NOTCHED)
+            assert chain.closed and simple in (hexnorm.CONVEX, hexnorm.NOTCHED)
+            pts = chain.vertices
             rows = _closed_rows(pts)
             assert not hexnorm._self_overlaps(rows), pts
             assert hexnorm._orientation(rows) == 1.0, pts
             certified.append(pts)
-        return simple
 
-    monkeypatch.setattr(hexnorm, "_certified_simple", checked)
+    monkeypatch.setattr(PolyChain, "__post_init__", checked)
     settings = hypothesis.settings(derandomize=True, deadline=None, max_examples=60)
     seeds = st.integers(min_value=0, max_value=2**32)
 
