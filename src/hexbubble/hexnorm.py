@@ -20,7 +20,7 @@ whose interiors are disjoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 SQRT3 = math.sqrt(3.0)
@@ -92,117 +92,11 @@ def sextant(p: Sequence[float]) -> int:
     return 6
 
 
-class _EdgeData:
-    """A PolyChain attribute built on first read: the rows pass (_edge_data)
-    stores _rows, _length and _box in the chain's own __dict__, where later
-    reads find them before this non-data descriptor.  It is
-    functools.cached_property without the lock that Python 3.11 takes."""
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, chain: "PolyChain", owner: Optional[type] = None):
-        if chain is None:
-            return self
-        _edge_data(chain)
-        return chain.__dict__[self.name]
-
-
-@dataclass(frozen=True)
-class PolyChain:
-    """Ordered vertex chain; closed chains must be simple polygons.
-
-    Vertices may be any iterable of float pairs and are stored as
-    PlanePoints.  A single-vertex open chain is the degenerate geodesic
-    from a point to itself (length 0).  Closed chains need three or more
-    vertices, no repeated closing vertex, and no self-intersection.
-
-    One pass over the vertices converts and checks each, makes its
-    PlanePoint and applies the certificate's convex rule (see "edge
-    predicates" below); only a chain with one right turn takes a second
-    pass, _notched's hull test.  A closed chain the certificate accepts
-    skips the O(n^2) _self_overlaps scan, and records which rule it passed
-    in `certified`: CONVEX or NOTCHED (convex but for one notch), or None
-    when it declined or the chain is open.  The edge data that the metric
-    reads, the rows, the D-length and the vertex box, is built on first
-    read in one pass, so a chain whose vertices alone are read never
-    builds it.
-    """
-
-    vertices: tuple[PlanePoint, ...]
-    closed: bool = False
-    certified = None  # not a field: set by __post_init__ when a rule passes
-
-    # unannotated, so not fields: the edge data, built on first read
-    _rows = _EdgeData()
-    _length = _EdgeData()
-    _box = _EdgeData()
-
-    def __post_init__(self) -> None:
-        given = tuple(self.vertices)  # any iterable of pairs, read once
-        closed = self.closed
-        n = len(given)
-        certify = closed and n >= 3  # so far every coordinate within +/-64, and the rule holds
-        if certify:  # a closed chain's walk starts on its closing edge
-            a, b = given[-2], given[-1]
-            ax, ay, bx, by = float(a[0]), float(a[1]), float(b[0]), float(b[1])
-        else:  # an open chain's first vertex has no predecessor
-            ax = ay = bx = by = math.inf
-        fx, fy = bx - ax, by - ay
-        fsq = fx * fx + fy * fy
-        side = 64.0 * GEOM_TOL * GEOM_TOL  # (8 GEOM_TOL)^2
-        r = -1  # the one vertex whose turn is not left with sine >= 1/4
-        passes = 0  # edges whose direction passes angle 0
-        coincide = False  # reported after the non-finite and count errors
-        pts: list[PlanePoint] = []
-        append, point = pts.append, tuple.__new__  # point skips PlanePoint.__new__
-        for v in given:
-            x, y = float(v[0]), float(v[1])
-            if not (-64.0 <= x <= 64.0 and -64.0 <= y <= 64.0):
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    raise ValueError("non-finite vertex")
-                certify = False
-            ex, ey = x - bx, y - by
-            sq = ex * ex + ey * ey
-            if sq < side:  # a coinciding pair is shorter still
-                certify = False
-                if abs(ex) <= DEDUP_TOL and abs(ey) <= DEDUP_TOL:
-                    coincide = True
-            c = fx * ey - fy * ex  # the turn at (bx, by)
-            if not (c > 0.0 and 16.0 * c * c >= fsq * sq):
-                if c >= 0.0 or r >= 0:
-                    certify = False
-                r = len(pts) - 1 if pts else n - 1
-            if fy < 0.0 <= ey:
-                passes += 1
-            append(point(PlanePoint, (x, y)))
-            fx, fy, fsq, bx, by = ex, ey, sq, x, y
-        if closed:
-            if n < 3:
-                raise ValueError("closed chain needs at least 3 vertices")
-        elif not n:
-            raise ValueError("chain needs at least 1 vertex")
-        if coincide:
-            raise ValueError("consecutive vertices coincide")
-        object.__setattr__(self, "vertices", tuple(pts))
-        if closed:
-            if certify:
-                certify = _notched(pts, r) if r >= 0 else CONVEX if passes == 1 else None
-            if certify:
-                object.__setattr__(self, "certified", certify)
-            elif _self_overlaps(self._rows):
-                raise ValueError("closed chain is not simple")
-
-    def edges(self) -> Iterator[tuple[PlanePoint, PlanePoint]]:
-        vs = self.vertices
-        return zip(vs, vs[1:] + vs[:1] if self.closed else vs[1:])
-
-
-def _edge_data(chain: PolyChain) -> None:
+def _edge_data(chain: "PolyChain") -> None:
     # the one rows pass, in chain order (a closed chain's closing edge last):
     # one float row per edge (see "edge predicates" below), the edges'
     # D-lengths (hex_norm, inlined) as polyline_length sums them, and the box
-    vs = chain.vertices
+    vs = chain._pairs
     rows = []
     norms = []
     ax, ay = vs[0]
@@ -231,6 +125,152 @@ def _edge_data(chain: PolyChain) -> None:
     data["_rows"] = tuple(rows)
     data["_length"] = math.fsum(norms)
     data["_box"] = (x0, x1, y0, y1)
+
+
+def _plane_points(chain: "PolyChain") -> None:
+    # the vertices as PlanePoints, made from the stored pairs; tuple.__new__
+    # skips PlanePoint.__new__
+    point = tuple.__new__
+    chain.__dict__["vertices"] = tuple([point(PlanePoint, p) for p in chain._pairs])
+
+
+class _Built:
+    """A PolyChain attribute built on first read: build(chain) stores it, with
+    any attribute built in the same pass, in the chain's own __dict__, where
+    later reads find them before this non-data descriptor.  It is
+    functools.cached_property without the lock that Python 3.11 takes."""
+
+    def __init__(self, build) -> None:
+        self.build = build
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, chain: "PolyChain", owner: Optional[type] = None):
+        if chain is None:
+            return self
+        self.build(chain)
+        return chain.__dict__[self.name]
+
+
+class PolyChain:
+    """Ordered vertex chain; closed chains must be simple polygons.
+
+    Vertices may be any iterable of float pairs.  A single-vertex open
+    chain is the degenerate geodesic from a point to itself (length 0).
+    Closed chains need three or more vertices, no repeated closing vertex,
+    and no self-intersection.
+
+    One pass over the vertices converts and checks each, keeps it as a
+    plain (x, y) float pair in _pairs and applies the certificate's convex
+    rule (see "edge predicates" below); only a chain with one right turn
+    takes a second pass, _notched's hull test.  A closed chain the
+    certificate accepts skips the O(n^2) _self_overlaps scan, and records
+    which rule it passed in `certified`: CONVEX or NOTCHED (convex but for
+    one notch), or None when it declined or the chain is open.
+
+    Two things are built on first read, so a chain that is only measured
+    builds no PlanePoint: `vertices`, a tuple of PlanePoints with the same
+    floats as _pairs, and the edge data that the metric reads, the rows,
+    the D-length and the vertex box, in one pass over the edges.
+
+    A plain frozen class, not a dataclass: assigning or deleting an
+    attribute raises dataclasses.FrozenInstanceError, and equality, hash
+    and repr are a dataclass's over (vertices, closed).
+    """
+
+    __match_args__ = ("vertices", "closed")
+    certified = None  # set by __post_init__ when a rule passes
+
+    # built on first read
+    vertices = _Built(_plane_points)
+    _rows = _Built(_edge_data)
+    _length = _Built(_edge_data)
+    _box = _Built(_edge_data)
+
+    def __init__(self, vertices: Iterable[Sequence[float]], closed: bool = False) -> None:
+        data = self.__dict__
+        data["vertices"] = vertices
+        data["closed"] = closed
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        data = self.__dict__
+        given = tuple(data.pop("vertices"))  # any iterable of pairs, read once
+        closed = self.closed
+        n = len(given)
+        certify = closed and n >= 3  # so far every coordinate within +/-64, and the rule holds
+        if certify:  # a closed chain's walk starts on its closing edge
+            a, b = given[-2], given[-1]
+            ax, ay, bx, by = float(a[0]), float(a[1]), float(b[0]), float(b[1])
+        else:  # an open chain's first vertex has no predecessor
+            ax = ay = bx = by = math.inf
+        fx, fy = bx - ax, by - ay
+        fsq = fx * fx + fy * fy
+        side = 64.0 * GEOM_TOL * GEOM_TOL  # (8 GEOM_TOL)^2
+        r = -1  # the one vertex whose turn is not left with sine >= 1/4
+        passes = 0  # edges whose direction passes angle 0
+        coincide = False  # reported after the non-finite and count errors
+        pts: list[tuple[float, float]] = []
+        append = pts.append
+        for v in given:
+            x, y = float(v[0]), float(v[1])
+            if not (-64.0 <= x <= 64.0 and -64.0 <= y <= 64.0):
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ValueError("non-finite vertex")
+                certify = False
+            ex, ey = x - bx, y - by
+            sq = ex * ex + ey * ey
+            if sq < side:  # a coinciding pair is shorter still
+                certify = False
+                if abs(ex) <= DEDUP_TOL and abs(ey) <= DEDUP_TOL:
+                    coincide = True
+            c = fx * ey - fy * ex  # the turn at (bx, by)
+            if not (c > 0.0 and 16.0 * c * c >= fsq * sq):
+                if c >= 0.0 or r >= 0:
+                    certify = False
+                r = len(pts) - 1 if pts else n - 1
+            if fy < 0.0 <= ey:
+                passes += 1
+            append((x, y))
+            fx, fy, fsq, bx, by = ex, ey, sq, x, y
+        if closed:
+            if n < 3:
+                raise ValueError("closed chain needs at least 3 vertices")
+        elif not n:
+            raise ValueError("chain needs at least 1 vertex")
+        if coincide:
+            raise ValueError("consecutive vertices coincide")
+        data["_pairs"] = tuple(pts)
+        if closed:
+            if certify:
+                certify = _notched(pts, r) if r >= 0 else CONVEX if passes == 1 else None
+            if certify:
+                data["certified"] = certify
+            elif _self_overlaps(self._rows):
+                raise ValueError("closed chain is not simple")
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    # equality and hash read _pairs, which compare and hash as the PlanePoints do
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return (self._pairs, self.closed) == (other._pairs, other.closed)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self._pairs, self.closed))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(vertices={self.vertices!r}, closed={self.closed!r})"
+
+    def edges(self) -> Iterator[tuple[PlanePoint, PlanePoint]]:
+        vs = self.vertices
+        return zip(vs, vs[1:] + vs[:1] if self.closed else vs[1:])
 
 
 def merge_vertices(points: Iterable[Sequence[float]], closed: bool) -> list[tuple[float, float]]:
@@ -661,7 +701,7 @@ def _self_overlaps(rows: _EdgeRows) -> bool:
     return False
 
 
-def _notched(pts: list[PlanePoint], r: int) -> Optional[str]:
+def _notched(pts: list[tuple[float, float]], r: int) -> Optional[str]:
     """NOTCHED only if closed chain pts, with coordinates within +/-64 and
     every turn but the right turn at vertex r passing the convex rule above,
     passes the one-notch rule's hull test; None declines."""

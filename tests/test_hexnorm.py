@@ -1,6 +1,8 @@
 """Metric core: norm, sectors, geodesics, areas, circumscribed hexagons."""
 
+import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -24,9 +26,10 @@ from hexbubble.hexnorm import (
     sextant,
     shared_segments,
 )
-from hexbubble.oracle import Lcg
+from hexbubble.oracle import Lcg, perturb_local_min
 from hexbubble.singlebubble import fixed_side_polygon
 from hexbubble.kissing import kissing_geometry, kissing_minimum
+from hexbubble.solver import solve
 
 
 # ---------------------------------------------------------------- hex_norm
@@ -547,6 +550,73 @@ def test_chain_takes_any_iterable_of_pairs(closed):
         assert all(type(v) is PlanePoint for v in chain.vertices)
         assert chain.certified == expected.certified
         assert polyline_length(chain) == polyline_length(expected)
+
+
+@pytest.mark.parametrize(
+    "pts, closed, text",
+    [
+        (
+            ((0, 0), (2.5, 0.0), (3, 1)), False,
+            "PolyChain(vertices=(PlanePoint(x=0.0, y=0.0), PlanePoint(x=2.5, y=0.0), "
+            "PlanePoint(x=3.0, y=1.0)), closed=False)",
+        ),
+        (
+            ((0.0, 0.0), (2.0, 0.0), (3.0, 2.0), (0.0, 1.0)), True,
+            "PolyChain(vertices=(PlanePoint(x=0.0, y=0.0), PlanePoint(x=2.0, y=0.0), "
+            "PlanePoint(x=3.0, y=2.0), PlanePoint(x=0.0, y=1.0)), closed=True)",
+        ),
+    ],
+)
+def test_chain_keeps_the_dataclass_contract(pts, closed, text):
+    # PolyChain is a plain frozen class whose equality, hash and repr are
+    # those of the frozen dataclass it replaced, over (vertices, closed)
+    chain = PolyChain(pts, closed)
+    points = tuple(PlanePoint(float(x), float(y)) for x, y in pts)
+    assert chain.vertices == points
+    assert all(type(v) is PlanePoint for v in chain.vertices)
+    assert repr(chain) == text
+    assert hash(chain) == hash((points, closed))
+    assert chain == PolyChain(list(pts), closed)
+    assert chain != PolyChain(pts, not closed)
+    assert chain != PolyChain(pts[::-1], closed)
+    assert chain.__eq__((points, closed)) is NotImplemented
+    for name in ("vertices", "closed", "certified", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(chain, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(chain, name)
+    for fresh in (PolyChain(pts, closed), chain):  # vertices unread, then read
+        copy = pickle.loads(pickle.dumps(fresh))
+        assert copy == chain and copy.vertices == points and copy.certified == chain.certified
+        assert polyline_length(copy) == polyline_length(chain)
+
+
+def test_solver_and_metric_never_make_plane_points(monkeypatch):
+    # the vertices are PlanePoints built on first read: solve, the metric
+    # and the perturbation checks' rebuilds read only the float pairs
+    built = []
+    validate = PolyChain.__post_init__
+
+    def recording(chain):
+        validate(chain)
+        built.append(chain)
+
+    monkeypatch.setattr(PolyChain, "__post_init__", recording)
+    for alpha in (0.05, 0.6):
+        entry = solve(alpha).solutions[0]
+        a, b = entry.geometry_a, entry.geometry_b
+        double_bubble_perimeter(a, b)
+        if alpha < 0.1:
+            def rebuild(params):
+                return embedded_geometry(params[0], params[1], 1.0, alpha)[:2]
+        else:
+            def rebuild(params):
+                return kissing_geometry(params[0], params[1], alpha)[:2]
+        assert perturb_local_min(a, b, rebuild, (entry.L1, entry.L2), trials=1)
+    assert len(built) == 8
+    assert not any("vertices" in vars(chain) for chain in built)
+    assert type(built[0].vertices[0]) is PlanePoint
+    assert "vertices" in vars(built[0])
 
 
 def test_non_finite_vertex_rejected():

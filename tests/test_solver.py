@@ -251,14 +251,16 @@ def test_solve_builds_only_the_reported_cells(monkeypatch):
 
 def test_solver_cells_skip_the_quadratic_scan(monkeypatch):
     # every cell solve builds is convex, or convex but for the outer cell's
-    # notch, clear of the margins of hexnorm._certified_simple
+    # notch, clear of the margins of PolyChain's certificate (see "edge
+    # predicates" in hexnorm)
     def scan(rows):
         raise AssertionError("a solver cell needed the O(n^2) simplicity scan")
 
     full_scan = hexnorm._self_overlaps
     monkeypatch.setattr(hexnorm, "_self_overlaps", scan)
-    alpha0 = 0.15245721143347343
-    ratios = (1e-8, 1e-5, 0.01, 0.12, 0.13, 0.15, alpha0, 0.16, 0.3, 0.66, 0.67, 1.0)
+    # ratios on both sides of 1/8, alpha0 and 2/3, and alpha0 itself, where
+    # solve reports both cases
+    ratios = (1e-8, 1e-5, 0.01, 0.12, 0.13, 0.15, find_alpha0(), 0.16, 0.3, 0.66, 0.67, 1.0)
     assert {solve(alpha).case for alpha in ratios} == {CASE_EMBEDDED, CASE_BOTH, CASE_KISSING}
     # solve builds kissing cells only from alpha0 up, on the equal branch P3,
     # so the unequal branch's cells (below 1/8) are built here directly
