@@ -6,7 +6,6 @@ Run: python3 demos/demo_embedded.py
 from hexbubble.checks import notch_skew_perimeter
 from hexbubble.embedded import (
     embedded_geometry,
-    embedded_minimum,
     inner_hexagon,
     minimize_rho1,
     outer_notched,
@@ -52,7 +51,7 @@ def main() -> None:
     print("the centered notch is a strict local minimum.")
 
     print()
-    sol = embedded_minimum(alpha)
+    sol = minimize_rho1(alpha)
     print(f"full solution at alpha = {alpha}: perimeter = {sol.perimeter:.12f}")
     host, inner, _, _ = embedded_geometry(sol.L1, sol.L2, 1.0, alpha)
     print(f"  host vertices:  {len(host.vertices)}")

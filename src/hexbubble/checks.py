@@ -260,7 +260,9 @@ def case2_report(alpha: float) -> dict[str, dict[str, float | bool]]:
     are minimized and reported: the expression as printed (notch area
     taken from L2, joint term L2), the same with the notch taken from L1,
     and the swapped-volume version.  Each entry carries the minimizer and
-    whether it sits on the L2 = L1 diagonal.
+    whether it sits on the L2 = L1 diagonal.  The printed reading sits there
+    for every alpha in (0, 1]: it is separable convex, and its unconstrained
+    minimizer violates L2 <= L1.
     """
     check_alpha(alpha)
     objectives = _case2_objectives(alpha)
@@ -287,16 +289,6 @@ def case2_report(alpha: float) -> dict[str, dict[str, float | bool]]:
             "diagonal": abs(l2 - l1) <= DIAG_TOL * (1.0 + l1),
         }
     return report
-
-
-def case2_check(alpha: float) -> bool:
-    """True iff the printed degenerate variant minimizes on L2 = L1.
-
-    Holds for every alpha in (0, 1]: the printed objective is separable
-    convex and its unconstrained minimizer violates L2 <= L1, so the
-    constrained minimizer lies on the diagonal.
-    """
-    return bool(case2_report(alpha)["printed"]["diagonal"])
 
 
 def notch_skew_perimeter(L1: float, L2: float, alpha: float, delta: float) -> float:
@@ -574,7 +566,7 @@ def _perturbation_holds(rng: Lcg, alphas, minimum, build, label) -> tuple[bool, 
 def _chk_perturb_embedded(rng: Lcg) -> tuple[bool, str]:
     alphas = (0.05, rng.uniform(0.02, 0.15))
     return _perturbation_holds(
-        rng, alphas, embedded.embedded_minimum,
+        rng, alphas, embedded.minimize_rho1,
         lambda L1, L2, a: embedded.embedded_geometry(L1, L2, 1.0, a), "nested",
     )
 

@@ -18,6 +18,9 @@ minimized in L2 at L2*(L1) = sqrt(8 sqrt(3) + 3 L1^2)/3 and then in L1
 in closed form: the stationarity condition of the strictly convex
 sqrt(8 sqrt(3) + 3 L1^2) + L1/2 + 4 sqrt(3) alpha/(3 L1) is a cubic with
 one positive root (see _cubic_min), solved without iteration.
+The solver calls minimize_rho1 alone, which checks the ratio.  rho1 stays
+as the written definition; the tests hold checks._embedded_objective,
+which adds the same parts, to it bit for bit.
 
 rho2 swaps which cell holds which volume.  The paper excludes it, and the
 solver does not evaluate it; it is kept here as that exclusion, for the
@@ -131,8 +134,19 @@ def _cubic_min(a: float, c: float, hi: float) -> tuple[float, float]:
     return x, math.sqrt(a + 3.0 * x * x) + 0.5 * x + c / x
 
 
-def minimize_rho1(alpha: float) -> tuple[float, float, float]:
+class EmbeddedSolution(NamedTuple):
+    """Parameters of the nested minimum; embedded_geometry builds its cells."""
+
+    L1: float
+    L2: float
+    perimeter: float
+
+
+def minimize_rho1(alpha: float) -> EmbeddedSolution:
     """(L1*, L2*, value) minimizing rho1 with L2 = L2*(L1) resolved.
+
+    The solver's nested minimum, outer cell holding volume 1.  It checks
+    the ratio, so its callers need not.
 
     The 1-D domain is (0, sqrt(8 sqrt(3) alpha / 3)] (inner feasibility)
     intersected with {L1 <= L2*(L1)}, i.e. L1 <= sqrt(4 sqrt(3)/3); on
@@ -150,7 +164,7 @@ def minimize_rho1(alpha: float) -> tuple[float, float, float]:
     c = 4.0 * SQRT3 * alpha / 3.0
     hi = min(math.sqrt(2.0 * c), math.sqrt(4.0 * SQRT3 / 3.0))
     L1, value = _cubic_min(8.0 * SQRT3, c, hi)
-    return L1, rho1_optimal_L2(L1), value
+    return EmbeddedSolution(L1, rho1_optimal_L2(L1), value)
 
 
 def rho2_minimum(alpha: float) -> tuple[float, float, float]:
@@ -181,15 +195,6 @@ def rho2_minimum(alpha: float) -> tuple[float, float, float]:
     L1, value = _cubic_min(8.0 * SQRT3 * alpha, 4.0 * SQRT3 / 3.0, hi)
     L2 = math.sqrt((8.0 * SQRT3 * alpha + 3.0 * L1 * L1) / 9.0)
     return L1, max(L1, L2), value
-
-
-class EmbeddedSolution(NamedTuple):
-    """Parameters of the nested minimum; embedded_geometry builds its cells."""
-
-    alpha: float
-    L1: float
-    L2: float
-    perimeter: float
 
 
 def embedded_geometry(
@@ -237,13 +242,3 @@ def embedded_geometry(
         merge_vertices(outer_pts, closed=True), merge_vertices(inner_pts, closed=True)
     )
     return outer, inner, outer_sides, inner_sides
-
-
-def embedded_minimum(alpha: float) -> EmbeddedSolution:
-    """Best nested configuration: the rho1 minimum, outer cell holding volume 1.
-
-    The paper excludes rho2 (the host cell holding the smaller volume),
-    so the solver does not evaluate it; rho2_minimum stays as that
-    exclusion, which the rho-route-order check and the tests hold to.
-    """
-    return EmbeddedSolution(alpha, *minimize_rho1(alpha))

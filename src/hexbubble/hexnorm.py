@@ -72,11 +72,14 @@ def sextant(p: Sequence[float]) -> int:
     the three sign functionals y, y - sqrt(3)x, y + sqrt(3)x only, so no
     angles are computed; a point on a shared bounding ray belongs to both
     closed sectors and the smaller index is returned, which keeps geodesic
-    construction deterministic.
+    construction deterministic.  The origin and non-finite points have no
+    sector and raise ValueError.
     """
     x, y = p
     if x == 0.0 and y == 0.0:
         raise ValueError("sector undefined at the origin")
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError("sector undefined at a non-finite point")
     rise = y - SQRT3 * x
     fall = y + SQRT3 * x
     if y >= 0.0:
@@ -397,14 +400,14 @@ class HexRegion:
     def boundary(self) -> PolyChain:
         return make_chain(self.corner_points(), closed=True)
 
-    def contains(self, p: Sequence[float], tol: float = GEOM_TOL) -> bool:
+    def contains(self, p: Sequence[float]) -> bool:
         x, y = p
         rise = y - SQRT3 * x
         fall = y + SQRT3 * x
         return (
-            self.rise_lo - tol <= rise <= self.rise_hi + tol
-            and self.fall_lo - tol <= fall <= self.fall_hi + tol
-            and self.flat_lo - tol <= y <= self.flat_hi + tol
+            self.rise_lo - GEOM_TOL <= rise <= self.rise_hi + GEOM_TOL
+            and self.fall_lo - GEOM_TOL <= fall <= self.fall_hi + GEOM_TOL
+            and self.flat_lo - GEOM_TOL <= y <= self.flat_hi + GEOM_TOL
         )
 
 

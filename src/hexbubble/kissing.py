@@ -137,7 +137,6 @@ def p3_minimizer(alpha: float) -> tuple[float, float]:
 class KissingSolution(NamedTuple):
     """Parameters of the glued-pair minimum; kissing_geometry builds its cells."""
 
-    alpha: float
     L1: float
     L2: float
     perimeter: float
@@ -178,11 +177,15 @@ def kissing_minimum(alpha: float) -> KissingSolution:
     which no side floor limits.  At and above 1/8 the diagonal P3
     minimizer wins.  The two agree at the handoff, where the candidate
     collapses onto the diagonal.
+
+    Each branch checks the ratio in the closed form it calls first
+    (small_alpha_closed_form or p3_minimizer), so this routine does not.
     """
-    check_alpha(alpha)
     if alpha < HANDOFF_ALPHA * (1.0 - HANDOFF_TOL):
+        # the closed form first: it rejects a negative ratio before the sqrt
+        perimeter = small_alpha_closed_form(alpha)
         L1 = math.sqrt(4.0 * SQRT3 / 18.0)
         L2 = math.sqrt(4.0 * SQRT3 * alpha * 4.0 / 9.0)
-        return KissingSolution(alpha, L1, L2, small_alpha_closed_form(alpha), BRANCH_UNEQUAL)
+        return KissingSolution(L1, L2, perimeter, BRANCH_UNEQUAL)
     L, perimeter = p3_minimizer(alpha)
-    return KissingSolution(alpha, L, L, perimeter, BRANCH_EQUAL)
+    return KissingSolution(L, L, perimeter, BRANCH_EQUAL)

@@ -66,7 +66,7 @@ class DoubleBubbleResult:
 
 def embedded_value(alpha: float) -> float:
     """Embedded-case optimal perimeter (no geometry construction)."""
-    return embedded_mod.embedded_minimum(alpha).perimeter
+    return embedded_mod.minimize_rho1(alpha).perimeter
 
 
 def kissing_value(alpha: float) -> float:
@@ -74,15 +74,15 @@ def kissing_value(alpha: float) -> float:
     return kissing_mod.kissing_minimum(alpha).perimeter
 
 
-def _embedded_entry(sol: embedded_mod.EmbeddedSolution) -> SolutionEntry:
+def _embedded_entry(sol: embedded_mod.EmbeddedSolution, alpha: float) -> SolutionEntry:
     # cell A, holding volume 1, is the outer cell; the welded notch sides
     # sum to L1, the joint length
-    cells = embedded_mod.embedded_geometry(sol.L1, sol.L2, 1.0, sol.alpha)
+    cells = embedded_mod.embedded_geometry(sol.L1, sol.L2, 1.0, alpha)
     return SolutionEntry(CASE_EMBEDDED, *cells, sol.L1, sol.L2, sol.L1)
 
 
-def _kissing_entry(sol: kissing_mod.KissingSolution) -> SolutionEntry:
-    cells = kissing_mod.kissing_geometry(sol.L1, sol.L2, sol.alpha)
+def _kissing_entry(sol: kissing_mod.KissingSolution, alpha: float) -> SolutionEntry:
+    cells = kissing_mod.kissing_geometry(sol.L1, sol.L2, alpha)
     return SolutionEntry(CASE_KISSING, *cells, sol.L1, sol.L2, min(sol.L1, sol.L2))
 
 
@@ -90,21 +90,21 @@ def solve(alpha: float) -> DoubleBubbleResult:
     """Optimal double bubble at ratio alpha; ties within 1e-9 report both.
 
     `candidates` holds both cases' minima; cells are built only for the
-    reported entries.
+    reported entries.  Each case's minimum checks the ratio; the nested one
+    runs first, so a bad alpha raises there.
     """
-    check_alpha(alpha)
-    emb = embedded_mod.embedded_minimum(alpha)
+    emb = embedded_mod.minimize_rho1(alpha)
     kis = kissing_mod.kissing_minimum(alpha)
     diff = emb.perimeter - kis.perimeter
     if abs(diff) <= TIE_TOL:
         case = CASE_BOTH
-        entries = (_embedded_entry(emb), _kissing_entry(kis))
+        entries = (_embedded_entry(emb, alpha), _kissing_entry(kis, alpha))
     elif diff < 0.0:
         case = CASE_EMBEDDED
-        entries = (_embedded_entry(emb),)
+        entries = (_embedded_entry(emb, alpha),)
     else:
         case = CASE_KISSING
-        entries = (_kissing_entry(kis),)
+        entries = (_kissing_entry(kis, alpha),)
     return DoubleBubbleResult(
         alpha,
         case,
@@ -124,7 +124,7 @@ def _difference_and_slope(alpha: float) -> tuple[float, float]:
     u2 = sqrt((3 L2^2 + 4 sqrt(3) alpha)/21) for the six-sided cell B that
     both kissing branches glue.
     """
-    emb = embedded_mod.embedded_minimum(alpha)
+    emb = embedded_mod.minimize_rho1(alpha)
     kis = kissing_mod.kissing_minimum(alpha)
     g = emb.perimeter - kis.perimeter
     u2 = math.sqrt((3.0 * kis.L2 * kis.L2 + 4.0 * SQRT3 * alpha) / 21.0)

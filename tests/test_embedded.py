@@ -6,11 +6,10 @@ import math
 import pytest
 
 from conftest import SQRT3, golden_min_1d
-from hexbubble.checks import case2_check, case2_report, notch_skew_perimeter
+from hexbubble.checks import case2_report, notch_skew_perimeter
 from hexbubble import embedded, solver
 from hexbubble.embedded import (
     embedded_geometry,
-    embedded_minimum,
     inner_hexagon,
     minimize_rho1,
     outer_notched,
@@ -346,7 +345,7 @@ def test_rho1_route_never_loses():
 
 
 def test_rho1_route_never_loses_property():
-    # the exclusion embedded_minimum relies on, down to the smallest double
+    # the exclusion the solver relies on, down to the smallest double
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     log_uniform = st.floats(min_value=math.log10(5e-324), max_value=0.0).map(
@@ -358,7 +357,6 @@ def test_rho1_route_never_loses_property():
     @hypothesis.given(st.one_of(log_uniform, uniform))
     def check(alpha):
         assert minimize_rho1(alpha)[2] <= rho2_minimum(alpha)[2] + 1e-12
-        assert tuple(embedded_minimum(alpha)) == (alpha, *minimize_rho1(alpha))
 
     check()
 
@@ -384,7 +382,7 @@ def test_small_alpha_limit_rate():
 
 def test_case2_check_holds():
     for alpha in (0.1, 0.5, 1.0):
-        assert case2_check(alpha) is True
+        assert case2_report(alpha)["printed"]["diagonal"] is True
 
 
 def test_case2_report_structure_and_values():
@@ -456,9 +454,8 @@ def test_skew_out_of_range():
 # ---------------------------------------------------------------- full solution
 
 
-def test_embedded_minimum_geometry():
-    sol = embedded_minimum(0.1)
-    assert sol[1:] == minimize_rho1(0.1)
+def test_minimize_rho1_geometry():
+    sol = minimize_rho1(0.1)
     geometry_a, geometry_b = embedded_geometry(sol.L1, sol.L2, 1.0, 0.1)[:2]
     assert len(geometry_a.vertices) == 8
     assert len(geometry_b.vertices) == 6
@@ -478,7 +475,7 @@ def test_embedded_round_trip():
     rng = Lcg(139)
     for _ in range(10):
         alpha = rng.uniform(0.02, 1.0)
-        sol = embedded_minimum(alpha)
+        sol = minimize_rho1(alpha)
         geometry_a, geometry_b = embedded_geometry(sol.L1, sol.L2, 1.0, alpha)[:2]
         assert abs(polygon_area(geometry_a) - 1.0) <= 1e-9
         assert abs(polygon_area(geometry_b) - alpha) <= 1e-9
@@ -491,7 +488,7 @@ def test_tiny_ratio_geometry_measures_its_perimeter():
     # below ~5e-13 the inner cell's horizontal sides are shorter than the
     # chain's vertex-merge tolerance; the glued sides must stay on the lattice
     for alpha in (1.2528889e-13, 3.8872128e-13, 4.4017538e-13, 1e-12):
-        sol = embedded_minimum(alpha)
+        sol = minimize_rho1(alpha)
         geometry_a, geometry_b, _, sides = embedded_geometry(sol.L1, sol.L2, 1.0, alpha)
         total, joint = double_bubble_perimeter(geometry_a, geometry_b)
         assert abs(total - sol.perimeter) <= 1e-9
@@ -515,4 +512,4 @@ def test_alpha_validation():
         with pytest.raises(ValueError, match="ratio"):
             rho1(0.5, 1.3, bad)
         with pytest.raises(ValueError, match="ratio"):
-            embedded_minimum(bad)
+            minimize_rho1(bad)

@@ -111,6 +111,18 @@ def test_sextant_origin_raises():
         sextant((0.0, 0.0))
 
 
+@pytest.mark.parametrize(
+    "p", [(math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan), (math.inf, math.inf)]
+)
+def test_sextant_non_finite_raises(p):
+    # no sector holds such a point; (inf, inf) used to land in sector 2,
+    # though its 45-degree direction lies in sector 1
+    with pytest.raises(ValueError, match="non-finite"):
+        sextant(p)
+    with pytest.raises(ValueError):
+        geodesic_path((0.0, 0.0), p)
+
+
 # ---------------------------------------------------------------- geodesics
 
 

@@ -11,9 +11,10 @@ measured coincident and nested cells that share their boundary.
 
 The first 1200 pairs perturb the nested and glued optima.  Their base
 (alpha, L1, L2) triples are frozen in `metric_core_bases.json` as
-float.hex, written once from `embedded_minimum` and `kissing_minimum`
-as they stood before the shared Newton root-finder, so that a change in
-the last bits of a minimizer cannot move a metric outcome.  The bases
+float.hex, written once from the nested and glued minima (today
+`minimize_rho1` and `kissing_minimum`) as they stood before the shared
+Newton root-finder, so that a change in the last bits of a minimizer
+cannot move a metric outcome.  The bases
 are not regenerated; a separate test only checks that they are still
 the minimizers to rounding.
 
@@ -26,7 +27,7 @@ import json
 import math
 from pathlib import Path
 
-from hexbubble.embedded import embedded_geometry, embedded_minimum
+from hexbubble.embedded import embedded_geometry, minimize_rho1
 from hexbubble.hexnorm import (
     GEOM_TOL,
     LATTICE_DIRECTIONS,
@@ -359,7 +360,7 @@ def grid_finds_common_interior(a: Vertices, b: Vertices) -> bool:
 def test_frozen_bases_are_still_the_minimizers():
     bases = json.loads(BASES.read_text())
     assert [len(bases["embedded"]), len(bases["kissing"])] == [700, 500]
-    for name, minimum in (("embedded", embedded_minimum), ("kissing", kissing_minimum)):
+    for name, minimum in (("embedded", minimize_rho1), ("kissing", kissing_minimum)):
         for row in bases[name]:
             alpha, L1, L2 = map(float.fromhex, row)
             sol = minimum(alpha)

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from hexbubble import checks
+from hexbubble import checks, embedded
 from hexbubble.oracle import Lcg, grid_refine_min
 
 FIXTURE = Path(__file__).with_name("objective_pin.json")
@@ -91,16 +91,17 @@ def _draw_points(name: str) -> list[tuple[float, float]]:
     return points
 
 
+def _value(f, *args) -> str:
+    try:
+        return f(*args).hex()
+    except ValueError:
+        return "ValueError"
+
+
 def _evaluate(name: str, points) -> list[str]:
     pose, args, _ = CASES[name]
     objective = pose(*args)[0]
-    values = []
-    for p in points:
-        try:
-            values.append(objective(p).hex())
-        except ValueError:
-            values.append("ValueError")
-    return values
+    return [_value(objective, p) for p in points]
 
 
 def _regenerate() -> None:
@@ -131,6 +132,19 @@ def test_posed_objective_values_are_pinned(pin, name):
     assert 0 < want.count("ValueError") < len(want)
     assert _evaluate(name, points) == want
     assert _evaluate(name, points[::-1]) == want[::-1]
+
+
+@pytest.mark.parametrize("name", [name for name in CASES if not name.startswith("fixed-side")])
+def test_posed_pair_objectives_equal_their_definitions(pin, name):
+    # the posed objectives keep single-cell parts between points; each value
+    # must still be the written definition's to the bit, rho1 for the nested
+    # pair and kissing_perimeter for the glued one, and raise where it raises
+    pose, (alpha,), _ = CASES[name]
+    definition = embedded.rho1 if name.startswith("nested") else checks.kissing_perimeter
+    objective = pose(alpha)[0]
+    for x, y, _ in pin[name]:
+        p = (float.fromhex(x), float.fromhex(y))
+        assert _value(objective, p) == _value(definition, *p, alpha), (name, p)
 
 
 if __name__ == "__main__":

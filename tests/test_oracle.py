@@ -529,7 +529,7 @@ def test_pair_objectives_check_alpha_once_when_posed(monkeypatch, posed):
     [
         (
             0.05,
-            embedded.embedded_minimum,
+            embedded.minimize_rho1,
             lambda L1, L2, a: embedded_geometry(L1, L2, 1.0, a),
             "426d997edb56567acc7305a8f7cf53e0e2a21e19974bfb814b33e66a08f17f88",
         ),

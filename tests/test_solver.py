@@ -341,3 +341,25 @@ def test_bool_ratio_rejected():
             fn(True)
     with pytest.raises(ValueError, match="not bool"):
         sweep(0.5, True, 3)
+
+
+def test_ratio_checked_once_per_case(monkeypatch):
+    # each case's minimum checks alpha once (kissing_minimum through the
+    # closed form it calls), and neither solve nor the value pair checks it
+    # again; 0.05 and 0.6 reach both kissing branches
+    calls = []
+    check = singlebubble.check_alpha
+
+    def counted(alpha):
+        calls.append(alpha)
+        check(alpha)
+
+    for module in (embedded, kissing, singlebubble, solver):
+        monkeypatch.setattr(module, "check_alpha", counted)
+    for alpha in (0.05, 0.6):
+        calls.clear()
+        solve(alpha)
+        assert calls == [alpha, alpha]
+        calls.clear()
+        embedded_value(alpha) - kissing_value(alpha)
+        assert calls == [alpha, alpha]
