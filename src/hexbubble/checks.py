@@ -301,6 +301,8 @@ def notch_skew_perimeter(L1: float, L2: float, alpha: float, delta: float) -> fl
     strict local minimum iff L2 >= 2 L1.
     """
     check_alpha(alpha)
+    if not (math.isfinite(L1) and math.isfinite(L2) and math.isfinite(delta)):
+        raise ValueError("notch skew needs finite L1, L2 and delta")
     if abs(delta) >= min(L1, L2 - L1):
         raise ValueError("skew out of range")
     w60 = (L1 - delta) / 2.0

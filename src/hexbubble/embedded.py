@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .hexnorm import DEDUP_TOL, SQRT3, PolyChain, anchored_pair, merge_vertices
+from .hexnorm import DEDUP_TOL, SQRT3, PolyChain
 from .singlebubble import MIN_SIDE, check_alpha
 
 
@@ -211,22 +211,17 @@ def embedded_geometry(
     inner_sides, _ = inner_hexagon(L1, inner_volume)
     outer_sides, _ = outer_notched(L1, L2, outer_volume)
     x1, y1, y2 = inner_sides[0], outer_sides[0], outer_sides[1]
+    q = L1 / 4.0
+    h = SQRT3 * L1 / 4.0  # > DEDUP_TOL, as L1 >= MIN_SIDE
     if x1 <= DEDUP_TOL:
         # the vertex merge would drop (x1, 0) and (0, 2h) as duplicates of their
         # predecessors, tilting the glued sides off the lattice by ~x1/L1;
         # a side that short is collapsed here instead, in the sides too
-        x1 = 0.0
         inner_sides = (0.0, *inner_sides[1:3], 0.0, *inner_sides[4:])
-    q = L1 / 4.0
-    h = SQRT3 * L1 / 4.0
-    inner_pts = [
-        (0.0, 0.0),
-        (x1, 0.0),
-        (x1 + q, h),
-        (x1, 2.0 * h),
-        (0.0, 2.0 * h),
-        (-q, h),
-    ]
+        inner = [(0.0, 0.0), (q, h), (0.0, 2.0 * h), (-q, h)]
+    else:
+        # each step moves x by x1 or y by h, so the merge keeps every vertex
+        inner = [(0.0, 0.0), (x1, 0.0), (x1 + q, h), (x1, 2.0 * h), (0.0, 2.0 * h), (-q, h)]
     top = SQRT3 * (L1 + y2) / 2.0
     outer_pts = [
         (-y2 / 2.0 - y1, -SQRT3 * y2 / 2.0),
@@ -238,7 +233,17 @@ def embedded_geometry(
         (-y2 / 2.0 - y1, top),
         (-y2 / 2.0 - y1 - L2 / 4.0, top - SQRT3 * L2 / 4.0),
     ]
-    outer, inner = anchored_pair(
-        merge_vertices(outer_pts, closed=True), merge_vertices(inner_pts, closed=True)
-    )
+    # merge_vertices inline: drop a vertex within DEDUP_TOL of the last one kept
+    outer = []
+    px = py = math.inf
+    for x, y in outer_pts:
+        if not (abs(px - x) <= DEDUP_TOL and abs(py - y) <= DEDUP_TOL):
+            outer.append((x, y))
+            px, py = x, y
+    fx, fy = outer[0]
+    if len(outer) > 1 and abs(fx - px) <= DEDUP_TOL and abs(fy - py) <= DEDUP_TOL:
+        outer.pop()
+    ox, oy = min(outer)  # pairs order by (x, y)
+    outer = PolyChain([(x - ox, y - oy) for x, y in outer], True)
+    inner = PolyChain([(x - ox, y - oy) for x, y in inner], True)
     return outer, inner, outer_sides, inner_sides

@@ -301,18 +301,6 @@ def make_chain(points: Iterable[Sequence[float]], closed: bool) -> PolyChain:
     return PolyChain(tuple(merge_vertices(points, closed)), closed)
 
 
-def anchored_pair(
-    a: Sequence[tuple[float, float]], b: Sequence[tuple[float, float]]
-) -> tuple[PolyChain, PolyChain]:
-    """Closed chains through two merged vertex lists (see merge_vertices),
-    shifted together so that chain A's leftmost-lowest vertex is the origin."""
-    ox, oy = min(a)  # pairs order by (x, y)
-    return (
-        PolyChain(tuple([(x - ox, y - oy) for x, y in a]), closed=True),
-        PolyChain(tuple([(x - ox, y - oy) for x, y in b]), closed=True),
-    )
-
-
 def geodesic_path(p: Sequence[float], q: Sequence[float]) -> PolyChain:
     """Shortest path from p to q using the lattice directions.
 
@@ -489,10 +477,13 @@ def shared_segments(a: PolyChain, b: PolyChain) -> list[tuple[PlanePoint, PlaneP
 
 
 def point_in_polygon(p: Sequence[float], poly: PolyChain) -> bool:
-    """True iff p lies strictly inside closed chain poly (boundary excluded)."""
+    """True iff finite p lies strictly inside closed chain poly (boundary excluded)."""
     if not poly.closed:
         raise ValueError("point_in_polygon requires a closed chain")
-    return _strictly_inside(float(p[0]), float(p[1]), poly._rows)
+    x, y = float(p[0]), float(p[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError("point_in_polygon needs a finite point")
+    return _strictly_inside(x, y, poly._rows)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .hexnorm import SQRT3, PolyChain, anchored_pair
+from .hexnorm import SQRT3, PolyChain
 from .singlebubble import check_alpha, fixed_side_vertices, solve_fixed_side
 
 # alpha at which the unequal candidate collapses onto the diagonal
@@ -152,10 +152,12 @@ def kissing_geometry(
     sol_a = solve_fixed_side(L1, 1.0)
     sol_b = solve_fixed_side(L2, alpha)
     cx = (L1 - L2) / 2.0
-    # mirroring reverses B's orientation, so its vertices are read backwards
-    mirrored = [(cx + x, -y) for x, y in reversed(fixed_side_vertices(L2, sol_b.sides))]
-    chain_a, chain_b = anchored_pair(fixed_side_vertices(L1, sol_a.sides), mirrored)
-    return chain_a, chain_b, sol_a.sides, sol_b.sides
+    a = fixed_side_vertices(L1, sol_a.sides)
+    ox, oy = min(a)  # pairs order by (x, y)
+    a = [(x - ox, y - oy) for x, y in a]
+    # B is mirrored and shifted at once; the mirror reverses it, so it is read backwards
+    b = [((cx + x) - ox, -y - oy) for x, y in reversed(fixed_side_vertices(L2, sol_b.sides))]
+    return PolyChain(a, True), PolyChain(b, True), sol_a.sides, sol_b.sides
 
 
 def kissing_minimum(alpha: float) -> KissingSolution:

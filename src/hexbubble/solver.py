@@ -42,7 +42,11 @@ def fmt(x: float) -> str:
     return FMT % float(x)
 
 
-@dataclass(frozen=True)
+# Frozen dataclasses whose hand-written __init__ fills __dict__ directly, where
+# the generated one calls object.__setattr__ per field; the rest is generated.
+
+
+@dataclass(frozen=True, init=False)
 class SolutionEntry:
     case: str
     geometry_a: PolyChain
@@ -53,8 +57,19 @@ class SolutionEntry:
     L2: float
     joint_length: float
 
+    def __init__(self, case, geometry_a, geometry_b, sides_a, sides_b, L1, L2, joint_length):
+        data = self.__dict__
+        data["case"] = case
+        data["geometry_a"] = geometry_a
+        data["geometry_b"] = geometry_b
+        data["sides_a"] = sides_a
+        data["sides_b"] = sides_b
+        data["L1"] = L1
+        data["L2"] = L2
+        data["joint_length"] = joint_length
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class DoubleBubbleResult:
     alpha: float
     case: str
@@ -62,6 +77,15 @@ class DoubleBubbleResult:
     solutions: tuple[SolutionEntry, ...]
     joint_length: float  # of solutions[0]
     candidates: dict[str, float]
+
+    def __init__(self, alpha, case, perimeter, solutions, joint_length, candidates):
+        data = self.__dict__
+        data["alpha"] = alpha
+        data["case"] = case
+        data["perimeter"] = perimeter
+        data["solutions"] = solutions
+        data["joint_length"] = joint_length
+        data["candidates"] = candidates
 
 
 def embedded_value(alpha: float) -> float:

@@ -451,6 +451,15 @@ def test_skew_out_of_range():
         notch_skew_perimeter(0.5, 1.4, 0.5, -0.9)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("which", ["L1", "L2", "delta"])
+def test_skew_needs_finite_inputs(which, bad):
+    # a nan passed the range test and came back as a nan perimeter
+    args = {"L1": 0.5, "L2": 1.4, "delta": 0.1, which: bad}
+    with pytest.raises(ValueError, match="^notch skew needs finite L1, L2 and delta$"):
+        notch_skew_perimeter(args["L1"], args["L2"], 0.5, args["delta"])
+
+
 # ---------------------------------------------------------------- full solution
 
 

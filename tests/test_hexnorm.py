@@ -784,6 +784,16 @@ def test_point_in_polygon_requires_a_closed_chain():
         point_in_polygon((1.0, 1.0), open_square)
 
 
+@pytest.mark.parametrize(
+    "p", [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5), (0.5, -math.inf), (math.nan, math.nan)]
+)
+def test_point_in_polygon_needs_a_finite_point(p):
+    # no comparison with a nan holds, so such a point used to come out "outside"
+    square = make_chain([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)], closed=True)
+    with pytest.raises(ValueError, match="^point_in_polygon needs a finite point$"):
+        point_in_polygon(p, square)
+
+
 # ---------------------------------------------------------------- the metric's shortcuts
 
 

@@ -1,8 +1,11 @@
 """Case comparison, the transition ratio, sweeps, and figure geometry."""
 
+import dataclasses
 import math
 
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
 from hexbubble import embedded, hexnorm, kissing, singlebubble, solver
 from hexbubble.embedded import minimize_rho1
@@ -14,6 +17,7 @@ from hexbubble.solver import (
     CASE_EMBEDDED,
     CASE_KISSING,
     DoubleBubbleResult,
+    SolutionEntry,
     embedded_value,
     find_alpha0,
     kissing_value,
@@ -363,3 +367,153 @@ def test_ratio_checked_once_per_case(monkeypatch):
         calls.clear()
         embedded_value(alpha) - kissing_value(alpha)
         assert calls == [alpha, alpha]
+
+
+# ---------------------------------------------------------------- records and builders
+
+
+@pytest.mark.parametrize("alpha, case", [(0.05, CASE_EMBEDDED), (0.5, CASE_KISSING)])
+def test_records_keep_the_dataclass_contract(alpha, case):
+    # the records' __init__ is written by hand; a field it left out, or set
+    # under another name, would show in the names, the copies or the repr
+    r = solve(alpha)
+    entry = r.solutions[0]
+    if case == CASE_EMBEDDED:
+        L1, L2, _ = minimize_rho1(alpha)
+        cells = embedded.embedded_geometry(L1, L2, 1.0, alpha)
+        expected_entry = (case, *cells, L1, L2, L1)
+    else:
+        kis = kissing_minimum(alpha)
+        cells = kissing_geometry(kis.L1, kis.L2, alpha)
+        expected_entry = (case, *cells, kis.L1, kis.L2, min(kis.L1, kis.L2))
+    candidates = {CASE_EMBEDDED: embedded_value(alpha), CASE_KISSING: kissing_value(alpha)}
+    perimeter = min(candidates.values())
+    expected = (alpha, case, perimeter, (entry,), expected_entry[-1], candidates)
+    for record, cls, values, names in (
+        (entry, SolutionEntry, expected_entry,
+         ["case", "geometry_a", "geometry_b", "sides_a", "sides_b", "L1", "L2", "joint_length"]),
+        (r, DoubleBubbleResult, expected,
+         ["alpha", "case", "perimeter", "solutions", "joint_length", "candidates"]),
+    ):
+        assert [f.name for f in dataclasses.fields(cls)] == names
+        assert list(vars(record)) == names
+        assert tuple(getattr(record, name) for name in names) == values
+        by_keyword = cls(**dict(zip(names, values)))
+        assert by_keyword == record == cls(*values)
+        assert repr(record) == f"{cls.__qualname__}(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(names, values)
+        ) + ")"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.case = "other"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del record.case
+        assert record.case == values[names.index("case")]
+    assert hash(entry) == hash(SolutionEntry(*expected_entry))
+
+    other = dataclasses.replace(r, case=CASE_BOTH)
+    assert other.case == CASE_BOTH and other.solutions is r.solutions and other.alpha == alpha
+    assert other != r
+    other_candidates = {CASE_EMBEDDED: 1.0, CASE_KISSING: 2.0}
+    assert dataclasses.replace(r, candidates=other_candidates).candidates is other_candidates
+    assert dataclasses.replace(entry, case=CASE_BOTH).geometry_a is entry.geometry_a
+
+    # asdict recurses into the entries but copies their chains whole
+    flat = dataclasses.asdict(r)
+    assert list(flat) == [f.name for f in dataclasses.fields(DoubleBubbleResult)]
+    inner = flat["solutions"][0]
+    assert inner["geometry_a"] == entry.geometry_a and inner["geometry_b"] == entry.geometry_b
+    assert isinstance(inner["geometry_a"], PolyChain) and inner["sides_a"] == entry.sides_a
+    assert flat["candidates"] == r.candidates and flat["candidates"] is not r.candidates
+
+
+def _hex_cells(build, *args):
+    # every float of a built pair as float.hex, so that signed zeros count,
+    # with each chain's certificate; or the error text of a build that raises
+    try:
+        a, b, sides_a, sides_b = build(*args)
+    except ValueError as exc:
+        return "raised", str(exc)
+    return tuple(
+        (tuple((x.hex(), y.hex()) for x, y in chain._pairs), chain.closed, chain.certified)
+        for chain in (a, b)
+    ) + tuple(tuple(s.hex() for s in sides) for sides in (sides_a, sides_b))
+
+
+def _anchored(a, b):
+    # the shift the builders made before they went inline
+    ox, oy = min(a)
+    return (
+        PolyChain(tuple([(x - ox, y - oy) for x, y in a]), closed=True),
+        PolyChain(tuple([(x - ox, y - oy) for x, y in b]), closed=True),
+    )
+
+
+def _merged_embedded(L1, L2, outer_volume, inner_volume):
+    # embedded_geometry through merge_vertices, as it was built before
+    inner_sides, _ = embedded.inner_hexagon(L1, inner_volume)
+    outer_sides, _ = embedded.outer_notched(L1, L2, outer_volume)
+    x1, y1, y2 = inner_sides[0], outer_sides[0], outer_sides[1]
+    if x1 <= hexnorm.DEDUP_TOL:
+        x1 = 0.0
+        inner_sides = (0.0, *inner_sides[1:3], 0.0, *inner_sides[4:])
+    q = L1 / 4.0
+    h = math.sqrt(3.0) * L1 / 4.0
+    inner = [(0.0, 0.0), (x1, 0.0), (x1 + q, h), (x1, 2.0 * h), (0.0, 2.0 * h), (-q, h)]
+    top = math.sqrt(3.0) * (L1 + y2) / 2.0
+    outer = [
+        (-y2 / 2.0 - y1, -math.sqrt(3.0) * y2 / 2.0),
+        (-y2 / 2.0, -math.sqrt(3.0) * y2 / 2.0),
+        (0.0, 0.0),
+        (-q, h),
+        (0.0, 2.0 * h),
+        (-y2 / 2.0, top),
+        (-y2 / 2.0 - y1, top),
+        (-y2 / 2.0 - y1 - L2 / 4.0, top - math.sqrt(3.0) * L2 / 4.0),
+    ]
+    merge = hexnorm.merge_vertices
+    return (*_anchored(merge(outer, closed=True), merge(inner, closed=True)), outer_sides, inner_sides)
+
+
+def _merged_kissing(L1, L2, alpha):
+    # kissing_geometry through fixed_side_vertices, then a separate mirror and shift
+    sol_a = singlebubble.solve_fixed_side(L1, 1.0)
+    sol_b = singlebubble.solve_fixed_side(L2, alpha)
+    cx = (L1 - L2) / 2.0
+    b = [(cx + x, -y) for x, y in reversed(singlebubble.fixed_side_vertices(L2, sol_b.sides))]
+    return (*_anchored(singlebubble.fixed_side_vertices(L1, sol_a.sides), b), sol_a.sides, sol_b.sides)
+
+
+def test_cells_match_the_merge_route(monkeypatch):
+    ratio = st.one_of(
+        st.floats(min_value=-13.0, max_value=0.0).map(lambda e: 10.0**e),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    )
+    factor = st.sampled_from((1.0, 1.0 - 1e-2, 1.0 + 1e-2))
+
+    # both volume assignments of the nested pair (rho1 and rho2), and the glued pair
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=300)
+    @hypothesis.given(ratio, factor, factor, st.booleans())
+    def same_cells(alpha, f1, f2, swap):
+        L1, L2, _ = embedded.rho2_minimum(alpha) if swap else minimize_rho1(alpha)
+        volumes = (alpha, 1.0) if swap else (1.0, alpha)
+        args = (L1 * f1, L2 * f2, *volumes)
+        assert _hex_cells(embedded.embedded_geometry, *args) == _hex_cells(_merged_embedded, *args)
+        kis = kissing_minimum(alpha)
+        args = (kis.L1 * f1, kis.L2 * f2, alpha)
+        assert _hex_cells(kissing_geometry, *args) == _hex_cells(_merged_kissing, *args)
+
+    same_cells()
+
+    # solve builds its cells without merge_vertices
+    merged = []
+    merge = hexnorm.merge_vertices
+
+    def counted(points, closed):
+        merged.append(closed)
+        return merge(points, closed)
+
+    for module in (hexnorm, embedded, kissing, singlebubble, solver):
+        monkeypatch.setattr(module, "merge_vertices", counted, raising=False)
+    for alpha in (1e-13, 0.05, 0.13, find_alpha0(), 0.5, 1.0):
+        solve(alpha)
+    assert merged == []
