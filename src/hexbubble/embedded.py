@@ -38,6 +38,10 @@ from typing import NamedTuple
 from .hexnorm import DEDUP_TOL, SQRT3, PolyChain
 from .singlebubble import MIN_SIDE, check_alpha
 
+# hoisted from minimize_rho1, where each is evaluated first and on its own
+_4SQRT3 = 4.0 * SQRT3
+_8SQRT3 = 8.0 * SQRT3
+_L1_CAP = math.sqrt(4.0 * SQRT3 / 3.0)  # where L2*(L1) = L1
 
 def inner_hexagon(L: float, V: float) -> tuple[tuple[float, ...], float]:
     """Sides (x1..x6) and boundary length of the optimal width-L cell.
@@ -101,7 +105,7 @@ def rho2(L1: float, L2: float, alpha: float) -> float:
 
 def rho1_optimal_L2(L1: float) -> float:
     """Argmin of rho1 over L2 for a fixed notch width: sqrt(8 sqrt(3)+3 L1^2)/3."""
-    return math.sqrt(8.0 * SQRT3 + 3.0 * L1 * L1) / 3.0
+    return math.sqrt(_8SQRT3 + 3.0 * L1 * L1) / 3.0
 
 
 def _cubic_min(a: float, c: float, hi: float) -> tuple[float, float]:
@@ -123,14 +127,17 @@ def _cubic_min(a: float, c: float, hi: float) -> tuple[float, float]:
     disc = 0.25 * s * s - b * b * b / 27.0
     if disc < 0.0:
         r = math.sqrt(b / 3.0)
-        # min: near disc = 0 rounding can lift the cosine past 1
-        y = 2.0 * r * math.cos(math.acos(min(1.0, s / (2.0 * r * r * r))) / 3.0)
+        # near disc = 0 rounding can lift the cosine past 1
+        v = s / (2.0 * r * r * r)
+        y = 2.0 * r * math.cos(math.acos(v if v < 1.0 else 1.0) / 3.0)
     else:
         u = (0.5 * s + math.sqrt(disc)) ** (1.0 / 3.0)
         y = u + b / (3.0 * u)
     z = 1.0 / y
     z -= ((s * z + b) * z * z - 1.0) / ((3.0 * s * z + 2.0 * b) * z)
-    x = min(math.sqrt(c / (s * z + 0.5)), hi)
+    x = math.sqrt(c / (s * z + 0.5))
+    if hi < x:
+        x = hi
     return x, math.sqrt(a + 3.0 * x * x) + 0.5 * x + c / x
 
 
@@ -161,10 +168,13 @@ def minimize_rho1(alpha: float) -> EmbeddedSolution:
     # hi = sqrt(8 sqrt(3) alpha/3) from the same rounded c that _cubic_min
     # gets: at subnormal c, rounding 8 sqrt(3) alpha on its own could put hi
     # below the stationary point
-    c = 4.0 * SQRT3 * alpha / 3.0
-    hi = min(math.sqrt(2.0 * c), math.sqrt(4.0 * SQRT3 / 3.0))
-    L1, value = _cubic_min(8.0 * SQRT3, c, hi)
-    return EmbeddedSolution(L1, rho1_optimal_L2(L1), value)
+    c = _4SQRT3 * alpha / 3.0
+    hi = math.sqrt(2.0 * c)
+    if _L1_CAP < hi:
+        hi = _L1_CAP
+    L1, value = _cubic_min(_8SQRT3, c, hi)
+    # tuple.__new__ skips the NamedTuple's Python-level __new__
+    return tuple.__new__(EmbeddedSolution, (L1, rho1_optimal_L2(L1), value))
 
 
 def rho2_minimum(alpha: float) -> tuple[float, float, float]:

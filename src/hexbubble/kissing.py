@@ -40,11 +40,18 @@ P3_VOLUME_TERM = 28.0 * SQRT3 / 3.0
 BRANCH_UNEQUAL = "unequal-candidate"
 BRANCH_EQUAL = "equal-p3"
 
+# hoisted from the closed forms below, where each is evaluated first and on its own
+_SQRT2 = math.sqrt(2.0)
+_4SQRT3 = 4.0 * SQRT3
+_12SQRT3 = 12.0 * SQRT3
+_UNEQUAL_BELOW = HANDOFF_ALPHA * (1.0 - HANDOFF_TOL)
+_L1_UNEQUAL = math.sqrt(4.0 * SQRT3 / 18.0)
+
 
 def small_alpha_closed_form(alpha: float) -> float:
     """Perimeter of the admissible unequal candidate: 2*3^(1/4)(sqrt(2)+sqrt(alpha))."""
     check_alpha(alpha)
-    return 2.0 * 3.0 ** 0.25 * (math.sqrt(2.0) + math.sqrt(alpha))
+    return 2.0 * 3.0 ** 0.25 * (_SQRT2 + math.sqrt(alpha))
 
 
 def p3_minimizer(alpha: float) -> tuple[float, float]:
@@ -126,7 +133,7 @@ def p3_minimizer(alpha: float) -> tuple[float, float]:
             k = (m + mu - alpha) / m
         q = m + mu
         t = 2.0 * q / (k + math.sqrt(k * k + 4.0 * q))
-    x = t * math.sqrt(12.0 * SQRT3 / (7.0 + 2.0 * t * (7.0 - t)))
+    x = t * math.sqrt(_12SQRT3 / (7.0 + 2.0 * t * (7.0 - t)))
     p = 7.0 * x * x
     return x, math.sqrt(p + P3_VOLUME_TERM) + math.sqrt(p + P3_VOLUME_TERM * alpha) - 3.0 * x
 
@@ -183,11 +190,11 @@ def kissing_minimum(alpha: float) -> KissingSolution:
     Each branch checks the ratio in the closed form it calls first
     (small_alpha_closed_form or p3_minimizer), so this routine does not.
     """
-    if alpha < HANDOFF_ALPHA * (1.0 - HANDOFF_TOL):
+    if alpha < _UNEQUAL_BELOW:
         # the closed form first: it rejects a negative ratio before the sqrt
         perimeter = small_alpha_closed_form(alpha)
-        L1 = math.sqrt(4.0 * SQRT3 / 18.0)
-        L2 = math.sqrt(4.0 * SQRT3 * alpha * 4.0 / 9.0)
-        return KissingSolution(L1, L2, perimeter, BRANCH_UNEQUAL)
+        L2 = math.sqrt(_4SQRT3 * alpha * 4.0 / 9.0)
+        # tuple.__new__ skips the NamedTuple's Python-level __new__
+        return tuple.__new__(KissingSolution, (_L1_UNEQUAL, L2, perimeter, BRANCH_UNEQUAL))
     L, perimeter = p3_minimizer(alpha)
-    return KissingSolution(L, L, perimeter, BRANCH_EQUAL)
+    return tuple.__new__(KissingSolution, (L, L, perimeter, BRANCH_EQUAL))

@@ -179,24 +179,31 @@ def perturb_local_min(
     infeasible; such trials are skipped.  Each trial multiplies every
     parameter by (1 + eps*u) with u drawn uniformly from [-1, 1] via the
     documented LCG, and the perturbed double-bubble perimeter must not
-    undercut the baseline by more than 1e-10.  `trials` must be an int
-    (not bool).
+    undercut the baseline by more than 1e-10.  `trials` and `seed` must be
+    ints (not bool), every parameter finite and some trial feasible.
     """
     if not (0.0 < eps <= 1e-2):
         raise ValueError("eps must be in (0, 1e-2]")
     _require_int("trials", trials)
     if trials < 1:
         raise ValueError("trials must be positive")
+    _require_int("seed", seed)
     base = list(float(v) for v in params)
+    if not all(map(math.isfinite, base)):
+        raise ValueError(f"params must be finite, got {tuple(base)!r}")
     baseline, _ = hexnorm.double_bubble_perimeter(geometry_a, geometry_b)
     rng = Lcg(seed)
+    rebuilt = 0
     for _ in range(trials):
         cand = tuple(v * (1.0 + eps * rng.uniform(-1.0, 1.0)) for v in base)
         try:
             built = rebuild(cand)
         except ValueError:
             continue
+        rebuilt += 1
         total, _ = hexnorm.double_bubble_perimeter(built[0], built[1])
         if total < baseline - IMPROVE_TOL:
             return False
+    if not rebuilt:
+        raise ValueError(f"no trial rebuilt: all {trials} perturbations were infeasible")
     return True

@@ -22,6 +22,8 @@ from typing import NamedTuple
 
 from .hexnorm import DEDUP_TOL, SQRT3, LATTICE_DIRECTIONS, PolyChain
 
+_WALK = tuple(map(tuple, LATTICE_DIRECTIONS))  # as plain pairs: the fixed side, then x1..x5
+
 REGIME_SIX = "six-sided"
 REGIME_FOUR = "four-sided"
 
@@ -34,6 +36,8 @@ def check_alpha(alpha: float) -> None:
 
     bool is an int subclass, so True would otherwise pass as alpha = 1.
     """
+    if alpha.__class__ is float and 0.0 < alpha <= 1.0:
+        return
     if isinstance(alpha, bool):
         raise ValueError("volume ratio must be a real number, not bool")
     if not math.isfinite(alpha) or not (0.0 < alpha <= 1.0):
@@ -70,8 +74,7 @@ def fixed_side_vertices(L: float, sides: tuple[float, ...]) -> list[tuple[float,
     """
     x = y = px = py = 0.0  # (px, py): the last vertex kept
     pts = [(x, y)]
-    for k, s in enumerate((L, *sides)):
-        dx, dy = LATTICE_DIRECTIONS[k % 6]
+    for s, (dx, dy) in zip((L, *sides), _WALK):
         x, y = x + s * dx, y + s * dy
         if not (abs(px - x) <= DEDUP_TOL and abs(py - y) <= DEDUP_TOL):
             pts.append((x, y))
@@ -103,7 +106,8 @@ def solve_fixed_side(L: float, V: float) -> SingleBubbleSolution:
                 raise ValueError("inconsistent six-sided solution")
             x1 = 0.0
         sides = (x1, t, t, t, x1)
-        return SingleBubbleSolution(L, V, REGIME_SIX, sides, 7.0 * t - L)
+        # tuple.__new__ skips the NamedTuple's Python-level __new__
+        return tuple.__new__(SingleBubbleSolution, (L, V, REGIME_SIX, sides, 7.0 * t - L))
     rad = (3.0 * L * L - 4.0 * SQRT3 * V) / 3.0
     if rad < 0.0:
         raise ValueError("infeasible volume in the four-sided regime")
@@ -111,7 +115,7 @@ def solve_fixed_side(L: float, V: float) -> SingleBubbleSolution:
     if s > L:
         raise ValueError("inconsistent four-sided solution")  # cannot happen for V > 0
     sides = (0.0, L - s, s, L - s, 0.0)
-    return SingleBubbleSolution(L, V, REGIME_FOUR, sides, 3.0 * L - s)
+    return tuple.__new__(SingleBubbleSolution, (L, V, REGIME_FOUR, sides, 3.0 * L - s))
 
 
 # the two closed forms on inputs already checked by _check_inputs

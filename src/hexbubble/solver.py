@@ -35,6 +35,10 @@ ALPHA0_TOL = 1e-9
 # under 60
 NEWTON_MAX_ITER = 60
 
+# hoisted from _difference_and_slope, where each is evaluated first and on its own
+_4SQRT3 = 4.0 * SQRT3
+_2SQRT3 = 2.0 * SQRT3
+
 FMT = "%.12g"  # every number in solve, sweep, iso and verify output
 
 
@@ -151,8 +155,8 @@ def _difference_and_slope(alpha: float) -> tuple[float, float]:
     emb = embedded_mod.minimize_rho1(alpha)
     kis = kissing_mod.kissing_minimum(alpha)
     g = emb.perimeter - kis.perimeter
-    u2 = math.sqrt((3.0 * kis.L2 * kis.L2 + 4.0 * SQRT3 * alpha) / 21.0)
-    return g, 4.0 * SQRT3 / (3.0 * emb.L1) - 2.0 * SQRT3 / (3.0 * u2)
+    u2 = math.sqrt((3.0 * kis.L2 * kis.L2 + _4SQRT3 * alpha) / 21.0)
+    return g, _4SQRT3 / (3.0 * emb.L1) - _2SQRT3 / (3.0 * u2)
 
 
 def find_alpha0(lo: float = ALPHA0_BRACKET[0], hi: float = ALPHA0_BRACKET[1]) -> float:

@@ -171,6 +171,56 @@ def test_oracle_arguments_are_validated(kwargs, match):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "params, kwargs, match",
+    [
+        ((math.nan, 1.0), {}, "params must be finite, got (nan, 1.0)"),
+        ((math.inf, 1.0), {}, "params must be finite, got (inf, 1.0)"),
+        ((1.0, -math.inf), {}, "params must be finite, got (1.0, -inf)"),
+        ((1.0, 1.0), dict(seed=True), "seed must be an int, got True"),
+        ((1.0, 1.0), dict(seed=1.5), "seed must be an int, got 1.5"),
+    ],
+)
+def test_perturb_arguments_are_validated(params, kwargs, match):
+    # a non-finite parameter makes every rebuild infeasible, so the run
+    # would skip them all and pass having tested nothing
+    calls = []
+    sol = kissing_minimum(1.0)
+    ga, gb, _, _ = kissing_geometry(sol.L1, sol.L2, 1.0)
+
+    def rebuild(p):
+        calls.append(p)
+        return ga, gb
+
+    with pytest.raises(ValueError, match=re.escape(match)):
+        perturb_local_min(ga, gb, rebuild, params, trials=5, **kwargs)
+    assert calls == []
+
+
+def test_perturb_raises_when_no_trial_rebuilt():
+    sol = kissing_minimum(1.0)
+    ga, gb, _, _ = kissing_geometry(sol.L1, sol.L2, 1.0)
+    calls = []
+
+    def infeasible(p):
+        calls.append(p)
+        raise ValueError("synthetic infeasible trial")
+
+    with pytest.raises(ValueError, match=r"^no trial rebuilt: all 7 perturbations were infeasible$"):
+        perturb_local_min(ga, gb, infeasible, (sol.L1, sol.L2), trials=7)
+    assert len(calls) == 7
+
+    # one rebuilt trial is enough for a verdict
+    def last_one_rebuilds(p):
+        calls.append(p)
+        if len(calls) < 14:
+            raise ValueError("synthetic infeasible trial")
+        return kissing_geometry(p[0], p[1], 1.0)[:2]
+
+    assert perturb_local_min(ga, gb, last_one_rebuilds, (sol.L1, sol.L2), trials=7)
+    assert len(calls) == 14
+
+
 def test_grid_scan_skips_grid_values_outside_the_box():
     # lower + (upper - lower) * 15 / 15 rounds 7.1e-15 above upper, past
     # the 1e-15 slack, so the inclusive grid's top value is not in the box
