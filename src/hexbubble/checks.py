@@ -17,6 +17,7 @@ and prints one line per check.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from typing import Callable, NamedTuple, Optional
@@ -75,9 +76,9 @@ def _single_bubble_objective(L: float, V: float) -> Posed:
 # The two pair objectives check alpha once, when posed, and add the same
 # parts in the same order as rho1 and kissing_perimeter.  The oracle's
 # product grid repeats each side length 64 times, so a posed objective
-# keeps each single-cell length it has computed, keyed by its side; a
-# side whose cell raises ValueError is not kept, and raises again at the
-# next point with that side.  Each posing starts with empty memos.
+# caches each single-cell length by its side (functools.cache keeps no
+# raised ValueError: such a side raises again at its next point).  Each
+# posing starts with empty caches.
 
 
 def _embedded_objective(alpha: float) -> Posed:
@@ -85,15 +86,11 @@ def _embedded_objective(alpha: float) -> Posed:
     inner cell, once per L1."""
     check_alpha(alpha)
     cap1 = math.sqrt(8.0 * SQRT3 * alpha / 3.0)
-    inner_by_L1: dict[float, float] = {}
+    inner = functools.cache(lambda L1: embedded.inner_hexagon(L1, alpha)[1])
 
     def objective(p: tuple[float, ...]) -> float:
         L1, L2 = p
-        outer = embedded.outer_notched(L1, L2, 1.0)[1]
-        inner = inner_by_L1.get(L1)
-        if inner is None:
-            inner = inner_by_L1[L1] = embedded.inner_hexagon(L1, alpha)[1]
-        return outer + inner - L1
+        return embedded.outer_notched(L1, L2, 1.0)[1] + inner(L1) - L1
 
     return objective, (1e-3, 1e-3), (cap1 * (1.0 + 1e-9), 3.0)
 
@@ -112,18 +109,12 @@ def _kissing_objective(alpha: float) -> Posed:
     """kissing_perimeter over (L1, L2), each cell's length once per side."""
     check_alpha(alpha)
     lo = 0.05 * min(1.0, math.sqrt(alpha))
-    big_by_L1: dict[float, float] = {}
-    small_by_L2: dict[float, float] = {}
+    big = functools.cache(lambda L1: singlebubble.optimal_perimeter(L1, 1.0))
+    small = functools.cache(lambda L2: singlebubble.optimal_perimeter(L2, alpha))
 
     def objective(p: tuple[float, ...]) -> float:
         L1, L2 = p
-        big = big_by_L1.get(L1)
-        if big is None:
-            big = big_by_L1[L1] = singlebubble.optimal_perimeter(L1, 1.0)
-        small = small_by_L2.get(L2)
-        if small is None:
-            small = small_by_L2[L2] = singlebubble.optimal_perimeter(L2, alpha)
-        return big + small - min(L1, L2)
+        return big(L1) + small(L2) - min(L1, L2)
 
     return objective, (lo, lo), (2.4, 2.4)
 

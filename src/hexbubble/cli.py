@@ -102,22 +102,13 @@ def _centroid(chain: PolyChain) -> tuple[float, float]:
     return sx / n, sy / n
 
 
-class _Panel:
-    """One framed drawing: a few polygons, highlighted joint, edge labels."""
-
-    def __init__(self, title: str) -> None:
-        self.title = title
-        self.polys: list[tuple[PolyChain, str]] = []
-        self.joint: list[tuple[PlanePoint, PlanePoint]] = []
-
-    def bounds(self) -> tuple[float, float, float, float]:
-        xs = [v.x for chain, _ in self.polys for v in chain.vertices]
-        ys = [v.y for chain, _ in self.polys for v in chain.vertices]
-        return min(xs), min(ys), max(xs), max(ys)
-
-
-def _panel_svg(panel: _Panel, off_x: float) -> tuple[str, float, float]:
-    minx, miny, maxx, maxy = panel.bounds()
+def _panel_svg(panel: tuple, off_x: float) -> tuple[str, float, float]:
+    """One framed drawing from (title, [(chain, colour)], joint segments):
+    the polygons, the joint highlighted, a D-length label on every edge."""
+    title, polys, joint = panel
+    xs = [v.x for chain, _ in polys for v in chain.vertices]
+    ys = [v.y for chain, _ in polys for v in chain.vertices]
+    minx, miny, maxx, maxy = min(xs), min(ys), max(xs), max(ys)
     w = (maxx - minx) * SVG_SCALE
     h = (maxy - miny) * SVG_SCALE
     margin = 0.05 * max(w, h) + 14.0  # 5 percent plus room for labels
@@ -132,15 +123,15 @@ def _panel_svg(panel: _Panel, off_x: float) -> tuple[str, float, float]:
 
     parts = [
         f'<text x="{off_x + width / 2:.2f}" y="{SVG_TITLE_BAND - 8:.2f}" '
-        f'text-anchor="middle" font-size="14" fill="#222">{panel.title}</text>'
+        f'text-anchor="middle" font-size="14" fill="#222">{title}</text>'
     ]
-    for chain, color in panel.polys:
+    for chain, color in polys:
         pts = " ".join("%.2f,%.2f" % to_svg(v) for v in chain.vertices)
         parts.append(
             f'<polygon points="{pts}" fill="{color}" fill-opacity="0.12" '
             f'stroke="{color}" stroke-width="2"/>'
         )
-    for s1, s2 in panel.joint:
+    for s1, s2 in joint:
         x1, y1 = to_svg(s1)
         x2, y2 = to_svg(s2)
         parts.append(
@@ -149,7 +140,7 @@ def _panel_svg(panel: _Panel, off_x: float) -> tuple[str, float, float]:
         )
     # edge labels: D-length at the midpoint, nudged away from the centroid
     seen: set[tuple[int, int]] = set()
-    for chain, _ in panel.polys:
+    for chain, _ in polys:
         cx, cy = _centroid(chain)
         for p1, p2 in chain.edges():
             d = hex_norm((p2.x - p1.x, p2.y - p1.y))
@@ -171,7 +162,7 @@ def _panel_svg(panel: _Panel, off_x: float) -> tuple[str, float, float]:
     return "\n".join(parts), width, height
 
 
-def _svg_document(panels: list[_Panel]) -> str:
+def _svg_document(panels: list[tuple]) -> str:
     body_parts: list[str] = []
     off = 0.0
     heights = []
@@ -201,19 +192,16 @@ def render_svg(result: solver.DoubleBubbleResult) -> str:
             f"{entry.case}: alpha={_short(result.alpha)} "
             f"perimeter={_short(result.perimeter)}"
         )
-        panel = _Panel(title)
-        panel.polys = [(entry.geometry_a, "#1f77b4"), (entry.geometry_b, "#d62728")]
-        panel.joint = shared_segments(entry.geometry_a, entry.geometry_b)
-        panels.append(panel)
+        polys = [(entry.geometry_a, "#1f77b4"), (entry.geometry_b, "#d62728")]
+        panels.append((title, polys, shared_segments(entry.geometry_a, entry.geometry_b)))
     return _svg_document(panels)
 
 
 def _hexagon_svg(volume: float) -> str:
     L0, P = singlebubble.isoperimetric_optimum(volume)
     poly = singlebubble.solve_fixed_side(L0, volume).polygon()
-    panel = _Panel(f"isoperimetric hexagon: V={_short(volume)} perimeter={_short(P)}")
-    panel.polys = [(poly, "#1f77b4")]
-    return _svg_document([panel])
+    title = f"isoperimetric hexagon: V={_short(volume)} perimeter={_short(P)}"
+    return _svg_document([(title, [(poly, "#1f77b4")], [])])
 
 
 # ---------------------------------------------------------------- commands
@@ -300,12 +288,14 @@ def cmd_iso(args: argparse.Namespace) -> int:
         return _error(str(exc))
     svg = None
     if args.out is not None:
-        # the drawing needs a side of at least MIN_SIDE, the value only a
-        # positive volume: fail before any output or file appears
+        # the drawing needs a side of at least MIN_SIDE and a cell whose
+        # terms in V do not overflow, the value only a positive finite
+        # volume: fail before any output or file appears
         try:
             svg = _hexagon_svg(args.volume)
         except ValueError as exc:
-            return _error(f"volume {fmt(args.volume)} is too small to draw ({exc})")
+            size = "small" if L0 < singlebubble.MIN_SIDE else "large"
+            return _error(f"volume {fmt(args.volume)} is too {size} to draw ({exc})")
     print(f"L0        = {fmt(L0)}")
     print(f"perimeter = {fmt(P)}")
     if svg is not None:

@@ -118,24 +118,10 @@ def solve_fixed_side(L: float, V: float) -> SingleBubbleSolution:
     return tuple.__new__(SingleBubbleSolution, (L, V, REGIME_FOUR, sides, 3.0 * L - s))
 
 
-# the two closed forms on inputs already checked by _check_inputs
-
-
-def _p1(L: float, V: float) -> float:
-    return 7.0 * math.sqrt((3.0 * L * L + 4.0 * SQRT3 * V) / 21.0) - L
-
-
-def _p2(L: float, V: float) -> float:
-    rad = (3.0 * L * L - 4.0 * SQRT3 * V) / 3.0
-    if rad < 0.0:
-        raise ValueError("volume too large for a four-sided cell on this side")
-    return 3.0 * L - math.sqrt(rad)
-
-
 def perimeter_P1(L: float, V: float) -> float:
     """Six-sided closed-form perimeter 7*sqrt((3L^2 + 4 sqrt(3)V)/21) - L."""
     _check_inputs(L, V)
-    return _p1(L, V)
+    return 7.0 * math.sqrt((3.0 * L * L + 4.0 * SQRT3 * V) / 21.0) - L
 
 
 def perimeter_P2(L: float, V: float) -> float:
@@ -145,19 +131,19 @@ def perimeter_P2(L: float, V: float) -> float:
     that no trapezoid over the side encloses V and a ValueError is raised.
     """
     _check_inputs(L, V)
-    return _p2(L, V)
+    rad = (3.0 * L * L - 4.0 * SQRT3 * V) / 3.0
+    if rad < 0.0:
+        raise ValueError("volume too large for a four-sided cell on this side")
+    return 3.0 * L - math.sqrt(rad)
 
 
 def optimal_perimeter(L: float, V: float) -> float:
-    """Perimeter of the active regime (P1 below the threshold, else P2).
+    """Perimeter of the regime that is_six_sided names: P1, else P2.
 
-    Checks its inputs once, then applies is_six_sided's test inline and
-    the active closed form.
+    Both forms open with the same input check, so a bad input gets the
+    same error whichever form the test picks.
     """
-    _check_inputs(L, V)
-    if 3.0 * SQRT3 * L * L < 16.0 * V:
-        return _p1(L, V)
-    return _p2(L, V)
+    return perimeter_P1(L, V) if is_six_sided(L, V) else perimeter_P2(L, V)
 
 
 def isoperimetric_optimum(V: float) -> tuple[float, float]:
@@ -168,5 +154,8 @@ def isoperimetric_optimum(V: float) -> tuple[float, float]:
     """
     if not (math.isfinite(V) and V > 0.0):
         raise ValueError("volume must be positive and finite")
-    root = math.sqrt(2.0 * V)
+    twice = 2.0 * V
+    # 2V overflows above about 9e307; halving V instead is exact there,
+    # but not for a subnormal V, so the plain form is kept wherever it holds
+    root = math.sqrt(twice) if twice != math.inf else 2.0 * math.sqrt(0.5 * V)
     return root / 3.0 ** 0.75, 2.0 * root * 3.0 ** 0.25

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -271,6 +272,27 @@ def test_iso_rejects_a_volume_too_small_to_draw(tmp_path, capsys):
     # without --out the value is still printed
     code, out, _ = run_cli(["iso", "--volume", "1e-20"], capsys)
     assert code == 0 and out.startswith("L0        = ")
+
+
+@pytest.mark.parametrize("volume", ["1e308", repr(sys.float_info.max)])
+def test_iso_answers_at_huge_volumes(volume, capsys):
+    # 2V overflows here; the value is still finite
+    code, out, err = run_cli(["iso", "--volume", volume], capsys)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert [line.split("=")[0] for line in lines] == ["L0        ", "perimeter "]
+    assert all(math.isfinite(float(line.split("=")[1])) for line in lines)
+
+
+def test_iso_rejects_a_volume_too_large_to_draw(tmp_path, capsys):
+    # the value exists, but the cell's area terms overflow when it is built
+    out_path = tmp_path / "f.svg"
+    code, out, err = run_cli(["iso", "--volume", "1e308", "--out", str(out_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: volume 1e+308 is too large to draw (")
+    assert err.count("\n") == 1
+    assert not out_path.exists()
 
 
 # ---------------------------------------------------------------- exit codes

@@ -1,6 +1,7 @@
 """Fixed-side cell: the two regime closed forms and the free optimum."""
 
 import math
+import sys
 
 import pytest
 
@@ -41,6 +42,29 @@ def test_isoperimetric_optimum_scaling():
         assert abs(L0 - math.sqrt(2.0 * V) / 3.0 ** 0.75) <= 1e-12
         assert abs(P - 2.0 * math.sqrt(2.0 * V) * 3.0 ** 0.25) <= 1e-12
     assert abs(isoperimetric_optimum(4.0)[1] - 2.0 * isoperimetric_optimum(1.0)[1]) <= 1e-12
+
+
+# the largest V whose 2V is finite, and the next float up
+LAST_FINITE_2V = 8.988465674311579e307
+FIRST_INFINITE_2V = math.nextafter(LAST_FINITE_2V, math.inf)
+
+
+@pytest.mark.parametrize(
+    "V", [5e-324, 2.2250738585072014e-308, 1e-20, 0.37, 1.0, 3.5e11, 1e300, LAST_FINITE_2V]
+)
+def test_isoperimetric_optimum_keeps_its_bits_where_2v_is_finite(V):
+    root = math.sqrt(2.0 * V)
+    L0, P = isoperimetric_optimum(V)
+    assert L0.hex() == (root / 3.0 ** 0.75).hex()
+    assert P.hex() == (2.0 * root * 3.0 ** 0.25).hex()
+
+
+@pytest.mark.parametrize("V", [FIRST_INFINITE_2V, 1e308, sys.float_info.max])
+def test_isoperimetric_optimum_is_finite_where_2v_overflows(V):
+    L0, P = isoperimetric_optimum(V)
+    assert math.isfinite(L0) and math.isfinite(P)
+    assert math.isclose(L0, math.sqrt(2.0) * math.sqrt(V) / 3.0 ** 0.75, rel_tol=1e-15)
+    assert math.isclose(P, 6.0 * L0, rel_tol=1e-15)
 
 
 def test_optimum_is_regular_hexagon():
@@ -191,6 +215,31 @@ def test_optimal_perimeter_continuous_across_the_boundary():
     assert is_six_sided(Lb - eps, V)
     assert not is_six_sided(Lb + eps, V)
     assert abs(above - below) <= 1e-6
+
+
+def _steps_from(x: float, n: int) -> float:
+    toward = math.inf if n > 0 else 0.0
+    for _ in range(abs(n)):
+        x = math.nextafter(x, toward)
+    return x
+
+
+@pytest.mark.parametrize("V", [1e-12, 1e-6, 0.01, 0.5, 1.0, 1.7, 100.0, 1e6, 1e12])
+def test_optimal_perimeter_takes_the_form_is_six_sided_names(V):
+    # at the regime switch and a few ulps either side, the active form is
+    # the one is_six_sided names, and its bits are solve_fixed_side's
+    Lb = regime_boundary_side(V)
+    regimes = set()
+    for n in range(-4, 5):
+        L = _steps_from(Lb, n)
+        six = is_six_sided(L, V)
+        regimes.add(six)
+        sol = solve_fixed_side(L, V)
+        assert sol.regime == (REGIME_SIX if six else REGIME_FOUR)
+        got = optimal_perimeter(L, V).hex()
+        assert got == sol.perimeter.hex()
+        assert got == (perimeter_P1 if six else perimeter_P2)(L, V).hex()
+    assert regimes == {True, False}
 
 
 def test_x1_vanishes_approaching_the_boundary():
