@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import time
+from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from . import embedded, hexnorm, kissing, singlebubble, solver
@@ -377,14 +378,50 @@ def _chk_p2_exceeds_p1(rng: Lcg) -> tuple[bool, str]:
     return True, ""
 
 
+# P(alpha), ascending: the one irreducible factor left when the perimeter is
+# eliminated between the nested and P3 stationarity systems
+ALPHA0_POLY = (
+    1095687, -81547884, 19096099002, 657933778368, 16253223663543, -123958224025928,
+    -124486600624726, 125755117235708, -33340482374308, -75906003042516, 89002434477994,
+    -16622903296072, -6990247398729, -692203257128, -19104023414, 253374652, 8645447,
+)
+
+
+def alpha0_poly_sign(x: Fraction) -> int:
+    """Sign of ALPHA0_POLY at x, exactly: of d^16 P(n/d) in integers."""
+    n, d = x.as_integer_ratio()
+    acc, dk = 0, 1
+    for c in reversed(ALPHA0_POLY):
+        acc, dk = acc * n + c * dk, dk * d
+    return (acc > 0) - (acc < 0)
+
+
+def alpha0_certificate(a0: float) -> tuple[bool, str]:
+    """Whether a0 is the double nearest alpha0, where g = embedded_value -
+    kissing_value changes sign.
+
+    alpha0 is the one root in (0, 1] of ALPHA0_POLY (a Sturm count, in the
+    tests).  That assumes the factors kept from each elimination are those
+    that vanish on the solver's branches, that embedded._L1_CAP does not
+    bind on (0, 1], and the paper's reduction to these two families.  P
+    changing sign across a0 +- ulp(a0)/2, evaluated exactly, puts its root
+    within half an ulp of a0; |g(a0)| <= 1e-13, against g's slope of about
+    0.36, ties that root to the solver's closed forms.
+    """
+    x, half = Fraction(a0), Fraction(math.ulp(a0)) / 2
+    if alpha0_poly_sign(x - half) * alpha0_poly_sign(x + half) >= 0:
+        return False, f"P does not change sign within half an ulp of alpha0={fmt(a0)}"
+    gap = abs(solver.embedded_value(a0) - solver.kissing_value(a0))
+    if gap > 1e-13:
+        return False, f"perimeter gap {fmt(gap)} at alpha0"
+    return True, ""
+
+
 def _chk_alpha0(rng: Lcg) -> tuple[bool, str]:
     a0 = solver.find_alpha0()
     if not 0.147 <= a0 <= 0.157:
         return False, f"alpha0={fmt(a0)} outside [0.147, 0.157]"
-    gap = abs(solver.embedded_value(a0) - solver.kissing_value(a0))
-    if gap > 1e-8:
-        return False, f"perimeter gap {fmt(gap)} at alpha0"
-    return True, ""
+    return alpha0_certificate(a0)
 
 
 # The degree-8 route: P3's stationarity polynomial in L, built from its own

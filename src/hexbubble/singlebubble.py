@@ -129,12 +129,21 @@ def perimeter_P2(L: float, V: float) -> float:
 
     Defined for 3L^2 >= 4*sqrt(3)*V, i.e. L >= 2*sqrt(V)/3^(1/4); below
     that no trapezoid over the side encloses V and a ValueError is raised.
+    Where 3L^2 overflows (L above about 1e154) the top side is
+    L sqrt(1 - (4/sqrt(3)) V/L^2), and a perimeter that overflows raises.
     """
     _check_inputs(L, V)
-    rad = (3.0 * L * L - 4.0 * SQRT3 * V) / 3.0
+    square = 3.0 * L * L
+    huge = square == math.inf
+    rad = 1.0 - 4.0 / SQRT3 * (V / L) / L if huge else (square - 4.0 * SQRT3 * V) / 3.0
     if rad < 0.0:
         raise ValueError("volume too large for a four-sided cell on this side")
-    return 3.0 * L - math.sqrt(rad)
+    if not huge:
+        return 3.0 * L - math.sqrt(rad)
+    perimeter = 2.0 * L + (L - L * math.sqrt(rad))  # 3L overflows before the perimeter
+    if perimeter == math.inf:
+        raise ValueError("fixed side too large: the perimeter overflows")
+    return perimeter
 
 
 def optimal_perimeter(L: float, V: float) -> float:

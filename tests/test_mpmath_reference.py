@@ -67,14 +67,16 @@ def test_find_alpha0_lands_on_the_50_digit_root():
     with mp.workdps(DIGITS):
         alpha0 = mp.findroot(lambda a: _rho1_min(a) - _p3_min(a), mp.mpf("0.15"))
         assert abs(alpha0 - mp.mpf("0.152457211433471419015546700016683880096")) <= mp.mpf("1e-38")
+        # the double nearest the root lies within half an ulp of it
+        nearest = float(alpha0)
+        assert abs(mp.mpf(nearest) - alpha0) <= mp.mpf(math.ulp(nearest)) / 2
         rng = Lcg(6)
-        # g decreases at lo = 0.001, 0.01 and 0.03, so their first step bisects
+        # g decreases at lo = 0.001, 0.01 and 0.03, below the 1/8 handoff
         brackets = [(0.1, 0.3), (0.001, 0.3), (0.01, 0.3), (0.03, 0.3)] + [
             (rng.uniform(0.10, 0.15), rng.uniform(0.155, 0.30)) for _ in range(32)
         ]
         for lo, hi in brackets:
-            got = find_alpha0(lo, hi)
-            assert abs(got - alpha0) <= mp.mpf("1e-14"), (lo, hi, got)
+            assert find_alpha0(lo, hi) == nearest, (lo, hi)
     assert "%.12g" % find_alpha0() == "0.152457211433"
 
 

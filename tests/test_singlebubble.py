@@ -197,6 +197,38 @@ def test_p2_exceeds_p1_on_the_shared_domain():
         assert perimeter_P2(L, V) > perimeter_P1(L, V) - 1e-12
 
 
+# the largest side whose 3 L^2 is finite
+_LAST_FINITE_SQUARE = math.sqrt(sys.float_info.max / 3.0)
+while 3.0 * _LAST_FINITE_SQUARE * _LAST_FINITE_SQUARE != math.inf:
+    _LAST_FINITE_SQUARE = math.nextafter(_LAST_FINITE_SQUARE, math.inf)
+while 3.0 * _LAST_FINITE_SQUARE * _LAST_FINITE_SQUARE == math.inf:
+    _LAST_FINITE_SQUARE = math.nextafter(_LAST_FINITE_SQUARE, 0.0)
+
+
+def test_p2_keeps_its_bits_where_3l2_is_finite():
+    rng = Lcg(67)
+    sides = [10.0 ** rng.uniform(-8.0, 154.0) for _ in range(300)] + [_LAST_FINITE_SQUARE]
+    for L in sides:
+        for V in (5e-324, 1e-300, L * L * rng.uniform(1e-6, 0.4)):
+            rad = (3.0 * L * L - 4.0 * SQRT3 * V) / 3.0
+            assert perimeter_P2(L, V).hex() == (3.0 * L - math.sqrt(rad)).hex(), (L, V)
+
+
+def test_p2_is_finite_or_raises_where_3l2_overflows():
+    # optimal_perimeter took the four-sided form there and returned -inf or nan
+    nxt = math.nextafter(_LAST_FINITE_SQUARE, math.inf)
+    for L, want in ((nxt, 2.0 * nxt), (1e154, 2e154), (1e200, 2e200), (8e307, 1.6e308)):
+        assert perimeter_P2(L, 1.0) == optimal_perimeter(L, 1.0) == want, L
+    # a volume the side can hold, and one it cannot
+    assert 2e154 < perimeter_P2(1e154, 1e307) < 3e154
+    with pytest.raises(ValueError, match="four-sided"):
+        perimeter_P2(1e154, 1e308)
+    for L in (1.7e308, sys.float_info.max):
+        for f in (perimeter_P2, optimal_perimeter):
+            with pytest.raises(ValueError, match="^fixed side too large: the perimeter overflows$"):
+                f(L, 1.0)
+
+
 # ---------------------------------------------------------------- regime boundary
 
 

@@ -2,12 +2,11 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
-import hypothesis
 import pytest
-from hypothesis import strategies as st
 
-from hexbubble import embedded, hexnorm, kissing, singlebubble, solver
+from hexbubble import checks, embedded, hexnorm, kissing, singlebubble, solver
 from hexbubble.embedded import minimize_rho1
 from hexbubble.hexnorm import PolyChain, double_bubble_perimeter, polygon_area
 from hexbubble.kissing import kissing_geometry, kissing_minimum, small_alpha_closed_form
@@ -65,10 +64,60 @@ def test_candidates_map():
 
 def test_find_alpha0():
     a0 = find_alpha0()
-    # the 50-digit root is 0.15245721143347141901...
-    assert abs(a0 - 0.15245721143347142) <= 1e-14
-    assert 0.147 <= a0 <= 0.157
-    assert abs(embedded_value(a0) - kissing_value(a0)) <= 1e-8
+    # the 50-digit root is 0.15245721143347141901..., 1.22e-17 above a0,
+    # inside half an ulp (1.39e-17)
+    assert a0 == solver.ALPHA0 == float.fromhex("0x1.383b7c892b3f6p-3")
+    assert abs(Fraction("0.15245721143347141901") - Fraction(a0)) <= Fraction(math.ulp(a0)) / 2
+    assert abs(embedded_value(a0) - kissing_value(a0)) <= 1e-13
+    assert checks.alpha0_certificate(a0) == (True, "")
+
+
+def _sturm_count(poly, lo, hi):
+    """Distinct real roots in (lo, hi] of the integer polynomial poly
+    (ascending coefficients), by a Sturm sequence in exact rationals."""
+
+    def rem(a, b):
+        # remainder of a by b, both descending lists of Fractions
+        a = list(a)
+        while len(a) >= len(b):
+            q = a[0] / b[0]
+            a = [x - q * y for x, y in zip(a, b + [0] * (len(a) - len(b)))][1:]
+        while a and a[0] == 0:
+            a.pop(0)
+        return a
+
+    p = [Fraction(c) for c in reversed(poly)]
+    n = len(p) - 1
+    chain = [p, [c * (n - i) for i, c in enumerate(p[:-1])]]
+    while True:
+        r = rem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-c for c in r])
+
+    def changes(x):
+        signs = []
+        for q in chain:
+            v = Fraction(0)
+            for c in q:
+                v = v * x + c
+            if v != 0:
+                signs.append(v > 0)
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return changes(lo) - changes(hi)
+
+
+def test_alpha0_poly_has_one_root_in_the_unit_interval():
+    # the certificate's sign test pins a root of P; this count makes it
+    # the only one in (0, 1], and so alpha0, which lies above 1/8
+    poly = checks.ALPHA0_POLY
+    assert len(poly) == 17 and all(isinstance(c, int) for c in poly)
+    assert poly[0] != 0 and checks.alpha0_poly_sign(Fraction(1)) != 0
+    assert _sturm_count(poly, Fraction(0), Fraction(1)) == 1
+    assert _sturm_count(poly, Fraction(1, 8), Fraction(1)) == 1
+    # the count itself: P's other real roots are -47.46, -17.32 and 51.04
+    assert _sturm_count(poly, Fraction(-100), Fraction(100)) == 4
 
 
 def test_transition_is_a_tie():
@@ -122,20 +171,34 @@ def test_solver_path_never_evaluates_rho2(monkeypatch):
     assert len(sweep(0.01, 1.0, 25)) == 25
 
     calls = []
-    g = solver._difference_and_slope
 
-    def counting(alpha):
-        calls.append(alpha)
-        return g(alpha)
+    def counting(name, real):
+        def wrapped(alpha):
+            calls.append(name)
+            return real(alpha)
 
-    monkeypatch.setattr(solver, "_difference_and_slope", counting)
-    assert find_alpha0() == 0.15245721143346874
-    assert len(calls) == 5  # both bracket ends, then three Newton steps
+        return wrapped
+
+    monkeypatch.setattr(embedded, "minimize_rho1", counting("rho1", embedded.minimize_rho1))
+    monkeypatch.setattr(kissing, "kissing_minimum", counting("kissing", kissing.kissing_minimum))
+    assert find_alpha0() == 0.1524572114334714
+    assert find_alpha0(0.001, 0.9) == 0.1524572114334714
+    assert calls == []  # alpha0 is a constant; no perimeter is evaluated
 
 
 def test_bad_bracket_raises():
-    with pytest.raises(ValueError, match="bracket"):
-        find_alpha0(0.3, 0.5)
+    a0 = solver.ALPHA0
+    for lo, hi in ((0.3, 0.5), (0.01, 0.15), (0.3, 0.1), (a0, 0.3), (0.1, a0)):
+        with pytest.raises(ValueError, match="^bracket does not straddle the transition$"):
+            find_alpha0(lo, hi)
+    # both ends must be ratios, with check_alpha's errors
+    for lo, hi in ((0.0, 0.3), (0.1, 1.5), (math.nan, 0.3), (0.1, math.inf)):
+        with pytest.raises(ValueError, match=r"^volume ratio must lie in \(0, 1\]$"):
+            find_alpha0(lo, hi)
+    with pytest.raises(ValueError, match="not bool"):
+        find_alpha0(0.1, True)
+    with pytest.raises(TypeError):
+        find_alpha0("0.1", 0.3)
 
 
 # ---------------------------------------------------------------- sweep
@@ -484,6 +547,8 @@ def _merged_kissing(L1, L2, alpha):
 
 
 def test_cells_match_the_merge_route(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
     ratio = st.one_of(
         st.floats(min_value=-13.0, max_value=0.0).map(lambda e: 10.0**e),
         st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
