@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .hexnorm import DEDUP_TOL, SQRT3, PolyChain
+from .hexnorm import DEDUP_TOL, SQRT3, PolyChain, merge_vertices
 from .singlebubble import MIN_SIDE, check_alpha
 
 # hoisted from minimize_rho1, where each is evaluated first and on its own
@@ -233,27 +233,30 @@ def embedded_geometry(
         # each step moves x by x1 or y by h, so the merge keeps every vertex
         inner = [(0.0, 0.0), (x1, 0.0), (x1 + q, h), (x1, 2.0 * h), (0.0, 2.0 * h), (-q, h)]
     top = SQRT3 * (L1 + y2) / 2.0
-    outer_pts = [
-        (-y2 / 2.0 - y1, -SQRT3 * y2 / 2.0),
-        (-y2 / 2.0, -SQRT3 * y2 / 2.0),
+    xa = -y2 / 2.0  # x of the two vertices next to the notch
+    xb = xa - y1  # x of the far ends of the horizontal sides
+    xl = xb - L2 / 4.0  # x of the west corner
+    outer = [
+        (xb, -SQRT3 * y2 / 2.0),
+        (xa, -SQRT3 * y2 / 2.0),
         (0.0, 0.0),
         (-q, h),
         (0.0, 2.0 * h),
-        (-y2 / 2.0, top),
-        (-y2 / 2.0 - y1, top),
-        (-y2 / 2.0 - y1 - L2 / 4.0, top - SQRT3 * L2 / 4.0),
+        (xa, top),
+        (xb, top),
+        (xl, top - SQRT3 * L2 / 4.0),
     ]
-    # merge_vertices inline: drop a vertex within DEDUP_TOL of the last one kept
-    outer = []
-    px = py = math.inf
-    for x, y in outer_pts:
-        if not (abs(px - x) <= DEDUP_TOL and abs(py - y) <= DEDUP_TOL):
-            outer.append((x, y))
-            px, py = x, y
-    fx, fy = outer[0]
-    if len(outer) > 1 and abs(fx - px) <= DEDUP_TOL and abs(fy - py) <= DEDUP_TOL:
-        outer.pop()
-    ox, oy = min(outer)  # pairs order by (x, y)
+    # merge_vertices compares each vertex with the last one kept.  The
+    # notch and slant steps (q, h and L2/4 across, h and sqrt(3) L2/4 up,
+    # all >= MIN_SIDE/4) always exceed DEDUP_TOL; the steps to and from
+    # (xa, .) move x by y2/2 and xa - xb.  When both exceed DEDUP_TOL no
+    # vertex merges, and when the west corner is also strictly leftmost it
+    # is the anchor min() would pick, so both passes are skipped.
+    if y2 > 2.0 * DEDUP_TOL and xa - xb > DEDUP_TOL and xl < xb:
+        ox, oy = outer[7]
+    else:
+        outer = merge_vertices(outer, True)
+        ox, oy = min(outer)  # pairs order by (x, y)
     outer = PolyChain([(x - ox, y - oy) for x, y in outer], True)
     inner = PolyChain([(x - ox, y - oy) for x, y in inner], True)
     return outer, inner, outer_sides, inner_sides

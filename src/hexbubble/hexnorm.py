@@ -166,11 +166,14 @@ class PolyChain:
 
     One pass over the vertices converts and checks each, keeps it as a
     plain (x, y) float pair in _pairs and applies the certificate's convex
-    rule (see "edge predicates" below); only a chain with one right turn
-    takes a second pass, _notched's hull test.  A closed chain the
-    certificate accepts skips the O(n^2) _self_overlaps scan, and records
-    which rule it passed in `certified`: CONVEX or NOTCHED (convex but for
-    one notch), or None when it declined or the chain is open.
+    rule (see "edge predicates" below).  It notes each side shorter than
+    8 GEOM_TOL, which the rule passes only when _isolated finds it between
+    two long sides, with a left turn of sine >= 1/4 across it, in a chain
+    with no right turn; only a chain with one right turn takes a second
+    pass, _notched's hull test.  A closed chain the certificate accepts
+    skips the O(n^2) _self_overlaps scan, and records which rule it passed
+    in `certified`: CONVEX or NOTCHED (convex but for one notch), or None
+    when it declined or the chain is open.
 
     Two things are built on first read, so a chain that is only measured
     builds no PlanePoint: `vertices`, a tuple of PlanePoints with the same
@@ -213,6 +216,7 @@ class PolyChain:
         side = 64.0 * GEOM_TOL * GEOM_TOL  # (8 GEOM_TOL)^2
         r = -1  # the one vertex whose turn is not left with sine >= 1/4
         passes = 0  # edges whose direction passes angle 0
+        short = ()  # k for each side pts[k-1] -> pts[k] shorter than 8 GEOM_TOL
         coincide = False  # reported after the non-finite and count errors
         pts: list[tuple[float, float]] = []
         append = pts.append
@@ -225,7 +229,7 @@ class PolyChain:
             ex, ey = x - bx, y - by
             sq = ex * ex + ey * ey
             if sq < side:  # a coinciding pair is shorter still
-                certify = False
+                short += (len(pts),)
                 if abs(ex) <= DEDUP_TOL and abs(ey) <= DEDUP_TOL:
                     coincide = True
             c = fx * ey - fy * ex  # the turn at (bx, by)
@@ -246,6 +250,8 @@ class PolyChain:
             raise ValueError("consecutive vertices coincide")
         data["_pairs"] = tuple(pts)
         if closed:
+            if certify and short:
+                certify = r < 0 and _isolated(pts, short)
             if certify:
                 certify = _notched(pts, r) if r >= 0 else CONVEX if passes == 1 else None
             if certify:
@@ -533,8 +539,11 @@ def point_in_polygon(p: Sequence[float], poly: PolyChain) -> bool:
 #   hull less the triangle p r q; for each hull edge e but the chord, the
 #   triangle of e and r lies in the chain, as r sees the hull vertices in
 #   counterclockwise order.  Twice the area of a chain of width w is then
-#   at least GEOM_TOL * w / 12: a convex chain has at most 24 edges and
-#   every vertex 2 GEOM_TOL off each edge line it is not on, and r lies
+#   at least GEOM_TOL * w / 12: a convex chain has at most 24 edges, its
+#   longest edge is not a short side (those lie between long ones), and
+#   some vertex stands 2 GEOM_TOL off that edge's line (see below: only
+#   the far end of a short neighbour may stand lower, and a certified
+#   chain with a short side has four or more sides); and r lies
 #   GEOM_TOL * (8 + |e|) inside each hull edge line.  _orientation's sum,
 #   twice the area, rounds by under 1e-11 w + 1e-13 w^2 within +/-64, so
 #   it stays positive.
@@ -547,24 +556,36 @@ def point_in_polygon(p: Sequence[float], poly: PolyChain) -> bool:
 #   with it, as the point is then at least GEOM_TOL from every crossing.
 #   The points tested lie in the chain's box widened by GEOM_TOL, within
 #   +/-65, so a height and _strictly_inside's distance each round by under
-#   1e-12; only a height within a quarter GEOM_TOL of GEOM_TOL, where the
-#   two might round to different sides, defers to _strictly_inside.  A
-#   point behind a notch is inside the chain but off a notch edge's line,
-#   so NOTCHED chains take _strictly_inside.
+#   1e-12.  That holds for a short side too: its c rounds by a few ulp of
+#   130 times its length, the length it is divided by, and its distance is
+#   taken only for points within 2 GEOM_TOL of its box.  Only a height
+#   within a quarter GEOM_TOL of GEOM_TOL, where the two might round to
+#   different sides, defers to _strictly_inside.  A point behind a notch
+#   is inside the chain but off a notch edge's line, so NOTCHED chains take
+#   _strictly_inside.
 #
 # The certificate answers "simple" in O(n), and only where _self_overlaps
 # would find nothing; otherwise it declines.  It needs every coordinate
-# within +/-64 and every side at least s = 8 GEOM_TOL long, and one of two
-# rules:
+# within +/-64, every side at least s = 8 GEOM_TOL long but the short ones
+# the convex rule's clause passes, and one of two rules:
 #
 # - Convex: every turn is left with sine at least 1/4 (turns of 14.5 to
 #   165.5 degrees), and the edge directions wind once.  With every turn in
 #   (0, pi) the direction passes angle 0 once per winding, at the edges
 #   whose y goes from < 0 to >= 0, so counting those needs no atan2.
+#   Short-side clause: a side shorter than s (and not coinciding, so
+#   longer than DEDUP_TOL) passes when both of its neighbours are at least
+#   s long and the turn across it, from the side before it to the side
+#   after it, is also left with sine at least 1/4.  The turns at its two
+#   ends pass the rule as every turn does.  The nested inner cell's
+#   horizontal sides, about 1.86 alpha, take this clause for alpha from
+#   about 5.4e-13 to 4.3e-9.
 # - One notch: one turn fails that, a right turn at vertex r between p
 #   and q.  The hull, the chain without r (the chord p -> q in place of the
 #   two notch edges), passes the convex rule, and r lies farther than
-#   GEOM_TOL * (8 + |e|) inside the line of each hull edge e.
+#   GEOM_TOL * (8 + |e|) inside the line of each hull edge e.  Every side
+#   is at least s long: a chain with a right turn never takes the
+#   short-side clause.
 #
 # PolyChain's one pass takes every side and turn, the last vertex's too,
 # as its walk starts on the closing edge; each rule is over all of them,
@@ -580,11 +601,25 @@ def point_in_polygon(p: Sequence[float], poly: PolyChain) -> bool:
 # every edge line, and along the chain a vertex's height above edge k's
 # line rises, then falls.  So the vertices off edge k are at least
 # s * sin(turn) >= 2 GEOM_TOL above its line (the lowest are those next
-# to k's ends).  Non-adjacent edges i and j, i first:
+# to k's ends).  A short side changes that in one place.  When k's
+# neighbour is short, the neighbour's far end may lie lower; but the
+# vertex after it ends a long side that leaves k's direction by the turn
+# across the short side, so it stands at least s/4 = 2 GEOM_TOL above k's
+# line, and the vertices beyond it stand higher until the heights fall
+# towards k's other end.  When k itself is short, its neighbours are long
+# and the turns at its ends pass the rule, so the vertices next to its
+# ends stand 2 GEOM_TOL above its line, as for a long side.  So every
+# vertex off edge k but the far end of a short neighbour is 2 GEOM_TOL
+# above k's line.  Non-adjacent edges i and j, i first:
 #
 # - Convex: they do not cross, since i's ends lie on j's left (d1 and d2
 #   are not negative beyond rounding), and they share no stretch, since
-#   j's start is 2 GEOM_TOL from i's line (|off| > GEOM_TOL).
+#   j's start is 2 GEOM_TOL from i's line (|off| > GEOM_TOL).  With a
+#   short side the one exception is j = i + 2 around the chain, with
+#   i + 1 short, whose start is the short side's far end: j leaves i's
+#   direction by the turn across i + 1, so |cross| >= |j| / 4 > j's tol,
+#   and they are not parallel.  (The far end of a short i - 1 starts
+#   i - 1 itself, which is adjacent to i.)
 # - Notch, two hull edges: as in the convex case.
 # - Notch edge N against hull edge k: N's ends lie left of k's line, the
 #   hull vertex (p or q) by 2 GEOM_TOL and r by more, so they do not cross,
@@ -693,6 +728,23 @@ def _self_overlaps(rows: _EdgeRows) -> bool:
             if not min(length, max(t1, t2)) - max(0.0, min(t1, t2)) <= eps:
                 return True  # a shared stretch
     return False
+
+
+def _isolated(pts: list[tuple[float, float]], short: tuple[int, ...]) -> bool:
+    """True iff in closed chain pts each side pts[k-1] -> pts[k], k in short,
+    lies between two sides at least 8 GEOM_TOL long, and the turn across it,
+    from the side before it to the side after it, is left with sine >= 1/4
+    (the convex rule's short-side clause above)."""
+    side = 64.0 * GEOM_TOL * GEOM_TOL  # (8 GEOM_TOL)^2
+    n = len(pts)
+    for k in short:
+        (ax, ay), (bx, by), (cx, cy), (dx, dy) = pts[k - 2], pts[k - 1], pts[k], pts[k + 1 - n]
+        fx, fy, ex, ey = bx - ax, by - ay, dx - cx, dy - cy
+        fsq, sq = fx * fx + fy * fy, ex * ex + ey * ey
+        c = fx * ey - fy * ex
+        if not (fsq >= side and sq >= side and c > 0.0 and 16.0 * c * c >= fsq * sq):
+            return False
+    return True
 
 
 def _notched(pts: list[tuple[float, float]], r: int) -> Optional[str]:

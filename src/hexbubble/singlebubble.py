@@ -89,9 +89,28 @@ def fixed_side_polygon(L: float, sides: tuple[float, ...]) -> PolyChain:
     return PolyChain(tuple(fixed_side_vertices(L, sides)), closed=True)
 
 
+# where a square or a radicand overflows, L is scaled by this power of two
+# and V by its square (in two steps: 2^-1200 is below the smallest double),
+# exactly; every form here is homogeneous, so the scaled form rounds as the
+# direct one would with an unbounded exponent range (a term that underflows
+# in it lies far below half an ulp of the other term)
+_SCALE = 2.0 ** -600
+
+
 def is_six_sided(L: float, V: float) -> bool:
-    """Regime test: six-sided iff 3*sqrt(3)*L^2 < 16*V."""
-    return 3.0 * SQRT3 * L * L < 16.0 * V
+    """Regime test: six-sided iff 3*sqrt(3)*L^2 < 16*V.
+
+    Where both sides overflow (L above about 5.9e153, V above about
+    1.1e307) they are compared at L 2^-600 and V 2^-1200, so an overflowed
+    square is never read as four-sided.  Where only one overflows the
+    direct comparison already answers right.
+    """
+    square, volume = 3.0 * SQRT3 * L * L, 16.0 * V
+    if square < volume:
+        return True
+    if volume != math.inf:  # square does not undercut a finite volume
+        return False
+    return 3.0 * SQRT3 * (L * _SCALE) * (L * _SCALE) < 16.0 * (V * _SCALE * _SCALE)
 
 
 def solve_fixed_side(L: float, V: float) -> SingleBubbleSolution:
@@ -119,9 +138,20 @@ def solve_fixed_side(L: float, V: float) -> SingleBubbleSolution:
 
 
 def perimeter_P1(L: float, V: float) -> float:
-    """Six-sided closed-form perimeter 7*sqrt((3L^2 + 4 sqrt(3)V)/21) - L."""
+    """Six-sided closed-form perimeter 7*sqrt((3L^2 + 4 sqrt(3)V)/21) - L.
+
+    Where the radicand overflows it is taken at L 2^-600 and V 2^-1200 and
+    the perimeter scaled back by 2^600; a perimeter that overflows raises.
+    """
     _check_inputs(L, V)
-    return 7.0 * math.sqrt((3.0 * L * L + 4.0 * SQRT3 * V) / 21.0) - L
+    rad = (3.0 * L * L + 4.0 * SQRT3 * V) / 21.0
+    if rad != math.inf:
+        return 7.0 * math.sqrt(rad) - L
+    x, v = L * _SCALE, V * _SCALE * _SCALE
+    perimeter = (7.0 * math.sqrt((3.0 * x * x + 4.0 * SQRT3 * v) / 21.0) - x) / _SCALE
+    if perimeter == math.inf:
+        raise ValueError("fixed side too large: the perimeter overflows")
+    return perimeter
 
 
 def perimeter_P2(L: float, V: float) -> float:

@@ -763,6 +763,101 @@ def test_certified_chains_pass_the_full_scan(monkeypatch):
     assert notches
 
 
+def _cut_corners(rng):
+    # a polygon inscribed in a circle of radius 1e-7 to 60, placed within
+    # +/-64, with one to three corners cut by a side 5e-13 to 1.3e-8 long,
+    # split at random between the two edges at the corner; a quarter of the
+    # cuts move the side's far end off its line by up to its own length,
+    # which can bend either turn at its ends to the right
+    n = 3 + rng.next_u64() % 8
+    radius = 10.0 ** rng.uniform(-7.0, math.log10(60.0))
+    cx, cy = (rng.uniform(-1.0, 1.0) * (63.9 - radius) for _ in range(2))
+    angles = sorted(2.0 * math.pi * rng.uniform() for _ in range(n))
+    poly = [(cx + radius * math.cos(a), cy + radius * math.sin(a)) for a in angles]
+    cut = {rng.next_u64() % n for _ in range(1 + rng.next_u64() % 3)}
+    points = []
+    for k, (vx, vy) in enumerate(poly):
+        if k not in cut:
+            points.append((vx, vy))
+            continue
+        (px, py), (qx, qy) = poly[k - 1], poly[(k + 1) % n]
+        into, out = math.hypot(vx - px, vy - py), math.hypot(qx - vx, qy - vy)
+        length = 10.0 ** rng.uniform(-12.3, -7.9)
+        a = length * rng.uniform()
+        b = length - a
+        ax, ay = vx - a * (vx - px) / into, vy - a * (vy - py) / into
+        bx, by = vx + b * (qx - vx) / out, vy + b * (qy - vy) / out
+        if rng.next_u64() % 4 == 0:
+            sx, sy = bx - ax, by - ay
+            d = length * rng.uniform(-1.0, 1.0) / (math.hypot(sx, sy) or 1.0)
+            bx, by = bx - d * sy, by + d * sx
+        points += [(ax, ay), (bx, by)]
+    return points
+
+
+def test_isolated_short_sides_pass_the_full_scan():
+    # the convex rule's short-side clause: on every chain it passes, the
+    # O(n^2) scan finds nothing, the chain is counterclockwise, and the
+    # half-plane test decides as _strictly_inside does at heights near
+    # GEOM_TOL, next to the short sides too
+    rng = Lcg(79)
+    certified = with_short = 0
+    for _ in range(3000):
+        try:
+            chain = PolyChain(_cut_corners(rng), closed=True)
+        except ValueError:
+            continue
+        if not chain.certified:
+            continue
+        assert chain.certified is hexnorm.CONVEX
+        pts = chain._pairs
+        rows = _closed_rows(pts)
+        assert not hexnorm._self_overlaps(rows), pts
+        assert hexnorm._orientation(rows) == 1.0, pts
+        certified += 1
+        rows = chain._rows
+        lengths = [row[7] for row in rows]
+        with_short += min(lengths) < 8.0 * GEOM_TOL
+        assert all(length > hexnorm.DEDUP_TOL for length in lengths)
+        for row in rows:
+            for _ in range(6):
+                h = GEOM_TOL * 10.0 ** rng.uniform(-1.0, 1.0)
+                if rng.next_u64() % 4 == 0:
+                    h = -h
+                elif rng.next_u64() % 2:
+                    h = GEOM_TOL * (1.0 + 1e-7 * (rng.next_u64() % 13 - 6.0))
+                px, py = _at_height(row, rng.uniform(-0.5, 1.5), h)
+                want = hexnorm._strictly_inside(px, py, rows)
+                assert hexnorm._inside_convex(px, py, rows) == want, (px, py, pts)
+    # the clause is reached: most certified chains keep a short side
+    assert certified > 200 and with_short > certified // 2
+
+
+@pytest.mark.parametrize("width", [2e-12, 1e-10, 9e-10])
+def test_short_side_hairpins_stay_on_the_full_scan(width):
+    # a strip of two long sides joined by short ones, narrower than
+    # GEOM_TOL: the long sides run along one line, so the scan finds a
+    # shared stretch.  Each short side turns left by sine >= 1/4 at both
+    # ends, so only the clause's turn across it (a rectangle's ends) or its
+    # long neighbours (capped ends, two short sides meeting at a point)
+    # decline the chain
+    for angle in (0.0, 0.3, 2.0):
+        c, s = math.cos(angle), math.sin(angle)
+
+        def placed(points):
+            return [(3.0 + c * x - s * y, -2.0 + s * x + c * y) for x, y in points]
+
+        rectangle = [(0.0, 0.0), (10.0, 0.0), (10.0, width), (0.0, width)]
+        capped = [
+            (0.0, 0.0), (10.0, 0.0), (10.0 + width, width / 2.0),
+            (10.0, width), (0.0, width), (-width, width / 2.0),
+        ]
+        for points in (rectangle, capped):
+            assert hexnorm._self_overlaps(_closed_rows(placed(points)))
+            with pytest.raises(ValueError, match="^closed chain is not simple$"):
+                PolyChain(placed(points), closed=True)
+
+
 def test_notch_depth_grows_with_the_hull_edge():
     # r is 9.9 GEOM_TOL above the hull edge from (0, 0) to (20, 0), and the
     # notch edge p -> r runs 10 along it, tilted from it by under GEOM_TOL:

@@ -229,6 +229,38 @@ def test_p2_is_finite_or_raises_where_3l2_overflows():
                 f(L, 1.0)
 
 
+def test_six_sided_cells_at_overflowing_squares():
+    # 3 sqrt(3) L^2 (5.2e308) and 16 V (1.6e309) both overflow, and
+    # is_six_sided read inf < inf as four-sided, so optimal_perimeter took P2
+    # and raised "volume too large for a four-sided cell on this side"
+    assert is_six_sided(1e154, 1e308)
+    want = 1e154 * optimal_perimeter(1.0, 1.0)
+    for got in (optimal_perimeter(1e154, 1e308), perimeter_P1(1e154, 1e308)):
+        assert abs(got - want) <= 1e-15 * want
+    # the scaled comparison keeps the regime boundary 3 sqrt(3) L^2 = 16 V
+    assert not is_six_sided(1e154, 0.99 * 3.0 * SQRT3 / 16.0 * 1e308)
+    assert is_six_sided(1e154, 1.01 * 3.0 * SQRT3 / 16.0 * 1e308)
+    # P1's radicand overflows with either term; the perimeter overflows only
+    # for L above about 1.09e308, where (sqrt(7) - 1) L does
+    assert perimeter_P1(1.0, 1.7e308) == perimeter_P1(1e-8, 1.7e308) > 5e154
+    assert abs(perimeter_P1(1e300, 1.0) - (math.sqrt(7.0) - 1.0) * 1e300) <= 1e-15 * 1.7e300
+    with pytest.raises(ValueError, match="^fixed side too large: the perimeter overflows$"):
+        perimeter_P1(1.7e308, 1.0)
+
+
+def test_six_sided_test_and_p1_keep_their_bits_where_finite():
+    # the rescaled forms are taken only where the direct ones overflow
+    rng = Lcg(73)
+    for _ in range(300):
+        L = 10.0 ** rng.uniform(-8.0, 154.0)
+        for V in (5e-324, L * L * rng.uniform(0.01, 100.0), 10.0 ** rng.uniform(-300.0, 307.0)):
+            direct = 3.0 * SQRT3 * L * L < 16.0 * V
+            assert is_six_sided(L, V) == direct, (L, V)
+            rad = (3.0 * L * L + 4.0 * SQRT3 * V) / 21.0
+            if rad != math.inf:
+                assert perimeter_P1(L, V).hex() == (7.0 * math.sqrt(rad) - L).hex(), (L, V)
+
+
 # ---------------------------------------------------------------- regime boundary
 
 

@@ -120,6 +120,21 @@ def test_alpha0_poly_has_one_root_in_the_unit_interval():
     assert _sturm_count(poly, Fraction(-100), Fraction(100)) == 4
 
 
+def test_small_ratio_sextic_has_one_root_below_one_eighth():
+    # the same elimination against the small-ratio glued form
+    # k = 2(sqrt(2) + sqrt(alpha)) leaves alpha^4 times the square of this
+    # sextic; its one root in (0, 1/8), 0.0044014, lies on another sign
+    # branch (g is not 0 there), and its root in (1/8, 1), 0.14941, lies
+    # where that form is not used
+    sextic = (576, -135024, 946417, -476944, 120018, 16256, 2209)
+    value = sum(c * Fraction(1, 8) ** i for i, c in enumerate(sextic))
+    assert value != 0  # so (0, 1/8] and (1/8, 1] split the unit interval
+    assert _sturm_count(sextic, Fraction(0), Fraction(1, 8)) == 1
+    assert _sturm_count(sextic, Fraction(1, 8), Fraction(1)) == 1
+    assert _sturm_count(sextic, Fraction(44013, 10**7), Fraction(44015, 10**7)) == 1
+    assert kissing_value(0.0044014) - embedded_value(0.0044014) > 0.01  # g is far from 0
+
+
 def test_transition_is_a_tie():
     a0 = find_alpha0()
     r = solve(a0)
@@ -323,7 +338,6 @@ def test_solver_cells_skip_the_quadratic_scan(monkeypatch):
     def scan(rows):
         raise AssertionError("a solver cell needed the O(n^2) simplicity scan")
 
-    full_scan = hexnorm._self_overlaps
     monkeypatch.setattr(hexnorm, "_self_overlaps", scan)
     # ratios on both sides of 1/8, alpha0 and 2/3, and alpha0 itself, where
     # solve reports both cases
@@ -355,18 +369,33 @@ def test_solver_cells_skip_the_quadratic_scan(monkeypatch):
                 rebuilt += 1
     assert rebuilt == 387
 
-    # at 1e-12 the inner cell's horizontal sides, 1.86e-12, are below the
-    # 8 GEOM_TOL side margin, so that cell alone takes the full scan
-    scanned = []
+    # down to the side floor: below about 4.3e-9 the inner cell's horizontal
+    # sides, about 1.86 alpha, are shorter than 8 GEOM_TOL, and the convex
+    # rule's short-side clause passes them; below about 5.4e-13 they are
+    # collapsed and the cell has four sides
+    for alpha in (1e-13, 6e-13, 1e-12, 1e-10, 1e-9, 4e-9):
+        entry = solve(alpha).solutions[0]
+        x1 = entry.sides_b[0]
+        assert x1 == 0.0 if alpha < 5e-13 else hexnorm.DEDUP_TOL < x1 < 8.0 * hexnorm.GEOM_TOL
+        assert entry.geometry_a.certified is hexnorm.NOTCHED
+        assert entry.geometry_b.certified is hexnorm.CONVEX
 
-    def counting(rows):
-        scanned.append(len(rows))
-        return full_scan(rows)
 
-    monkeypatch.setattr(hexnorm, "_self_overlaps", counting)
-    entry = solve(1e-12).solutions[0]
-    assert 1e-12 < entry.sides_b[0] < 8.0 * hexnorm.GEOM_TOL
-    assert scanned == [len(entry.geometry_b.vertices)] == [6]
+def test_inner_cells_with_short_sides_are_certified_convex():
+    # the ratios where the nested inner cell's horizontal sides lie between
+    # DEDUP_TOL and 8 GEOM_TOL, log-uniform: the short-side clause passes
+    # every such cell solve builds
+    from hexbubble.oracle import Lcg
+
+    rng = Lcg(83)
+    lo, hi = math.log10(5.4e-13), math.log10(4.3e-9)
+    for _ in range(200):
+        alpha = 10.0 ** rng.uniform(lo, hi)
+        entry = solve(alpha).solutions[0]
+        assert entry.case == CASE_EMBEDDED
+        assert hexnorm.DEDUP_TOL < entry.sides_b[0] < 8.0 * hexnorm.GEOM_TOL, alpha
+        assert entry.geometry_b.certified is hexnorm.CONVEX, alpha
+        assert entry.geometry_a.certified is hexnorm.NOTCHED, alpha
 
 
 @pytest.mark.xfail(
