@@ -445,7 +445,7 @@ def double_bubble_perimeter(a: PolyChain, b: PolyChain) -> tuple[float, float]:
     if not (a.closed and b.closed):
         raise ValueError("both chains must be closed")
     ra, rb = a._rows, b._rows
-    crossed, stretches = _contacts(a, b)
+    crossed, stretches = _contacts(ra, rb)
     if crossed or _any_point_inside(ra, b) or _any_point_inside(rb, a):
         raise ValueError("interiors overlap")
     joint = 0.0
@@ -476,7 +476,7 @@ def shared_segments(a: PolyChain, b: PolyChain) -> list[tuple[PlanePoint, PlaneP
     double_bubble_perimeter this tests no interiors and allows any direction."""
     rows = a._rows
     segs = []
-    for i, _, lo, hi in _contacts(a, b)[1]:
+    for i, _, lo, hi in _contacts(rows, b._rows)[1]:
         x, y, _, _, _, _, _, _, ux, uy, _ = rows[i]
         segs.append((PlanePoint(x + lo * ux, y + lo * uy), PlanePoint(x + hi * ux, y + hi * uy)))
     return segs
@@ -503,7 +503,7 @@ def point_in_polygon(p: Sequence[float], poly: PolyChain) -> bool:
 # rounded by fsum, so in any order) and takes the vertices' box.  The
 # loops below unpack rows in place of calling a helper per edge pair.
 #
-# Four tests skip work by bounding boxes.  Each skip is exact, since a
+# Three tests skip work by bounding boxes.  Each skip is exact, since a
 # skipped pair or point could not have passed the test it skips:
 #
 # - _contacts skips edge i of p and edge j of q when i's box misses j's
@@ -513,12 +513,6 @@ def point_in_polygon(p: Sequence[float], poly: PolyChain) -> bool:
 #   j tilted from it by at most GEOM_TOL (cross <= j's tol), so some point
 #   of j lies within GEOM_TOL * (1 + j's length) of a point of i; the
 #   second GEOM_TOL covers the rounding of off, cross and t.
-# - _contacts also drops, before the pair loop, every edge j whose padded
-#   box misses p's whole box, which holds every i's box, and every edge i
-#   whose box misses q's whole box padded by GEOM_TOL * (2 + width +
-#   height): no edge is longer than its chain box's width plus height, so
-#   that box holds every j's padded box, up to a few ulp of the pad, which
-#   its second GEOM_TOL covers.
 # - _strictly_inside skips the distance to an edge, not the ray crossing,
 #   when the point lies outside the edge's box widened by 2 GEOM_TOL: it is
 #   then more than 2 GEOM_TOL from the edge.  The margin beyond GEOM_TOL
@@ -592,25 +586,26 @@ def point_in_polygon(p: Sequence[float], poly: PolyChain) -> bool:
 # so the order changes no answer.  A chain with exactly one failing turn,
 # a right one, then takes _notched's hull pass.
 #
-# Why _self_overlaps then finds nothing.  Its determinants are products of
-# two coordinate differences, below 2**15 in size, so they round by about
-# 2**15 * 2**-51 (1.5e-11); its other expressions and the certificate's
-# relative tests round by less, and every step below has that slack.  That
-# is why the range is +/-64, not 4.5e6.  A chain whose turns all lie in
-# (0, pi) and add up to 2 pi is a convex polygon: every vertex lies left of
-# every edge line, and along the chain a vertex's height above edge k's
-# line rises, then falls.  So the vertices off edge k are at least
-# s * sin(turn) >= 2 GEOM_TOL above its line (the lowest are those next
-# to k's ends).  A short side changes that in one place.  When k's
-# neighbour is short, the neighbour's far end may lie lower; but the
-# vertex after it ends a long side that leaves k's direction by the turn
-# across the short side, so it stands at least s/4 = 2 GEOM_TOL above k's
-# line, and the vertices beyond it stand higher until the heights fall
-# towards k's other end.  When k itself is short, its neighbours are long
-# and the turns at its ends pass the rule, so the vertices next to its
-# ends stand 2 GEOM_TOL above its line, as for a long side.  So every
-# vertex off edge k but the far end of a short neighbour is 2 GEOM_TOL
-# above k's line.  Non-adjacent edges i and j, i first:
+# Why _self_overlaps then finds nothing: _contacts(rows, rows) reports no
+# crossing, and no stretch between non-adjacent edges.  The determinants of
+# _contacts are products of two coordinate differences, below 2**15 in
+# size, so they round by about 2**15 * 2**-51 (1.5e-11); its other
+# expressions and the certificate's relative tests round by less, and
+# every step below has that slack.  That is why the range is +/-64, not
+# 4.5e6.  A chain whose turns all lie in (0, pi) and add up to 2 pi is a
+# convex polygon: every vertex lies left of every edge line, and along the
+# chain a vertex's height above edge k's line rises, then falls.  So the
+# vertices off edge k are at least s * sin(turn) >= 2 GEOM_TOL above its
+# line (the lowest are those next to k's ends).  A short side changes that
+# in one place.  When k's neighbour is short, the neighbour's far end may
+# lie lower; but the vertex after it ends a long side that leaves k's
+# direction by the turn across the short side, so it stands at least s/4 =
+# 2 GEOM_TOL above k's line, and the vertices beyond it stand higher until
+# the heights fall towards k's other end.  When k itself is short, its
+# neighbours are long and the turns at its ends pass the rule, so the
+# vertices next to its ends stand 2 GEOM_TOL above its line, as for a long
+# side.  So every vertex off edge k but the far end of a short neighbour is
+# 2 GEOM_TOL above k's line.  Non-adjacent edges i and j, i first:
 #
 # - Convex: they do not cross, since i's ends lie on j's left (d1 and d2
 #   are not negative beyond rounding), and they share no stretch, since
@@ -638,43 +633,31 @@ def point_in_polygon(p: Sequence[float], poly: PolyChain) -> bool:
 #   which _self_overlaps takes for a shared stretch.
 
 
-def _contacts(p: PolyChain, q: PolyChain) -> tuple[bool, list[tuple[int, int, float, float]]]:
-    """(crossed, stretches) over every edge i of chain p and edge j of
-    chain q.
+def _contacts(rp: _EdgeRows, rq: _EdgeRows) -> tuple[bool, list[tuple[int, int, float, float]]]:
+    """(crossed, stretches) over every edge i of edge rows rp and edge j of
+    edge rows rq.
 
     crossed: some i and j properly cross, each one's endpoints lying
     strictly on opposite sides of the other's line, by more than GEOM_TOL
-    in the orientation determinant.  stretches: (i, j, lo, hi) for each i
+    in the orientation determinant; an edge never crosses itself or an
+    edge it shares a vertex with.  stretches: (i, j, lo, hi) for each i
     and j along one line within GEOM_TOL for longer than GEOM_TOL, in any
     direction, [lo, hi] being that stretch as distances along i, in the
     order of i, then j."""
     eps, neg = GEOM_TOL, -GEOM_TOL
     crossed = False
     stretches = []
-    rq = q._rows
-    # q's edges whose boxes, padded by GEOM_TOL * (2 + length), meet p's box
-    px0, px1, py0, py1 = p._box
-    near = []
-    for j, (cx, cy, dx, dy, _, _, _, flen, _, _, _) in enumerate(rq):
+    # q's edge boxes, padded by GEOM_TOL * (2 + length)
+    boxes = []
+    for cx, cy, dx, dy, _, _, _, flen, _, _, _ in rq:
         pad = GEOM_TOL * (2.0 + flen)
         x0, x1 = (cx, dx) if cx <= dx else (dx, cx)
         y0, y1 = (cy, dy) if cy <= dy else (dy, cy)
-        x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
-        if not (x0 > px1 or x1 < px0 or y0 > py1 or y1 < py0):
-            near.append((j, x0, x1, y0, y1))
-    if not near:
-        return crossed, stretches
-    # p's edges that meet q's box padded by the largest edge pad (no edge is
-    # longer than the box's width plus its height)
-    qx0, qx1, qy0, qy1 = q._box
-    pad = GEOM_TOL * (2.0 + (qx1 - qx0) + (qy1 - qy0))
-    qx0, qx1, qy0, qy1 = qx0 - pad, qx1 + pad, qy0 - pad, qy1 + pad
-    for i, (ax, ay, bx, by, ex, ey, _, length, ux, uy, _) in enumerate(p._rows):
+        boxes.append((x0 - pad, x1 + pad, y0 - pad, y1 + pad))
+    for i, (ax, ay, bx, by, ex, ey, _, length, ux, uy, _) in enumerate(rp):
         x0, x1 = (ax, bx) if ax <= bx else (bx, ax)
         y0, y1 = (ay, by) if ay <= by else (by, ay)
-        if qx0 > x1 or qx1 < x0 or qy0 > y1 or qy1 < y0:
-            continue  # edge i misses every padded edge box of q
-        for j, jx0, jx1, jy0, jy1 in near:
+        for j, (jx0, jx1, jy0, jy1) in enumerate(boxes):
             if jx0 > x1 or jx1 < x0 or jy0 > y1 or jy1 < y0:
                 continue  # too far apart to cross or share a stretch
             cx, cy, dx, dy, fx, fy, _, _, _, _, ftol = rq[j]
@@ -704,30 +687,10 @@ def _contacts(p: PolyChain, q: PolyChain) -> tuple[bool, list[tuple[int, int, fl
 
 def _self_overlaps(rows: _EdgeRows) -> bool:
     """True iff two non-adjacent edges i < j of a closed chain properly
-    cross or share a stretch, by the float expressions of _contacts."""
-    eps, neg = GEOM_TOL, -GEOM_TOL
+    cross or share a stretch, by _contacts(rows, rows)."""
+    crossed, stretches = _contacts(rows, rows)
     n = len(rows)
-    for i, (ax, ay, bx, by, ex, ey, _, length, ux, uy, _) in enumerate(rows):
-        for cx, cy, dx, dy, fx, fy, _, _, _, _, ftol in rows[i + 2 : n - (i == 0)]:
-            d1 = fx * (ay - cy) - fy * (ax - cx)
-            d2 = fx * (by - cy) - fy * (bx - cx)
-            if (d1 > eps and d2 < neg) or (d1 < neg and d2 > eps):
-                d3 = ex * (cy - ay) - ey * (cx - ax)
-                d4 = ex * (dy - ay) - ey * (dx - ax)
-                if (d3 > eps and d4 < neg) or (d3 < neg and d4 > eps):
-                    return True
-            cross = ux * fy - uy * fx
-            if cross > ftol or cross < -ftol:
-                continue  # not parallel
-            wx, wy = cx - ax, cy - ay
-            off = wx * uy - wy * ux
-            if off > eps or off < neg:
-                continue  # parallel but not collinear
-            t1 = wx * ux + wy * uy
-            t2 = (dx - ax) * ux + (dy - ay) * uy
-            if not min(length, max(t1, t2)) - max(0.0, min(t1, t2)) <= eps:
-                return True  # a shared stretch
-    return False
+    return crossed or any(1 < j - i < n - 1 for i, j, _, _ in stretches)
 
 
 def _isolated(pts: list[tuple[float, float]], short: tuple[int, ...]) -> bool:
