@@ -162,7 +162,9 @@ class PolyChain:
     Vertices may be any iterable of float pairs.  A single-vertex open
     chain is the degenerate geodesic from a point to itself (length 0).
     Closed chains need three or more vertices, no repeated closing vertex,
-    and no self-intersection.
+    and no self-overlap: no two edges cross or share a stretch, as
+    _self_overlaps decides, so a chain that folds back along itself, two
+    consecutive edges on one line running opposite ways, is not simple.
 
     One pass over the vertices converts and checks each, keeps it as a
     plain (x, y) float pair in _pairs and applies the certificate's convex
@@ -574,12 +576,13 @@ def point_in_polygon(p: Sequence[float], poly: PolyChain) -> bool:
 #   ends pass the rule as every turn does.  The nested inner cell's
 #   horizontal sides, about 1.86 alpha, take this clause for alpha from
 #   about 5.4e-13 to 4.3e-9.
-# - One notch: one turn fails that, a right turn at vertex r between p
-#   and q.  The hull, the chain without r (the chord p -> q in place of the
-#   two notch edges), passes the convex rule, and r lies farther than
-#   GEOM_TOL * (8 + |e|) inside the line of each hull edge e.  Every side
-#   is at least s long: a chain with a right turn never takes the
-#   short-side clause.
+# - One notch: one turn fails that, a right turn at vertex r between p and
+#   q.  The hull, the chain without r (the chord p -> q in place of the two
+#   notch edges), passes the convex rule, and r lies farther than
+#   GEOM_TOL * (8 + |e|) inside the line of each hull edge e.  The turn at
+#   r has sine above 2 GEOM_TOL, so the notch is no spike whose two edges
+#   run within GEOM_TOL of each other.  Every side is at least s long: a
+#   chain with a right turn never takes the short-side clause.
 #
 # PolyChain's one pass takes every side and turn, the last vertex's too,
 # as its walk starts on the closing edge; each rule is over all of them,
@@ -587,8 +590,8 @@ def point_in_polygon(p: Sequence[float], poly: PolyChain) -> bool:
 # a right one, then takes _notched's hull pass.
 #
 # Why _self_overlaps then finds nothing: _contacts(rows, rows) reports no
-# crossing, and no stretch between non-adjacent edges.  The determinants of
-# _contacts are products of two coordinate differences, below 2**15 in
+# crossing, and no stretch between two different edges.  The determinants
+# of _contacts are products of two coordinate differences, below 2**15 in
 # size, so they round by about 2**15 * 2**-51 (1.5e-11); its other
 # expressions and the certificate's relative tests round by less, and
 # every step below has that slack.  That is why the range is +/-64, not
@@ -605,32 +608,39 @@ def point_in_polygon(p: Sequence[float], poly: PolyChain) -> bool:
 # neighbours are long and the turns at its ends pass the rule, so the
 # vertices next to its ends stand 2 GEOM_TOL above its line, as for a long
 # side.  So every vertex off edge k but the far end of a short neighbour is
-# 2 GEOM_TOL above k's line.  Non-adjacent edges i and j, i first:
+# 2 GEOM_TOL above k's line.  Edges i and j, i first:
 #
-# - Convex: they do not cross, since i's ends lie on j's left (d1 and d2
-#   are not negative beyond rounding), and they share no stretch, since
-#   j's start is 2 GEOM_TOL from i's line (|off| > GEOM_TOL).  With a
-#   short side the one exception is j = i + 2 around the chain, with
-#   i + 1 short, whose start is the short side's far end: j leaves i's
-#   direction by the turn across i + 1, so |cross| >= |j| / 4 > j's tol,
-#   and they are not parallel.  (The far end of a short i - 1 starts
-#   i - 1 itself, which is adjacent to i.)
+# - Adjacent: they do not cross, since at their shared vertex one
+#   determinant is exactly 0 (a zero difference, or fx*fy - fy*fx), and
+#   they are not parallel: the turn between them has sine at least 1/4, or
+#   above 2 GEOM_TOL at a notch, so |cross| > j's tol.  The cross product
+#   and that sine are taken from the same coordinate differences, and both
+#   round by a few ulp relative to |i| |j|, far below the margin.
+# - Convex, not adjacent: they do not cross, since i's ends lie on j's
+#   left (d1 and d2 are not negative beyond rounding), and they share no
+#   stretch, since j's start is 2 GEOM_TOL from i's line (|off| >
+#   GEOM_TOL).  With a short side the one exception is j = i + 2 around the
+#   chain, with i + 1 short, whose start is the short side's far end: j
+#   leaves i's direction by the turn across i + 1, so |cross| >= |j| / 4 >
+#   j's tol, and they are not parallel.  (The far end of a short i - 1
+#   starts i - 1 itself, which is adjacent to i.)
 # - Notch, two hull edges: as in the convex case.
-# - Notch edge N against hull edge k: N's ends lie left of k's line, the
-#   hull vertex (p or q) by 2 GEOM_TOL and r by more, so they do not cross,
-#   and when k comes first N's start is off k's line.  When N comes first,
-#   a stretch needs k's start c within GEOM_TOL of N's line, at position t
-#   along it.  If t falls on N, c is within GEOM_TOL of N, all of whose
-#   points are 2 GEOM_TOL above k's line.  If t falls beyond N's hull
-#   vertex, c is within GEOM_TOL of a point outside the chord's line, as N
-#   runs from that vertex into the hull; but c, a hull vertex other than p
-#   and q, is 2 GEOM_TOL inside that line.  If t falls beyond r, the point
-#   of k that projects onto r is within GEOM_TOL * (1 + |k|) of r, since k
-#   starts within GEOM_TOL of N's line and tilts from it by at most
-#   GEOM_TOL; but r is GEOM_TOL * (8 + |k|) inside k's line.  That last
-#   case is why the depth grows with |k|: with r only 8 GEOM_TOL inside,
-#   a notch edge 10 long can run within GEOM_TOL of a hull edge 20 long,
-#   which _self_overlaps takes for a shared stretch.
+# - Notch edge N against a hull edge k not adjacent to it: N's ends lie
+#   left of k's line, the hull vertex (p or q) by 2 GEOM_TOL and r by
+#   more, so they do not cross, and when k comes first N's start is off
+#   k's line.  When N comes first, a stretch needs k's start c within
+#   GEOM_TOL of N's line, at position t along it.  If t falls on N, c is
+#   within GEOM_TOL of N, all of whose points are 2 GEOM_TOL above k's
+#   line.  If t falls beyond N's hull vertex, c is within GEOM_TOL of a
+#   point outside the chord's line, as N runs from that vertex into the
+#   hull; but c, a hull vertex other than p and q, is 2 GEOM_TOL inside
+#   that line.  If t falls beyond r, the point of k that projects onto r is
+#   within GEOM_TOL * (1 + |k|) of r, since k starts within GEOM_TOL of
+#   N's line and tilts from it by at most GEOM_TOL; but r is
+#   GEOM_TOL * (8 + |k|) inside k's line.  That last case is why the depth
+#   grows with |k|: with r only 8 GEOM_TOL inside, a notch edge 10 long
+#   can run within GEOM_TOL of a hull edge 20 long, which _self_overlaps
+#   takes for a shared stretch.
 
 
 def _contacts(rp: _EdgeRows, rq: _EdgeRows) -> tuple[bool, list[tuple[int, int, float, float]]]:
@@ -686,11 +696,12 @@ def _contacts(rp: _EdgeRows, rq: _EdgeRows) -> tuple[bool, list[tuple[int, int, 
 
 
 def _self_overlaps(rows: _EdgeRows) -> bool:
-    """True iff two non-adjacent edges i < j of a closed chain properly
-    cross or share a stretch, by _contacts(rows, rows)."""
+    """True iff two edges i < j of a closed chain properly cross or share a
+    stretch, by _contacts(rows, rows).  Adjacent edges never cross, and
+    share a stretch only where the chain folds back along itself; a
+    straight continuation meets its neighbour in a point."""
     crossed, stretches = _contacts(rows, rows)
-    n = len(rows)
-    return crossed or any(1 < j - i < n - 1 for i, j, _, _ in stretches)
+    return crossed or any(i < j for i, j, _, _ in stretches)
 
 
 def _isolated(pts: list[tuple[float, float]], short: tuple[int, ...]) -> bool:
@@ -713,7 +724,7 @@ def _isolated(pts: list[tuple[float, float]], short: tuple[int, ...]) -> bool:
 def _notched(pts: list[tuple[float, float]], r: int) -> Optional[str]:
     """NOTCHED only if closed chain pts, with coordinates within +/-64 and
     every turn but the right turn at vertex r passing the convex rule above,
-    passes the one-notch rule's hull test; None declines."""
+    passes the one-notch rule's notch-turn and hull tests; None declines."""
     if len(pts) < 4:
         return None
     # one notch, a right turn at r: the hull, the chain without r, runs from
@@ -725,14 +736,18 @@ def _notched(pts: list[tuple[float, float]], r: int) -> Optional[str]:
     csq = cx * cx + cy * cy
     fx, fy, ex, ey = px - ax, py - ay, bx - qx, by - qy
     c1, c2 = fx * cy - fy * cx, cx * ey - cy * ex
-    if not (
-        csq >= 64.0 * GEOM_TOL * GEOM_TOL  # (8 GEOM_TOL)^2
-        and c1 > 0.0 and 16.0 * c1 * c1 >= (fx * fx + fy * fy) * csq
-        and c2 > 0.0 and 16.0 * c2 * c2 >= csq * (ex * ex + ey * ey)
-    ):
-        return None
     rx, ry = pts[r]
     tol2 = GEOM_TOL * GEOM_TOL
+    # the notch edges p -> r and r -> q, and the turn between them
+    nx, ny, mx, my = rx - px, ry - py, qx - rx, qy - ry
+    c3 = nx * my - ny * mx
+    if not (
+        csq >= 64.0 * tol2  # (8 GEOM_TOL)^2
+        and c1 > 0.0 and 16.0 * c1 * c1 >= (fx * fx + fy * fy) * csq
+        and c2 > 0.0 and 16.0 * c2 * c2 >= csq * (ex * ex + ey * ey)
+        and c3 * c3 > 4.0 * tol2 * (nx * nx + ny * ny) * (mx * mx + my * my)
+    ):
+        return None
     passes = 0
     ax, ay = px, py
     for bx, by in hull:

@@ -528,6 +528,37 @@ def test_collinear_non_lattice_backtrack_rejected():
         make_chain([(0.0, 0.0), (3.0, 3.0), (4.0, 3.0), (2.0, 2.0), (1.0, 1.0)], closed=True)
 
 
+@pytest.mark.parametrize(
+    "points",
+    [
+        # back from (2, 0) to (1, 0) along the first edge: the doubled unit
+        # would count twice in the length (5.73 against the triangle's 3.73)
+        [(0.0, 0.0), (2.0, 0.0), (1.0, 0.0), (1.0, 1.0)],
+        # a lattice walk whose closing edge runs back along its first one
+        [(0.0, 0.0), (-0.75, -1.299038105676658), (-1.25, -1.299038105676658),
+         (-1.0, -1.7320508075688772)],
+    ],
+    ids=["axis", "lattice-walk"],
+)
+def test_fold_backs_are_not_simple(points):
+    # two consecutive edges on one line, opposite ways, wherever the chain
+    # starts (so also across the closing vertex) and in either orientation
+    n = len(points)
+    for k in range(n):
+        for chain in (points[k:] + points[:k], (points[k:] + points[:k])[::-1]):
+            with pytest.raises(ValueError, match="not simple"):
+                make_chain(chain, closed=True)
+
+
+def test_straight_continuations_are_simple():
+    # (1, 0) is a vertex with a straight angle: its edges meet in a point
+    points = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 1.0)]
+    for k in range(len(points)):
+        chain = make_chain(points[k:] + points[:k], closed=True)
+        assert chain.certified is None
+        assert not hexnorm._self_overlaps(chain._rows)
+
+
 def test_consecutive_duplicate_vertices_rejected():
     with pytest.raises(ValueError, match="coincide"):
         PolyChain(
@@ -856,6 +887,25 @@ def test_short_side_hairpins_stay_on_the_full_scan(width):
             assert hexnorm._self_overlaps(_closed_rows(placed(points)))
             with pytest.raises(ValueError, match="^closed chain is not simple$"):
                 PolyChain(placed(points), closed=True)
+
+
+@pytest.mark.parametrize("chord", [8.5e-9, 4e-8])
+def test_notch_spikes_stay_on_the_full_scan(chord):
+    # a diamond whose bottom corner is cut by a chord p -> q, with the notch
+    # vertex r straight above it: r lies far inside every hull edge line,
+    # so only the sine test on the turn at r tells a spike 50 long, whose
+    # two edges run within GEOM_TOL of each other (a fold-back to the full
+    # scan), from one 1 long, which the certificate passes
+    h = chord / 2.0
+    for length, simple in ((50.0, False), (1.0, True)):
+        points = [(-50.0, 0.0), (-h, h - 50.0), (0.0, length - 50.0), (h, h - 50.0),
+                  (50.0, 0.0), (0.0, 50.0)]
+        assert hexnorm._self_overlaps(_closed_rows(points)) is not simple
+        if simple:
+            assert PolyChain(points, closed=True).certified is hexnorm.NOTCHED
+        else:
+            with pytest.raises(ValueError, match="^closed chain is not simple$"):
+                PolyChain(points, closed=True)
 
 
 def test_notch_depth_grows_with_the_hull_edge():

@@ -9,6 +9,16 @@ pair that now raises "interiors overlap" where an independent grid
 sample finds a point strictly inside both chains: the earlier core
 measured coincident and nested cells that share their boundary.
 
+Fixture rule for fold-backs.  PolyChain once accepted a closed chain
+that runs back along itself, two consecutive edges collinear and
+opposite, as simple.  Rejecting those changed exactly 49 entries, all
+among the 400 random chains and each from "ok" to "closed chain is not
+simple"; no pair entry moved, and the entries were changed in place.
+The test below confirms with a witness of its own that no chain frozen
+as "ok" folds back, and that each of the 115 random chains that fold
+back (the 49, and 66 that were rejected already) is frozen as not
+simple.
+
 The first 1200 pairs perturb the nested and glued optima.  Their base
 (alpha, L1, L2) triples are frozen in `metric_core_bases.json` as
 float.hex, written once from the nested and glued minima (today
@@ -368,12 +378,29 @@ def test_frozen_bases_are_still_the_minimizers():
             assert math.isclose(sol.L2, L2, rel_tol=1e-12), (name, alpha)
 
 
+def _folds_back(vs: Vertices) -> bool:
+    # two consecutive edges of closed chain vs on one line, opposite ways
+    n = len(vs)
+    for k in range(n):
+        (ax, ay), (bx, by), (cx, cy) = vs[k - 1], vs[k], vs[(k + 1) % n]
+        ex, ey, fx, fy = bx - ax, by - ay, cx - bx, cy - by
+        scale = math.hypot(ex, ey) * math.hypot(fx, fy)
+        if abs(ex * fy - ey * fx) <= 1e-12 * scale and ex * fx + ey * fy < 0.0:
+            return True
+    return False
+
+
 def test_metric_core_outcomes_are_frozen():
     frozen = json.loads(FIXTURE.read_text())
     pairs, chains = corpus()
     got = outcomes(pairs, chains)
     assert len(got["pairs"]) == len(frozen["pairs"]) >= 2000
     assert got["chains"] == frozen["chains"]
+    every_chain = [c for pair in pairs if pair[1] is not None for c in pair] + chains
+    folded = [k for k, vs in enumerate(every_chain) if _folds_back(vs)]
+    assert len(folded) == 115 and folded[0] >= len(every_chain) - len(chains)
+    for k in folded:
+        assert frozen["chains"][k] == "closed chain is not simple", every_chain[k]
     for k, (new, old) in enumerate(zip(got["pairs"], frozen["pairs"])):
         if new == old:
             continue
