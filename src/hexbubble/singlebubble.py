@@ -114,10 +114,25 @@ def is_six_sided(L: float, V: float) -> bool:
 
 
 def solve_fixed_side(L: float, V: float) -> SingleBubbleSolution:
-    """Minimal-perimeter cell over the fixed side L enclosing volume V."""
+    """Minimal-perimeter cell over the fixed side L enclosing volume V.
+
+    The perimeter is optimal_perimeter(L, V) bit for bit, and the sides
+    are computed with it: where a square overflows, the six-sided form is
+    taken at L 2^-600 and V 2^-1200 and the four-sided top side as
+    L sqrt(1 - (4/sqrt(3)) V/L^2), as in perimeter_P1 and perimeter_P2,
+    and a perimeter that overflows raises.
+    """
     _check_inputs(L, V)
     if is_six_sided(L, V):
-        t = math.sqrt((3.0 * L * L + 4.0 * SQRT3 * V) / 21.0)
+        rad = (3.0 * L * L + 4.0 * SQRT3 * V) / 21.0
+        if rad != math.inf:
+            t = math.sqrt(rad)
+            perimeter = 7.0 * t - L
+        else:  # six-sided cells have L below about 2.4e154, so t is finite
+            x, v = L * _SCALE, V * _SCALE * _SCALE
+            t = math.sqrt((3.0 * x * x + 4.0 * SQRT3 * v) / 21.0)
+            perimeter = (7.0 * t - x) / _SCALE
+            t /= _SCALE
         x1 = 2.0 * t - L
         if x1 < 0.0:
             # only roundoff at the regime boundary can put x1 below zero
@@ -126,15 +141,23 @@ def solve_fixed_side(L: float, V: float) -> SingleBubbleSolution:
             x1 = 0.0
         sides = (x1, t, t, t, x1)
         # tuple.__new__ skips the NamedTuple's Python-level __new__
-        return tuple.__new__(SingleBubbleSolution, (L, V, REGIME_SIX, sides, 7.0 * t - L))
-    rad = (3.0 * L * L - 4.0 * SQRT3 * V) / 3.0
-    if rad < 0.0:
-        raise ValueError("infeasible volume in the four-sided regime")
-    s = math.sqrt(rad)
+        return tuple.__new__(SingleBubbleSolution, (L, V, REGIME_SIX, sides, perimeter))
+    square = 3.0 * L * L
+    if square != math.inf:
+        rad = (square - 4.0 * SQRT3 * V) / 3.0
+        if rad < 0.0:
+            raise ValueError("infeasible volume in the four-sided regime")
+        s = math.sqrt(rad)
+        perimeter = 3.0 * L - s
+    else:
+        s = L * math.sqrt(1.0 - 4.0 / SQRT3 * (V / L) / L)
+        perimeter = 2.0 * L + (L - s)  # 3L overflows before the perimeter
+        if perimeter == math.inf:
+            raise ValueError("fixed side too large: the perimeter overflows")
     if s > L:
-        raise ValueError("inconsistent four-sided solution")  # cannot happen for V > 0
+        s = L  # only roundoff, with V negligible beside L^2, puts s above L
     sides = (0.0, L - s, s, L - s, 0.0)
-    return tuple.__new__(SingleBubbleSolution, (L, V, REGIME_FOUR, sides, 3.0 * L - s))
+    return tuple.__new__(SingleBubbleSolution, (L, V, REGIME_FOUR, sides, perimeter))
 
 
 def perimeter_P1(L: float, V: float) -> float:

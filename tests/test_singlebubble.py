@@ -10,6 +10,7 @@ from hexbubble.checks import x4_from_volume
 from hexbubble.hexnorm import hex_norm, polygon_area, polyline_length
 from hexbubble.oracle import Lcg, grid_refine_min
 from hexbubble.singlebubble import (
+    MIN_SIDE,
     REGIME_FOUR,
     REGIME_SIX,
     is_six_sided,
@@ -259,6 +260,86 @@ def test_six_sided_test_and_p1_keep_their_bits_where_finite():
             rad = (3.0 * L * L + 4.0 * SQRT3 * V) / 21.0
             if rad != math.inf:
                 assert perimeter_P1(L, V).hex() == (7.0 * math.sqrt(rad) - L).hex(), (L, V)
+
+
+def _fixed_side_written(L, V):
+    # solve_fixed_side's direct forms, for inputs where they are finite
+    if 3.0 * SQRT3 * L * L < 16.0 * V:
+        t = math.sqrt((3.0 * L * L + 4.0 * SQRT3 * V) / 21.0)
+        x1 = max(0.0, 2.0 * t - L)
+        return (x1, t, t, t, x1), 7.0 * t - L
+    s = math.sqrt((3.0 * L * L - 4.0 * SQRT3 * V) / 3.0)
+    return (0.0, L - s, s, L - s, 0.0), 3.0 * L - s
+
+
+def _assert_fixed_side_agrees(L, V):
+    # a cell with finite non-negative sides and optimal_perimeter's bits, or
+    # a ValueError from both
+    try:
+        want = optimal_perimeter(L, V)
+    except ValueError:
+        with pytest.raises(ValueError):
+            solve_fixed_side(L, V)
+        return
+    sol = solve_fixed_side(L, V)
+    assert sol.perimeter.hex() == want.hex(), (L, V)
+    assert all(math.isfinite(x) and x >= 0.0 for x in sol.sides), (L, V, sol.sides)
+
+
+def test_fixed_side_cells_at_huge_inputs():
+    # were inf sides and perimeter, nan sides, and "inconsistent four-sided
+    # solution"
+    for L, V, want in ((1e154, 1e308, 3.813e154), (3.41e292, 1.7e308, 6.82e292), (1e200, 1e300, 2e200)):
+        sol = solve_fixed_side(L, V)
+        assert abs(sol.perimeter - want) <= 1e-3 * want, (L, V)
+        _assert_fixed_side_agrees(L, V)
+    # homogeneity: the six-sided cell at (1e154, 1e308) is 1e154 times the
+    # one at (1, 1)
+    unit = solve_fixed_side(1.0, 1.0)
+    for got, x in zip(solve_fixed_side(1e154, 1e308).sides, unit.sides):
+        assert abs(got - 1e154 * x) <= 1e-15 * 1e154, (got, x)
+    # V negligible beside L^2: the top side rounds to L, not above it
+    sol = solve_fixed_side(3.7144023276646766e-07, 5.295329e-317)
+    assert sol.sides == (0.0, 0.0, 3.7144023276646766e-07, 0.0, 0.0)
+    for L in (1.7e308, sys.float_info.max):
+        with pytest.raises(ValueError, match="^fixed side too large: the perimeter overflows$"):
+            solve_fixed_side(L, 1.0)
+
+
+def test_fixed_side_cells_keep_their_bits_where_finite():
+    rng = Lcg(79)
+    for _ in range(300):
+        L = 10.0 ** rng.uniform(-8.0, 150.0)
+        near, far = L * L * rng.uniform(0.01, 100.0), 10.0 ** rng.uniform(-300.0, 300.0)
+        for V in (near, far):
+            sides, perimeter = _fixed_side_written(L, V)
+            if not (math.isfinite(perimeter) and 0.0 <= sides[2] <= L):
+                continue
+            sol = solve_fixed_side(L, V)
+            assert [x.hex() for x in sol.sides] == [x.hex() for x in sides], (L, V)
+            assert sol.perimeter.hex() == perimeter.hex(), (L, V)
+
+
+def test_fixed_side_cells_match_optimal_perimeter_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    big = sys.float_info.max
+    # plain bounded floats, and powers of ten so every decade is reached
+    sides = st.one_of(
+        st.floats(min_value=MIN_SIDE, max_value=big),
+        st.floats(min_value=-8.0, max_value=308.25).map(lambda e: min(big, 10.0**e)),
+    )
+    volumes = st.one_of(
+        st.floats(min_value=5e-324, max_value=big),
+        st.floats(min_value=-323.0, max_value=308.25).map(lambda e: min(big, max(5e-324, 10.0**e))),
+    )
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=200)
+    @hypothesis.given(sides, volumes)
+    def agrees(L, V):
+        _assert_fixed_side_agrees(L, V)
+
+    agrees()
 
 
 # ---------------------------------------------------------------- regime boundary
