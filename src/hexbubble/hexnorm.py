@@ -659,15 +659,15 @@ def _contacts(rp: _EdgeRows, rq: _EdgeRows) -> tuple[bool, list[tuple[int, int, 
     stretches = []
     # q's edge boxes, padded by GEOM_TOL * (2 + length)
     boxes = []
-    for cx, cy, dx, dy, _, _, _, flen, _, _, _ in rq:
+    for j, (cx, cy, dx, dy, _, _, _, flen, _, _, _) in enumerate(rq):
         pad = GEOM_TOL * (2.0 + flen)
         x0, x1 = (cx, dx) if cx <= dx else (dx, cx)
         y0, y1 = (cy, dy) if cy <= dy else (dy, cy)
-        boxes.append((x0 - pad, x1 + pad, y0 - pad, y1 + pad))
+        boxes.append((j, x0 - pad, x1 + pad, y0 - pad, y1 + pad))
     for i, (ax, ay, bx, by, ex, ey, _, length, ux, uy, _) in enumerate(rp):
         x0, x1 = (ax, bx) if ax <= bx else (bx, ax)
         y0, y1 = (ay, by) if ay <= by else (by, ay)
-        for j, (jx0, jx1, jy0, jy1) in enumerate(boxes):
+        for j, jx0, jx1, jy0, jy1 in boxes:
             if jx0 > x1 or jx1 < x0 or jy0 > y1 or jy1 < y0:
                 continue  # too far apart to cross or share a stretch
             cx, cy, dx, dy, fx, fy, _, _, _, _, ftol = rq[j]

@@ -467,10 +467,10 @@ def test_double_bubble_joins_horizontal_edges_offset_within_tolerance():
 
 @pytest.mark.parametrize("side", [1.0, -1.0], ids=["above", "below"])
 @pytest.mark.parametrize("swap", [False, True], ids=["a-first", "b-first"])
-def test_box_prefilters_keep_flat_edges_offset_within_tolerance(side, swap):
-    # b's flat edge runs 0.9 GEOM_TOL beyond a's, above or below it, so it
-    # lies outside a's box, and a's outside b's: only the pads of the edge
-    # and chain boxes in _contacts keep the pair
+def test_edge_box_pads_keep_flat_edges_offset_within_tolerance(side, swap):
+    # b's flat edge runs 0.9 GEOM_TOL beyond a's, above or below it, so
+    # their boxes, of zero height, miss each other: only the pad of the
+    # other chain's edge boxes in _contacts keeps the pair
     a = unit_ball_hexagon()
     b = unit_ball_hexagon(0.0, side * (SQRT3 + 0.9 * GEOM_TOL))
     total, joint = double_bubble_perimeter(*((b, a) if swap else (a, b)))

@@ -380,6 +380,16 @@ def test_solver_cells_skip_the_quadratic_scan(monkeypatch):
         assert entry.geometry_a.certified is hexnorm.NOTCHED
         assert entry.geometry_b.certified is hexnorm.CONVEX
 
+    # the solve-mixed benchmark's range, log-uniform over (1e-13, 1]: no
+    # ratio there sends a solver cell to the scan
+    from hexbubble.oracle import Lcg
+
+    rng = Lcg(89)
+    for _ in range(400):
+        alpha = 10.0 ** rng.uniform(-13.0, 0.0)
+        for entry in solve(alpha).solutions:
+            assert entry.geometry_a.certified and entry.geometry_b.certified, alpha
+
 
 def test_inner_cells_with_short_sides_are_certified_convex():
     # the ratios where the nested inner cell's horizontal sides lie between
