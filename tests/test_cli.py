@@ -302,13 +302,25 @@ def test_iso_answers_at_huge_volumes(volume, capsys):
     assert all(math.isfinite(float(line.split("=")[1])) for line in lines)
 
 
-def test_iso_rejects_a_volume_too_large_to_draw(tmp_path, capsys):
-    # the value exists, but the cell's area terms overflow when it is built
+def test_iso_draws_where_the_fixed_side_squares_overflow(tmp_path, capsys):
+    # 4 sqrt(3) V overflows at 1e308; solve_fixed_side rescales there (it
+    # returned infinite sides, and the drawing failed on a non-finite vertex)
     out_path = tmp_path / "f.svg"
     code, out, err = run_cli(["iso", "--volume", "1e308", "--out", str(out_path)], capsys)
+    assert code == 0 and err == ""
+    assert out_path.read_text(encoding="utf-8").startswith("<?xml")
+
+
+def test_iso_rejects_a_volume_too_large_to_draw(tmp_path, capsys):
+    # the value exists, but the cell built at the largest double is not
+    # simple: the side walk's rounding leaves a last vertex about 1e138 from
+    # the first, which folds back along the first side
+    out_path = tmp_path / "f.svg"
+    volume = repr(sys.float_info.max)
+    code, out, err = run_cli(["iso", "--volume", volume, "--out", str(out_path)], capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: volume 1e+308 is too large to draw (")
+    assert err.startswith("error: volume 1.79769313486e+308 is too large to draw (")
     assert err.count("\n") == 1
     assert not out_path.exists()
 
