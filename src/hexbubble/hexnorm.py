@@ -236,7 +236,9 @@ class PolyChain:
                     coincide = True
             c = fx * ey - fy * ex  # the turn at (bx, by)
             if not (c > 0.0 and 16.0 * c * c >= fsq * sq):
-                if c >= 0.0 or r >= 0:
+                # a second such turn, a left one, or a right one of sine at
+                # most 2 GEOM_TOL (side / 16 = (2 GEOM_TOL)^2) declines
+                if c >= 0.0 or r >= 0 or 16.0 * c * c <= side * fsq * sq:
                     certify = False
                 r = len(pts) - 1 if pts else n - 1
             if fy < 0.0 <= ey:
@@ -724,7 +726,7 @@ def _isolated(pts: list[tuple[float, float]], short: tuple[int, ...]) -> bool:
 def _notched(pts: list[tuple[float, float]], r: int) -> Optional[str]:
     """NOTCHED only if closed chain pts, with coordinates within +/-64 and
     every turn but the right turn at vertex r passing the convex rule above,
-    passes the one-notch rule's notch-turn and hull tests; None declines."""
+    passes the one-notch rule's hull test; None declines."""
     if len(pts) < 4:
         return None
     # one notch, a right turn at r: the hull, the chain without r, runs from
@@ -736,18 +738,14 @@ def _notched(pts: list[tuple[float, float]], r: int) -> Optional[str]:
     csq = cx * cx + cy * cy
     fx, fy, ex, ey = px - ax, py - ay, bx - qx, by - qy
     c1, c2 = fx * cy - fy * cx, cx * ey - cy * ex
-    rx, ry = pts[r]
-    tol2 = GEOM_TOL * GEOM_TOL
-    # the notch edges p -> r and r -> q, and the turn between them
-    nx, ny, mx, my = rx - px, ry - py, qx - rx, qy - ry
-    c3 = nx * my - ny * mx
     if not (
-        csq >= 64.0 * tol2  # (8 GEOM_TOL)^2
+        csq >= 64.0 * GEOM_TOL * GEOM_TOL  # (8 GEOM_TOL)^2
         and c1 > 0.0 and 16.0 * c1 * c1 >= (fx * fx + fy * fy) * csq
         and c2 > 0.0 and 16.0 * c2 * c2 >= csq * (ex * ex + ey * ey)
-        and c3 * c3 > 4.0 * tol2 * (nx * nx + ny * ny) * (mx * mx + my * my)
     ):
         return None
+    rx, ry = pts[r]
+    tol2 = GEOM_TOL * GEOM_TOL
     passes = 0
     ax, ay = px, py
     for bx, by in hull:
