@@ -894,7 +894,7 @@ def test_notch_spikes_stay_on_the_full_scan(chord):
     # vertex r straight above it: r lies far inside every hull edge line,
     # so only the sine test on the turn at r tells a spike 50 long, whose
     # two edges run within GEOM_TOL of each other (a fold-back to the full
-    # scan), from one 1 long, which the certificate passes
+    # scan), from a spike 1 long, which the certificate passes
     h = chord / 2.0
     for length, simple in ((50.0, False), (1.0, True)):
         points = [(-50.0, 0.0), (-h, h - 50.0), (0.0, length - 50.0), (h, h - 50.0),
