@@ -42,23 +42,27 @@ from .singlebubble import MIN_SIDE, check_alpha
 _4SQRT3 = 4.0 * SQRT3
 _8SQRT3 = 8.0 * SQRT3
 _L1_CAP = math.sqrt(4.0 * SQRT3 / 3.0)  # where L2*(L1) = L1
+_INF = math.inf
 
 def inner_hexagon(L: float, V: float) -> tuple[tuple[float, ...], float]:
     """Sides (x1..x6) and boundary length of the optimal width-L cell.
 
     Requires 8 sqrt(3) V >= 3 L^2 (otherwise x1 < 0: the cell cannot be
-    that wide at this volume).
+    that wide at this volume).  Where the boundary length overflows, as it
+    does wherever a term of x1 does, a "too large" ValueError is raised.
     """
     if not (math.isfinite(L) and math.isfinite(V)) or V <= 0.0 or L < MIN_SIDE:
         raise ValueError(f"need positive volume and width >= {MIN_SIDE}")
     x1 = (8.0 * SQRT3 * V - 3.0 * L * L) / (12.0 * L)
-    if x1 < 0.0:
+    if x1 < 0.0:  # -inf too: 3 L^2 overflows alone
         if x1 < -1e-12 * max(1.0, L):
             raise ValueError("infeasible: width too large for the volume")
         x1 = 0.0
+    length = (9.0 * L * L + 8.0 * SQRT3 * V) / (6.0 * L)
+    if not length < _INF:  # inf or nan; a finite length has a finite x1
+        raise ValueError("cell too large: its boundary length overflows")
     half = L / 2.0
-    sides = (x1, half, half, x1, half, half)
-    return sides, (9.0 * L * L + 8.0 * SQRT3 * V) / (6.0 * L)
+    return (x1, half, half, x1, half, half), length
 
 
 def outer_notched(
@@ -68,6 +72,8 @@ def outer_notched(
 
     L1 is the notch mouth width; feasibility needs L2 >= L1 (the slant
     hosting the notch must fit it) and a nonnegative horizontal side y1.
+    Where the boundary length overflows, as it does wherever a term of y1
+    does, a "too large" ValueError is raised.
     """
     if not (math.isfinite(L1) and math.isfinite(L2) and math.isfinite(V)) or V <= 0.0:
         raise ValueError("need positive finite volume")
@@ -77,14 +83,16 @@ def outer_notched(
         raise ValueError("infeasible: notch wider than the hosting cell")
     vp = V + SQRT3 * L1 * L1 / 8.0
     y1 = (8.0 * SQRT3 * vp - 3.0 * L2 * L2) / (12.0 * L2)
-    if y1 < 0.0:
+    if y1 < 0.0:  # -inf too: 3 L2^2 overflows alone
         if y1 < -1e-12 * max(1.0, L2):
             raise ValueError("infeasible: span too large for the volume")
         y1 = 0.0
+    length = 2.0 * y1 + 2.0 * L2
+    if not length < _INF:  # inf, or nan where the terms of y1 overflow together
+        raise ValueError("cell too large: its boundary length overflows")
     y2 = max(0.0, (L2 - L1) / 2.0)
     half = L2 / 2.0
-    sides = (y1, y2, y2, y1, half, half)
-    return sides, 2.0 * y1 + 2.0 * L2
+    return (y1, y2, y2, y1, half, half), length
 
 
 def rho1(L1: float, L2: float, alpha: float) -> float:
@@ -223,22 +231,54 @@ def embedded_geometry(
     x1, y1, y2 = inner_sides[0], outer_sides[0], outer_sides[1]
     q = L1 / 4.0
     h = SQRT3 * L1 / 4.0  # > DEDUP_TOL, as L1 >= MIN_SIDE
-    if x1 <= DEDUP_TOL:
+    short = x1 <= DEDUP_TOL
+    if short:
         # the vertex merge would drop (x1, 0) and (0, 2h) as duplicates of their
         # predecessors, tilting the glued sides off the lattice by ~x1/L1;
         # a side that short is collapsed here instead, in the sides too
         inner_sides = (0.0, *inner_sides[1:3], 0.0, *inner_sides[4:])
-        inner = [(0.0, 0.0), (q, h), (0.0, 2.0 * h), (-q, h)]
-    else:
-        # each step moves x by x1 or y by h, so the merge keeps every vertex
-        inner = [(0.0, 0.0), (x1, 0.0), (x1 + q, h), (x1, 2.0 * h), (0.0, 2.0 * h), (-q, h)]
     top = SQRT3 * (L1 + y2) / 2.0
+    low = -SQRT3 * y2 / 2.0
     xa = -y2 / 2.0  # x of the two vertices next to the notch
     xb = xa - y1  # x of the far ends of the horizontal sides
     xl = xb - L2 / 4.0  # x of the west corner
+    # merge_vertices compares each vertex with the last one kept.  The
+    # notch and slant steps (q, h and L2/4 across, h and sqrt(3) L2/4 up,
+    # all >= MIN_SIDE/4) always exceed DEDUP_TOL; the steps to and from
+    # (xa, .) move x by y2/2 and xa - xb.  When both exceed DEDUP_TOL no
+    # vertex merges, and when the west corner is also strictly leftmost it
+    # is the anchor min() would pick, so both passes are skipped.  Each
+    # inner step moves x by x1 or y by h, so no inner vertex merges either.
+    # The anchor is then known before any vertex is, and each vertex is
+    # written in the output frame at once, as its shift x - ox, y - oy
+    # would compute it; the corner itself comes out at (0, 0).
+    if y2 > 2.0 * DEDUP_TOL and xa - xb > DEDUP_TOL and xl < xb:
+        ox, oy = xl, top - SQRT3 * L2 / 4.0
+        x0, y0, xq = 0.0 - ox, 0.0 - oy, -q - ox  # the notch's foot and its apex's x
+        yh, y2h = h - oy, 2.0 * h - oy
+        outer = [
+            (xb - ox, low - oy),
+            (xa - ox, low - oy),
+            (x0, y0),
+            (xq, yh),
+            (x0, y2h),
+            (xa - ox, top - oy),
+            (xb - ox, top - oy),
+            (0.0, 0.0),
+        ]
+        if short:
+            inner = [(x0, y0), (q - ox, yh), (x0, y2h), (xq, yh)]
+        else:
+            x1o = x1 - ox
+            inner = [(x0, y0), (x1o, y0), ((x1 + q) - ox, yh), (x1o, y2h), (x0, y2h), (xq, yh)]
+        return PolyChain(outer, True), PolyChain(inner, True), outer_sides, inner_sides
+    if short:
+        inner = [(0.0, 0.0), (q, h), (0.0, 2.0 * h), (-q, h)]
+    else:
+        inner = [(0.0, 0.0), (x1, 0.0), (x1 + q, h), (x1, 2.0 * h), (0.0, 2.0 * h), (-q, h)]
     outer = [
-        (xb, -SQRT3 * y2 / 2.0),
-        (xa, -SQRT3 * y2 / 2.0),
+        (xb, low),
+        (xa, low),
         (0.0, 0.0),
         (-q, h),
         (0.0, 2.0 * h),
@@ -246,17 +286,8 @@ def embedded_geometry(
         (xb, top),
         (xl, top - SQRT3 * L2 / 4.0),
     ]
-    # merge_vertices compares each vertex with the last one kept.  The
-    # notch and slant steps (q, h and L2/4 across, h and sqrt(3) L2/4 up,
-    # all >= MIN_SIDE/4) always exceed DEDUP_TOL; the steps to and from
-    # (xa, .) move x by y2/2 and xa - xb.  When both exceed DEDUP_TOL no
-    # vertex merges, and when the west corner is also strictly leftmost it
-    # is the anchor min() would pick, so both passes are skipped.
-    if y2 > 2.0 * DEDUP_TOL and xa - xb > DEDUP_TOL and xl < xb:
-        ox, oy = outer[7]
-    else:
-        outer = merge_vertices(outer, True)
-        ox, oy = min(outer)  # pairs order by (x, y)
+    outer = merge_vertices(outer, True)
+    ox, oy = min(outer)  # pairs order by (x, y)
     outer = PolyChain([(x - ox, y - oy) for x, y in outer], True)
     inner = PolyChain([(x - ox, y - oy) for x, y in inner], True)
     return outer, inner, outer_sides, inner_sides

@@ -162,8 +162,9 @@ def kissing_geometry(
     a = fixed_side_vertices(L1, sol_a.sides)
     ox, oy = min(a)  # pairs order by (x, y)
     a = [(x - ox, y - oy) for x, y in a]
-    # B is mirrored and shifted at once; the mirror reverses it, so it is read backwards
-    b = [((cx + x) - ox, -y - oy) for x, y in reversed(fixed_side_vertices(L2, sol_b.sides))]
+    b = fixed_side_vertices(L2, sol_b.sides)
+    b.reverse()  # the mirror reverses B's orientation
+    b = [((cx + x) - ox, -y - oy) for x, y in b]  # mirrored and shifted at once
     return PolyChain(a, True), PolyChain(b, True), sol_a.sides, sol_b.sides
 
 

@@ -23,6 +23,8 @@ from typing import NamedTuple
 from .hexnorm import DEDUP_TOL, SQRT3, LATTICE_DIRECTIONS, PolyChain
 
 _WALK = tuple(map(tuple, LATTICE_DIRECTIONS))  # as plain pairs: the fixed side, then x1..x5
+_RISE, _FALL = _WALK[1][1], _WALK[4][1]  # y of the steps at 60 and 240 (and 120, 300) degrees
+_SHORT = 4.0 * DEDUP_TOL  # the shortest side of fixed_side_vertices' merge-free walk
 
 REGIME_SIX = "six-sided"
 REGIME_FOUR = "four-sided"
@@ -70,16 +72,44 @@ def fixed_side_vertices(L: float, sides: tuple[float, ...]) -> list[tuple[float,
 
     Zero-length sides collapse as the walk goes, by merge_vertices' test,
     so boundary-regime solutions come out as quadrilaterals without
-    special-casing.
+    special-casing.  The last vertex is dropped where it lies within
+    DEDUP_TOL of the first, or within DEDUP_TOL m/16 where the longest
+    side m exceeds 16: the walk's rounding residue, a few ulp of its
+    coordinates, grows with its sides, so a huge cell closes as a small
+    one does.
     """
+    x1, x2, x3, x4, x5 = sides
+    if (_SHORT <= L <= 16.0 and _SHORT <= x1 <= 16.0 and _SHORT <= x2 <= 16.0
+            and _SHORT <= x3 <= 16.0 and _SHORT <= x4 <= 16.0 and _SHORT <= x5 <= 16.0):
+        # No step can merge: each moves x by at least half its side, 2 DEDUP_TOL
+        # or more, while every coordinate stays below 6 * 16 < 128 in size, so
+        # each sum rounds by under 3e-14 and no step moves x by DEDUP_TOL or
+        # less.  The loop below would keep every vertex; these are its
+        # operations in its order, so they are its vertices, bit for bit.
+        x, y = 0.0 + L * 1.0, 0.0 + L * 0.0
+        p1 = (x, y)
+        x, y = x + x1 * 0.5, y + x1 * _RISE
+        p2 = (x, y)
+        x, y = x + x2 * -0.5, y + x2 * _RISE
+        p3 = (x, y)
+        x, y = x + x3 * -1.0, y + x3 * 0.0
+        p4 = (x, y)
+        x, y = x + x4 * -0.5, y + x4 * _FALL
+        p5 = (x, y)
+        x, y = x + x5 * 0.5, y + x5 * _FALL
+        if abs(x) <= DEDUP_TOL and abs(y) <= DEDUP_TOL:
+            return [(0.0, 0.0), p1, p2, p3, p4, p5]
+        return [(0.0, 0.0), p1, p2, p3, p4, p5, (x, y)]
     x = y = px = py = 0.0  # (px, py): the last vertex kept
     pts = [(x, y)]
-    for s, (dx, dy) in zip((L, *sides), _WALK):
+    for s, (dx, dy) in zip((L, x1, x2, x3, x4, x5), _WALK):
         x, y = x + s * dx, y + s * dy
         if not (abs(px - x) <= DEDUP_TOL and abs(py - y) <= DEDUP_TOL):
             pts.append((x, y))
             px, py = x, y
-    if len(pts) > 1 and abs(px) <= DEDUP_TOL and abs(py) <= DEDUP_TOL:
+    m = max(L, x1, x2, x3, x4, x5)
+    close = DEDUP_TOL * (m / 16.0) if m > 16.0 else DEDUP_TOL
+    if len(pts) > 1 and abs(px) <= close and abs(py) <= close:
         pts.pop()  # the last vertex closes onto the first
     return pts
 

@@ -311,18 +311,16 @@ def test_iso_draws_where_the_fixed_side_squares_overflow(tmp_path, capsys):
     assert out_path.read_text(encoding="utf-8").startswith("<?xml")
 
 
-def test_iso_rejects_a_volume_too_large_to_draw(tmp_path, capsys):
-    # the value exists, but the cell built at the largest double is not
-    # simple: the side walk's rounding leaves a last vertex about 1e138 from
-    # the first, which folds back along the first side
+def test_iso_draws_at_the_largest_double(tmp_path, capsys):
+    # the side walk closes at its own scale: its rounding residue, about
+    # 1e138 from the first vertex, was kept as a seventh vertex that folded
+    # back along the first side, and the drawing was refused as not simple
     out_path = tmp_path / "f.svg"
     volume = repr(sys.float_info.max)
     code, out, err = run_cli(["iso", "--volume", volume, "--out", str(out_path)], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: volume 1.79769313486e+308 is too large to draw (")
-    assert err.count("\n") == 1
-    assert not out_path.exists()
+    assert code == 0 and err == ""
+    assert out.startswith("L0        = ")
+    assert out_path.read_text(encoding="utf-8").startswith("<?xml")
 
 
 # ---------------------------------------------------------------- exit codes

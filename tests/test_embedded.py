@@ -2,6 +2,7 @@
 assignments, the degenerate-variant check, and the skew-notch invariant."""
 
 import math
+import sys
 
 import pytest
 
@@ -156,6 +157,82 @@ def test_outer_validation():
         outer_notched(1.5, 1.0, 1.0)
     with pytest.raises(ValueError, match="span too large"):
         outer_notched(0.5, 3.0, 0.2)
+
+
+def _inner_written(L, V):
+    # inner_hexagon's x1 and boundary length, as written
+    return (8.0 * SQRT3 * V - 3.0 * L * L) / (12.0 * L), (9.0 * L * L + 8.0 * SQRT3 * V) / (6.0 * L)
+
+
+def _outer_written(L1, L2, V):
+    # outer_notched's y1 and boundary length, as written
+    vp = V + SQRT3 * L1 * L1 / 8.0
+    y1 = (8.0 * SQRT3 * vp - 3.0 * L2 * L2) / (12.0 * L2)
+    return y1, 2.0 * max(y1, 0.0) + 2.0 * L2
+
+
+def _answer(call):
+    try:
+        return call()
+    except ValueError:
+        return None
+
+
+def test_nested_closed_forms_at_huge_inputs():
+    # were nan sides with an infinite or nan length, and a nan rho1
+    for call in (
+        lambda: inner_hexagon(6.25e287, 1.7e308),
+        lambda: inner_hexagon(1.0, 1.7e308),
+        lambda: outer_notched(4.68e208, 2.88e273, 1.0),
+        lambda: outer_notched(1e-8, 1e-8, 1e300),
+        lambda: rho1(1.0, 1.7e308, 1.0),
+    ):
+        with pytest.raises(ValueError, match="^cell too large: its boundary length overflows$"):
+            call()
+
+
+def test_nested_closed_forms_finite_or_raise_property():
+    # every finite input gives finite non-negative sides and length, or a
+    # ValueError; wherever the written form is finite and feasible, its bits
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    big = sys.float_info.max
+    finite = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(min_value=-10.0, max_value=308.25).map(lambda e: min(big, 10.0**e)),
+    )
+    ratios = st.one_of(st.floats(min_value=0.0, max_value=1.0, exclude_min=True), finite)
+
+    def finite_cell(got):
+        sides, length = got
+        assert all(math.isfinite(x) and x >= 0.0 for x in (*sides, length)), got
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=300)
+    @hypothesis.given(finite, finite, finite, ratios)
+    def finite_or_raise(L1, L2, V, alpha):
+        got = _answer(lambda: inner_hexagon(L1, V))
+        x1, length = _inner_written(L1, V) if L1 > 0.0 else (math.nan, math.nan)
+        if got is not None:
+            finite_cell(got)
+        if V > 0.0 and L1 >= embedded.MIN_SIDE and math.isfinite(length) and x1 >= -1e-12 * max(1.0, L1):
+            assert got is not None and got[1].hex() == length.hex(), (L1, V)
+            assert got[0][0].hex() == max(x1, 0.0).hex(), (L1, V)
+        got = _answer(lambda: outer_notched(L1, L2, V))
+        y1, length = _outer_written(L1, L2, V) if L2 > 0.0 else (math.nan, math.nan)
+        if got is not None:
+            finite_cell(got)
+        if (V > 0.0 and L1 >= embedded.MIN_SIDE and L2 >= L1 * (1.0 - 1e-12)
+                and math.isfinite(length) and y1 >= -1e-12 * max(1.0, L2)):
+            assert got is not None and got[1].hex() == length.hex(), (L1, L2, V)
+            assert got[0][0].hex() == max(y1, 0.0).hex(), (L1, L2, V)
+        got = _answer(lambda: rho1(L1, L2, alpha))
+        if got is not None:
+            assert math.isfinite(got) and got >= 0.0, (L1, L2, alpha)
+        parts = _answer(lambda: outer_notched(L1, L2, 1.0)), _answer(lambda: inner_hexagon(L1, alpha))
+        if 0.0 < alpha <= 1.0 and None not in parts:
+            assert got is not None and got.hex() == (parts[0][1] + parts[1][1] - L1).hex()
+
+    finite_or_raise()
 
 
 def test_outer_geometry_round_trip():

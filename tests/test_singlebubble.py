@@ -7,12 +7,14 @@ import pytest
 
 from conftest import SQRT3, golden_min_1d
 from hexbubble.checks import x4_from_volume
-from hexbubble.hexnorm import hex_norm, polygon_area, polyline_length
+from hexbubble.hexnorm import DEDUP_TOL, LATTICE_DIRECTIONS, hex_norm, polygon_area, polyline_length
 from hexbubble.oracle import Lcg, grid_refine_min
 from hexbubble.singlebubble import (
     MIN_SIDE,
     REGIME_FOUR,
     REGIME_SIX,
+    fixed_side_polygon,
+    fixed_side_vertices,
     is_six_sided,
     isoperimetric_optimum,
     optimal_perimeter,
@@ -340,6 +342,63 @@ def test_fixed_side_cells_match_optimal_perimeter_property():
         _assert_fixed_side_agrees(L, V)
 
     agrees()
+
+
+def _walk_loop(L, sides):
+    # fixed_side_vertices as one loop, before its merge-free path and its
+    # closing test at the walk's scale
+    x = y = px = py = 0.0
+    pts = [(x, y)]
+    for s, d in zip((L, *sides), LATTICE_DIRECTIONS):
+        x, y = x + s * d.x, y + s * d.y
+        if not (abs(px - x) <= DEDUP_TOL and abs(py - y) <= DEDUP_TOL):
+            pts.append((x, y))
+            px, py = x, y
+    if len(pts) > 1 and abs(px) <= DEDUP_TOL and abs(py) <= DEDUP_TOL:
+        pts.pop()
+    return pts
+
+
+def test_fixed_side_walk_matches_its_loop():
+    # the merge-free path takes L and x1..x5 in [4 DEDUP_TOL, 16]; seeded
+    # sides at 0, at DEDUP_TOL (a merge), on both sides of 4 DEDUP_TOL and
+    # of 16, and in between, on open walks and on the cells that close
+    edge = 4.0 * DEDUP_TOL
+    picks = (0.0, DEDUP_TOL, math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0),
+             16.0, math.nextafter(16.0, 17.0))
+    rng = Lcg(83)
+
+    def side(hi):
+        return picks[int(rng.uniform(0.0, len(picks)))] if rng.uniform(0.0, 1.0) < 0.5 else rng.uniform(0.0, hi)
+
+    walks = []
+    for _ in range(3000):
+        walks.append((side(20.0), tuple(side(20.0) for _ in range(5))))
+    for _ in range(1000):
+        L = rng.uniform(0.01, 20.0) if rng.uniform(0.0, 1.0) < 0.8 else picks[-2 + (rng.uniform(0.0, 1.0) < 0.5)]
+        V = L * L * 10.0 ** rng.uniform(-13.0, 1.0)
+        walks.append((L, solve_fixed_side(L, V).sides))
+    fast = 0
+    for L, sides in walks:
+        got, want = fixed_side_vertices(L, sides), _walk_loop(L, sides)
+        assert len(got) == len(want), (L, sides)
+        assert [(x.hex(), y.hex()) for x, y in got] == [(x.hex(), y.hex()) for x, y in want], (L, sides)
+        fast += all(edge <= s <= 16.0 for s in (L, *sides))
+    assert fast >= 200 and len(walks) - fast >= 200  # both paths are well covered
+
+
+@pytest.mark.parametrize("V", [1e200, 1e308, sys.float_info.max])
+def test_huge_cells_close_at_the_walks_scale(V):
+    # the walk's rounding residue, 3.7e137 from the first vertex at 1e308,
+    # was kept as a seventh vertex; at the largest double it folded back
+    L0, _ = isoperimetric_optimum(V)
+    sol = solve_fixed_side(L0, V)
+    chain = fixed_side_polygon(L0, sol.sides)
+    assert len(chain.vertices) == 6
+    want = optimal_perimeter(L0, V)
+    assert abs(polyline_length(chain) - want) <= math.ulp(want)
+    # the longest side sets the scale, also over a short fixed side
+    assert len(fixed_side_vertices(1e-8, solve_fixed_side(1e-8, V).sides)) == 6
 
 
 # ---------------------------------------------------------------- regime boundary
