@@ -97,7 +97,7 @@ def fixed_side_vertices(L: float, sides: tuple[float, ...]) -> list[tuple[float,
         x, y = x + x4 * -0.5, y + x4 * _FALL
         p5 = (x, y)
         x, y = x + x5 * 0.5, y + x5 * _FALL
-        if abs(x) <= DEDUP_TOL and abs(y) <= DEDUP_TOL:
+        if abs(x) <= DEDUP_TOL and abs(y) <= DEDUP_TOL:  # no side exceeds 16
             return [(0.0, 0.0), p1, p2, p3, p4, p5]
         return [(0.0, 0.0), p1, p2, p3, p4, p5, (x, y)]
     x = y = px = py = 0.0  # (px, py): the last vertex kept
