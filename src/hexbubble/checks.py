@@ -41,16 +41,32 @@ DIAG_TOL = 1e-6  # diagonal tolerance for the case-2 check
 Posed = tuple[Callable[[tuple[float, ...]], float], tuple[float, ...], tuple[float, ...]]
 
 
+# An exact power of two that brings an overflowed term of a homogeneous
+# form back into range: lengths are scaled by it and areas by its square.
+# A term that then underflows lies far below half an ulp of the largest.
+_SCALE = 2.0 ** -600
+
+
 def x4_from_volume(x1: float, x2: float, L: float, V: float) -> float:
     """Invert the shoelace area for x4 >= 0 given x1, x2, L, V.
 
     Raises ValueError when the radicand is negative, i.e. the requested
-    volume exceeds what any x4 can enclose with these sides.
+    volume exceeds what any x4 can enclose with these sides.  x4 is
+    homogeneous of degree one, so where a term of the radicand overflows
+    it is taken at the sides times 2^-600 and V times 2^-1200 and scaled
+    back; an x4 that overflows raises.
     """
     rad = x1 * x1 + 2.0 * x1 * x2 + 2.0 * L * (x1 + x2) - 4.0 * V / SQRT3
-    if rad < 0.0:
+    if 0.0 <= rad < math.inf:
+        return math.sqrt(rad)
+    if -math.inf < rad < 0.0:  # finite, so no term overflowed
         raise ValueError("infeasible volume for the given sides")
-    return math.sqrt(rad)
+    if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(L) and math.isfinite(V)):
+        raise ValueError("sides and volume must be finite")
+    x4 = x4_from_volume(x1 * _SCALE, x2 * _SCALE, L * _SCALE, V * _SCALE * _SCALE) / _SCALE
+    if x4 == math.inf:
+        raise ValueError("sides too large: x4 overflows")
+    return x4
 
 
 def _single_bubble_objective(L: float, V: float) -> Posed:
@@ -97,13 +113,24 @@ def _embedded_objective(alpha: float) -> Posed:
 
 
 def kissing_perimeter(L1: float, L2: float, alpha: float) -> float:
-    """Glued-pair perimeter with each cell in its active regime."""
+    """Glued-pair perimeter with each cell in its active regime.
+
+    Where the two cells' perimeters overflow as a sum the shared side is
+    taken off first; a pair perimeter that overflows raises.
+    """
     check_alpha(alpha)
-    return (
-        singlebubble.optimal_perimeter(L1, 1.0)
-        + singlebubble.optimal_perimeter(L2, alpha)
-        - min(L1, L2)
-    )
+    big = singlebubble.optimal_perimeter(L1, 1.0)
+    small = singlebubble.optimal_perimeter(L2, alpha)
+    shared = min(L1, L2)
+    perimeter = big + small - shared
+    if perimeter != math.inf:
+        return perimeter
+    # the two cells' sum overflowed; a cell's perimeter is at least twice
+    # its side, so taking the shared side off first leaves a finite part
+    perimeter = big + (small - shared)
+    if perimeter == math.inf:
+        raise ValueError("sides too large: the pair's perimeter overflows")
+    return perimeter
 
 
 def _kissing_objective(alpha: float) -> Posed:
@@ -204,20 +231,33 @@ def equal_perimeters(
 
     P3 glues two six-sided cells, P4/P5 mix regimes, P6 glues two
     trapezoids; each value is present exactly when its radicands are
-    nonnegative.  P3 always exists.
+    nonnegative.  P3 always exists.  Where 3L^2 overflows the forms are
+    taken at L 2^-600 and scaled back, and a value that overflows raises.
     """
     check_alpha(alpha)
     if not math.isfinite(L) or L < MIN_SIDE:
         raise ValueError(f"side must be >= {MIN_SIDE}")
-    u1 = math.sqrt((3.0 * L * L + 4.0 * SQRT3) / 21.0)
-    u2 = math.sqrt((3.0 * L * L + 4.0 * SQRT3 * alpha) / 21.0)
-    r1 = (3.0 * L * L - 4.0 * SQRT3) / 3.0
-    ra = (3.0 * L * L - 4.0 * SQRT3 * alpha) / 3.0
-    p3 = 7.0 * u1 + 7.0 * u2 - 3.0 * L
-    p4 = 7.0 * u1 + L - math.sqrt(ra) if ra >= 0.0 else None
-    p5 = 7.0 * u2 + L - math.sqrt(r1) if r1 >= 0.0 else None
-    p6 = 5.0 * L - math.sqrt(r1) - math.sqrt(ra) if r1 >= 0.0 and ra >= 0.0 else None
-    return p3, p4, p5, p6
+    x, c1, ca = L, 4.0 * SQRT3, 4.0 * SQRT3 * alpha  # the side and the volume terms
+    huge = 3.0 * L * L == math.inf
+    if huge:
+        # each form is homogeneous of degree one in (L, sqrt(volume)); at
+        # L 2^-600 the volume terms underflow to zero
+        x, c1, ca = L * _SCALE, 0.0, 0.0
+    square = 3.0 * x * x
+    u1 = math.sqrt((square + c1) / 21.0)
+    u2 = math.sqrt((square + ca) / 21.0)
+    r1 = (square - c1) / 3.0
+    ra = (square - ca) / 3.0
+    p3 = 7.0 * u1 + 7.0 * u2 - 3.0 * x
+    p4 = 7.0 * u1 + x - math.sqrt(ra) if ra >= 0.0 else None
+    p5 = 7.0 * u2 + x - math.sqrt(r1) if r1 >= 0.0 else None
+    p6 = 5.0 * x - math.sqrt(r1) - math.sqrt(ra) if r1 >= 0.0 and ra >= 0.0 else None
+    if not huge:
+        return p3, p4, p5, p6
+    values = (p3 / _SCALE, p4 / _SCALE, p5 / _SCALE, p6 / _SCALE)  # all four exist here
+    if math.inf in values:
+        raise ValueError("side too large: a diagonal perimeter overflows")
+    return values
 
 
 # The nested pair's degenerate variant and its off-center notch.

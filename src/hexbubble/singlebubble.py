@@ -20,10 +20,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .hexnorm import DEDUP_TOL, SQRT3, LATTICE_DIRECTIONS, PolyChain
+from .hexnorm import DEDUP_TOL, SQRT3, LATTICE_DIRECTIONS, PolyChain, merge_vertices
 
-_WALK = tuple(map(tuple, LATTICE_DIRECTIONS))  # as plain pairs: the fixed side, then x1..x5
-_RISE, _FALL = _WALK[1][1], _WALK[4][1]  # y of the steps at 60 and 240 (and 120, 300) degrees
+# y of the steps at 60 and 240 (and 120, 300) degrees
+_RISE, _FALL = LATTICE_DIRECTIONS[1].y, LATTICE_DIRECTIONS[4].y
 _SHORT = 4.0 * DEDUP_TOL  # the shortest side of fixed_side_vertices' merge-free walk
 
 REGIME_SIX = "six-sided"
@@ -70,53 +70,48 @@ class SingleBubbleSolution(NamedTuple):
 def fixed_side_vertices(L: float, sides: tuple[float, ...]) -> list[tuple[float, float]]:
     """Vertices of the polygon from the fixed side plus the five free sides.
 
-    Zero-length sides collapse as the walk goes, by merge_vertices' test,
-    so boundary-regime solutions come out as quadrilaterals without
-    special-casing.  The last vertex is dropped where it lies within
-    DEDUP_TOL of the first, or within DEDUP_TOL m/16 where the longest
-    side m exceeds 16: the walk's rounding residue, a few ulp of its
-    coordinates, grows with its sides, so a huge cell closes as a small
-    one does.
+    Zero-length sides collapse by merge_vertices, so boundary-regime
+    solutions come out as quadrilaterals without special-casing.  The last
+    vertex is dropped where it lies within DEDUP_TOL of the first, or within
+    DEDUP_TOL m/16 where the longest side m exceeds 16: the walk's rounding
+    residue, a few ulp of its coordinates, grows with its sides, so a huge
+    cell closes as a small one does.
     """
     x1, x2, x3, x4, x5 = sides
+    # each step is x + s dx, y + s dy over LATTICE_DIRECTIONS, the x1.0 and
+    # x0.0 terms included, so the vertices are a loop's over them, bit for bit
+    x, y = 0.0 + L * 1.0, 0.0 + L * 0.0
+    p1 = (x, y)
+    x, y = x + x1 * 0.5, y + x1 * _RISE
+    p2 = (x, y)
+    x, y = x + x2 * -0.5, y + x2 * _RISE
+    p3 = (x, y)
+    x, y = x + x3 * -1.0, y + x3 * 0.0
+    p4 = (x, y)
+    x, y = x + x4 * -0.5, y + x4 * _FALL
+    p5 = (x, y)
+    x, y = x + x5 * 0.5, y + x5 * _FALL
     if (_SHORT <= L <= 16.0 and _SHORT <= x1 <= 16.0 and _SHORT <= x2 <= 16.0
             and _SHORT <= x3 <= 16.0 and _SHORT <= x4 <= 16.0 and _SHORT <= x5 <= 16.0):
         # No step can merge: each moves x by at least half its side, 2 DEDUP_TOL
         # or more, while every coordinate stays below 6 * 16 < 128 in size, so
         # each sum rounds by under 3e-14 and no step moves x by DEDUP_TOL or
-        # less.  The loop below would keep every vertex; these are its
-        # operations in its order, so they are its vertices, bit for bit.
-        x, y = 0.0 + L * 1.0, 0.0 + L * 0.0
-        p1 = (x, y)
-        x, y = x + x1 * 0.5, y + x1 * _RISE
-        p2 = (x, y)
-        x, y = x + x2 * -0.5, y + x2 * _RISE
-        p3 = (x, y)
-        x, y = x + x3 * -1.0, y + x3 * 0.0
-        p4 = (x, y)
-        x, y = x + x4 * -0.5, y + x4 * _FALL
-        p5 = (x, y)
-        x, y = x + x5 * 0.5, y + x5 * _FALL
+        # less; merge_vertices would keep every vertex.
         if abs(x) <= DEDUP_TOL and abs(y) <= DEDUP_TOL:  # no side exceeds 16
             return [(0.0, 0.0), p1, p2, p3, p4, p5]
         return [(0.0, 0.0), p1, p2, p3, p4, p5, (x, y)]
-    x = y = px = py = 0.0  # (px, py): the last vertex kept
-    pts = [(x, y)]
-    for s, (dx, dy) in zip((L, x1, x2, x3, x4, x5), _WALK):
-        x, y = x + s * dx, y + s * dy
-        if not (abs(px - x) <= DEDUP_TOL and abs(py - y) <= DEDUP_TOL):
-            pts.append((x, y))
-            px, py = x, y
+    pts = merge_vertices(((0.0, 0.0), p1, p2, p3, p4, p5, (x, y)), False)
     m = max(L, x1, x2, x3, x4, x5)
     close = DEDUP_TOL * (m / 16.0) if m > 16.0 else DEDUP_TOL
-    if len(pts) > 1 and abs(px) <= close and abs(py) <= close:
+    lx, ly = pts[-1]
+    if len(pts) > 1 and abs(lx) <= close and abs(ly) <= close:
         pts.pop()  # the last vertex closes onto the first
     return pts
 
 
 def fixed_side_polygon(L: float, sides: tuple[float, ...]) -> PolyChain:
     """Closed chain through fixed_side_vertices(L, sides)."""
-    return PolyChain(tuple(fixed_side_vertices(L, sides)), closed=True)
+    return PolyChain(fixed_side_vertices(L, sides), closed=True)
 
 
 # where a square or a radicand overflows, L is scaled by this power of two
@@ -143,26 +138,46 @@ def is_six_sided(L: float, V: float) -> bool:
     return 3.0 * SQRT3 * (L * _SCALE) * (L * _SCALE) < 16.0 * (V * _SCALE * _SCALE)
 
 
+def _six_sided(L: float, V: float) -> tuple[float, float]:
+    """(t, 7t - L), t = sqrt((3L^2 + 4 sqrt(3)V)/21): perimeter_P1's form."""
+    rad = (3.0 * L * L + 4.0 * SQRT3 * V) / 21.0
+    if rad != math.inf:
+        t = math.sqrt(rad)
+        return t, 7.0 * t - L
+    x, v = L * _SCALE, V * _SCALE * _SCALE
+    t = math.sqrt((3.0 * x * x + 4.0 * SQRT3 * v) / 21.0)
+    perimeter = (7.0 * t - x) / _SCALE
+    if perimeter == math.inf:
+        raise ValueError("fixed side too large: the perimeter overflows")
+    return t / _SCALE, perimeter
+
+
+def _four_sided(L: float, V: float) -> tuple[float, float]:
+    """(s, 3L - s), s = sqrt((3L^2 - 4 sqrt(3)V)/3): perimeter_P2's form."""
+    square = 3.0 * L * L
+    huge = square == math.inf
+    rad = 1.0 - 4.0 / SQRT3 * (V / L) / L if huge else (square - 4.0 * SQRT3 * V) / 3.0
+    if rad < 0.0:
+        raise ValueError("volume too large for a four-sided cell on this side")
+    if not huge:
+        s = math.sqrt(rad)
+        return s, 3.0 * L - s
+    s = L * math.sqrt(rad)
+    perimeter = 2.0 * L + (L - s)  # 3L overflows before the perimeter
+    if perimeter == math.inf:
+        raise ValueError("fixed side too large: the perimeter overflows")
+    return s, perimeter
+
+
 def solve_fixed_side(L: float, V: float) -> SingleBubbleSolution:
     """Minimal-perimeter cell over the fixed side L enclosing volume V.
 
-    The perimeter is optimal_perimeter(L, V) bit for bit, and the sides
-    are computed with it: where a square overflows, the six-sided form is
-    taken at L 2^-600 and V 2^-1200 and the four-sided top side as
-    L sqrt(1 - (4/sqrt(3)) V/L^2), as in perimeter_P1 and perimeter_P2,
-    and a perimeter that overflows raises.
+    The perimeter is optimal_perimeter(L, V) bit for bit: both read the
+    regime's one form, _six_sided or _four_sided.
     """
     _check_inputs(L, V)
     if is_six_sided(L, V):
-        rad = (3.0 * L * L + 4.0 * SQRT3 * V) / 21.0
-        if rad != math.inf:
-            t = math.sqrt(rad)
-            perimeter = 7.0 * t - L
-        else:  # six-sided cells have L below about 2.4e154, so t is finite
-            x, v = L * _SCALE, V * _SCALE * _SCALE
-            t = math.sqrt((3.0 * x * x + 4.0 * SQRT3 * v) / 21.0)
-            perimeter = (7.0 * t - x) / _SCALE
-            t /= _SCALE
+        t, perimeter = _six_sided(L, V)
         x1 = 2.0 * t - L
         if x1 < 0.0:
             # only roundoff at the regime boundary can put x1 below zero
@@ -172,18 +187,7 @@ def solve_fixed_side(L: float, V: float) -> SingleBubbleSolution:
         sides = (x1, t, t, t, x1)
         # tuple.__new__ skips the NamedTuple's Python-level __new__
         return tuple.__new__(SingleBubbleSolution, (L, V, REGIME_SIX, sides, perimeter))
-    square = 3.0 * L * L
-    if square != math.inf:
-        rad = (square - 4.0 * SQRT3 * V) / 3.0
-        if rad < 0.0:
-            raise ValueError("infeasible volume in the four-sided regime")
-        s = math.sqrt(rad)
-        perimeter = 3.0 * L - s
-    else:
-        s = L * math.sqrt(1.0 - 4.0 / SQRT3 * (V / L) / L)
-        perimeter = 2.0 * L + (L - s)  # 3L overflows before the perimeter
-        if perimeter == math.inf:
-            raise ValueError("fixed side too large: the perimeter overflows")
+    s, perimeter = _four_sided(L, V)
     if s > L:
         s = L  # only roundoff, with V negligible beside L^2, puts s above L
     sides = (0.0, L - s, s, L - s, 0.0)
@@ -197,14 +201,7 @@ def perimeter_P1(L: float, V: float) -> float:
     the perimeter scaled back by 2^600; a perimeter that overflows raises.
     """
     _check_inputs(L, V)
-    rad = (3.0 * L * L + 4.0 * SQRT3 * V) / 21.0
-    if rad != math.inf:
-        return 7.0 * math.sqrt(rad) - L
-    x, v = L * _SCALE, V * _SCALE * _SCALE
-    perimeter = (7.0 * math.sqrt((3.0 * x * x + 4.0 * SQRT3 * v) / 21.0) - x) / _SCALE
-    if perimeter == math.inf:
-        raise ValueError("fixed side too large: the perimeter overflows")
-    return perimeter
+    return _six_sided(L, V)[1]
 
 
 def perimeter_P2(L: float, V: float) -> float:
@@ -216,17 +213,7 @@ def perimeter_P2(L: float, V: float) -> float:
     L sqrt(1 - (4/sqrt(3)) V/L^2), and a perimeter that overflows raises.
     """
     _check_inputs(L, V)
-    square = 3.0 * L * L
-    huge = square == math.inf
-    rad = 1.0 - 4.0 / SQRT3 * (V / L) / L if huge else (square - 4.0 * SQRT3 * V) / 3.0
-    if rad < 0.0:
-        raise ValueError("volume too large for a four-sided cell on this side")
-    if not huge:
-        return 3.0 * L - math.sqrt(rad)
-    perimeter = 2.0 * L + (L - L * math.sqrt(rad))  # 3L overflows before the perimeter
-    if perimeter == math.inf:
-        raise ValueError("fixed side too large: the perimeter overflows")
-    return perimeter
+    return _four_sided(L, V)[1]
 
 
 def optimal_perimeter(L: float, V: float) -> float:

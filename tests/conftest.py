@@ -2,6 +2,7 @@
 
 import math
 import os
+import sys
 from pathlib import Path
 
 import hexbubble
@@ -64,6 +65,24 @@ def golden_min_1d(f, a: float, b: float, iters: int = 200):
             fd = f(d)
     x = 0.5 * (a + b)
     return x, f(x)
+
+
+def answer(call):
+    """call(), or None where it raises ValueError."""
+    try:
+        return call()
+    except ValueError:
+        return None
+
+
+def finite_floats(st):
+    """Hypothesis strategy over every finite double, with log-uniform
+    magnitudes up to the largest; st is hypothesis.strategies."""
+    big = sys.float_info.max
+    return st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(min_value=-10.0, max_value=308.25).map(lambda e: min(big, 10.0**e)),
+    )
 
 
 def child_env() -> dict:

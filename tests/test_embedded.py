@@ -2,11 +2,10 @@
 assignments, the degenerate-variant check, and the skew-notch invariant."""
 
 import math
-import sys
 
 import pytest
 
-from conftest import SQRT3, golden_min_1d
+from conftest import SQRT3, answer, finite_floats, golden_min_1d
 from hexbubble.checks import case2_report, notch_skew_perimeter
 from hexbubble import embedded
 from hexbubble.embedded import (
@@ -171,13 +170,6 @@ def _outer_written(L1, L2, V):
     return y1, 2.0 * max(y1, 0.0) + 2.0 * L2
 
 
-def _answer(call):
-    try:
-        return call()
-    except ValueError:
-        return None
-
-
 def test_nested_closed_forms_at_huge_inputs():
     # were nan sides with an infinite or nan length, and a nan rho1
     for call in (
@@ -196,11 +188,7 @@ def test_nested_closed_forms_finite_or_raise_property():
     # ValueError; wherever the written form is finite and feasible, its bits
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    big = sys.float_info.max
-    finite = st.one_of(
-        st.floats(allow_nan=False, allow_infinity=False),
-        st.floats(min_value=-10.0, max_value=308.25).map(lambda e: min(big, 10.0**e)),
-    )
+    finite = finite_floats(st)
     ratios = st.one_of(st.floats(min_value=0.0, max_value=1.0, exclude_min=True), finite)
 
     def finite_cell(got):
@@ -210,14 +198,14 @@ def test_nested_closed_forms_finite_or_raise_property():
     @hypothesis.settings(derandomize=True, deadline=None, max_examples=300)
     @hypothesis.given(finite, finite, finite, ratios)
     def finite_or_raise(L1, L2, V, alpha):
-        got = _answer(lambda: inner_hexagon(L1, V))
+        got = answer(lambda: inner_hexagon(L1, V))
         x1, length = _inner_written(L1, V) if L1 > 0.0 else (math.nan, math.nan)
         if got is not None:
             finite_cell(got)
         if V > 0.0 and L1 >= embedded.MIN_SIDE and math.isfinite(length) and x1 >= -1e-12 * max(1.0, L1):
             assert got is not None and got[1].hex() == length.hex(), (L1, V)
             assert got[0][0].hex() == max(x1, 0.0).hex(), (L1, V)
-        got = _answer(lambda: outer_notched(L1, L2, V))
+        got = answer(lambda: outer_notched(L1, L2, V))
         y1, length = _outer_written(L1, L2, V) if L2 > 0.0 else (math.nan, math.nan)
         if got is not None:
             finite_cell(got)
@@ -225,10 +213,10 @@ def test_nested_closed_forms_finite_or_raise_property():
                 and math.isfinite(length) and y1 >= -1e-12 * max(1.0, L2)):
             assert got is not None and got[1].hex() == length.hex(), (L1, L2, V)
             assert got[0][0].hex() == max(y1, 0.0).hex(), (L1, L2, V)
-        got = _answer(lambda: rho1(L1, L2, alpha))
+        got = answer(lambda: rho1(L1, L2, alpha))
         if got is not None:
             assert math.isfinite(got) and got >= 0.0, (L1, L2, alpha)
-        parts = _answer(lambda: outer_notched(L1, L2, 1.0)), _answer(lambda: inner_hexagon(L1, alpha))
+        parts = answer(lambda: outer_notched(L1, L2, 1.0)), answer(lambda: inner_hexagon(L1, alpha))
         if 0.0 < alpha <= 1.0 and None not in parts:
             assert got is not None and got.hex() == (parts[0][1] + parts[1][1] - L1).hex()
 

@@ -2,11 +2,12 @@
 the checker's radical-free polynomial route."""
 
 import math
+import sys
 
 import pytest
 
-from conftest import SQRT3, golden_min_1d
-from hexbubble import checks, kissing, solver
+from conftest import SQRT3, answer, finite_floats, golden_min_1d
+from hexbubble import checks, kissing, singlebubble, solver
 from hexbubble.checks import (
     build_degree8,
     equal_perimeters,
@@ -52,6 +53,82 @@ def test_perimeter_composition():
             - min(L1, L2)
         )
         assert abs(kissing_perimeter(L1, L2, alpha) - want) <= 1e-12
+
+
+def test_kissing_perimeter_at_huge_sides():
+    # the two cells' sum overflowed to inf at both: 1.5e308 is finite, and
+    # 2.4e308 is not
+    assert kissing_perimeter(5e307, 5e307, 1.0) == 1.5e308
+    with pytest.raises(ValueError, match="^sides too large: the pair's perimeter overflows$"):
+        kissing_perimeter(8e307, 8e307, 1.0)
+
+
+def test_kissing_perimeter_finite_or_raise_property():
+    # finite and non-negative or a ValueError at every finite pair of sides;
+    # the written sum's bits wherever it is finite
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # and sides from 1e307 up, where two cells' perimeters overflow as a sum
+    finite = st.one_of(finite_floats(st), st.floats(min_value=1e307, max_value=sys.float_info.max))
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=300)
+    @hypothesis.given(finite, finite, st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    def finite_or_raise(L1, L2, alpha):
+        got = answer(lambda: kissing_perimeter(L1, L2, alpha))
+        if got is not None:
+            assert math.isfinite(got) and got >= 0.0, (L1, L2, alpha)
+        cells = answer(lambda: optimal_perimeter(L1, 1.0)), answer(lambda: optimal_perimeter(L2, alpha))
+        if None in cells:
+            assert got is None, (L1, L2, alpha)
+        elif math.isfinite(cells[0] + cells[1] - min(L1, L2)):
+            assert got.hex() == (cells[0] + cells[1] - min(L1, L2)).hex(), (L1, L2, alpha)
+
+    finite_or_raise()
+
+
+def _equal_written(L, alpha):
+    # equal_perimeters as written, without its overflow branch
+    u1 = math.sqrt((3.0 * L * L + 4.0 * SQRT3) / 21.0)
+    u2 = math.sqrt((3.0 * L * L + 4.0 * SQRT3 * alpha) / 21.0)
+    r1 = (3.0 * L * L - 4.0 * SQRT3) / 3.0
+    ra = (3.0 * L * L - 4.0 * SQRT3 * alpha) / 3.0
+    p3 = 7.0 * u1 + 7.0 * u2 - 3.0 * L
+    p4 = 7.0 * u1 + L - math.sqrt(ra) if ra >= 0.0 else None
+    p5 = 7.0 * u2 + L - math.sqrt(r1) if r1 >= 0.0 else None
+    p6 = 5.0 * L - math.sqrt(r1) - math.sqrt(ra) if r1 >= 0.0 and ra >= 0.0 else None
+    return p3, p4, p5, p6
+
+
+def test_equal_perimeters_at_huge_sides():
+    # were (inf, nan, nan, -inf); with the volumes negligible the forms are
+    # (2 sqrt(7) - 3) L, sqrt(7) L, sqrt(7) L and 3 L
+    got = equal_perimeters(1e155, 0.5)
+    want = ((2.0 * math.sqrt(7.0) - 3.0) * 1e155, math.sqrt(7.0) * 1e155, math.sqrt(7.0) * 1e155, 3e155)
+    assert all(math.isclose(g, w, rel_tol=1e-15) for g, w in zip(got, want)), got
+    with pytest.raises(ValueError, match="^side too large: a diagonal perimeter overflows$"):
+        equal_perimeters(7e307, 1.0)
+
+
+def test_equal_perimeters_finite_or_raise_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=300)
+    @hypothesis.given(finite_floats(st), st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    def finite_or_raise(L, alpha):
+        got = answer(lambda: equal_perimeters(L, alpha))
+        if got is not None:
+            assert got[0] is not None, (L, alpha)
+            assert all(p is None or (math.isfinite(p) and p >= 0.0) for p in got), (L, alpha)
+        if L < singlebubble.MIN_SIDE:
+            assert got is None, (L, alpha)
+            return
+        written = _equal_written(L, alpha)
+        if all(p is None or math.isfinite(p) for p in written):
+            bits = [p if p is None else p.hex() for p in written]
+            assert [p if p is None else p.hex() for p in got] == bits, (L, alpha)
+
+    finite_or_raise()
 
 
 # ---------------------------------------------------------------- equal-side family

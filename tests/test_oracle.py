@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from conftest import answer, finite_floats
 from hexbubble import checks, embedded, hexnorm, kissing, singlebubble
 from hexbubble.checks import kissing_perimeter, x4_from_volume
 from hexbubble.embedded import embedded_geometry, minimize_rho1
@@ -356,6 +357,38 @@ def test_oracle_matches_fixed_side_closed_form():
         directions=[(1.0, -1.0), (1.0, 1.0)],
     )
     assert abs(got - solve_fixed_side(L, V).perimeter) <= 1e-5
+
+
+def test_x4_from_volume_at_huge_sides():
+    # was inf: x4 = sqrt(7) 1e200 once V is negligible
+    assert math.isclose(x4_from_volume(1e200, 1e200, 1e200, 1.0), math.sqrt(7.0) * 1e200, rel_tol=1e-15)
+    # 4 V overflowed here, and the radicand read as -inf: it is 1.69e308 - 1.39e308
+    assert math.isclose(x4_from_volume(1.3e154, 0.0, 0.0, 6e307), 5.51687732276963e153, rel_tol=1e-14)
+    with pytest.raises(ValueError, match="^sides too large: x4 overflows$"):
+        x4_from_volume(1.7e308, 1.7e308, 1.7e308, 1.0)
+    with pytest.raises(ValueError, match="^infeasible volume for the given sides$"):
+        x4_from_volume(1.0, 1.0, 1.0, 1e308)  # 4 V overflows, and the scaled radicand is negative
+
+
+def test_x4_from_volume_finite_or_raise_property():
+    # finite and non-negative or a ValueError at every finite input; the
+    # written form's bits wherever its radicand is finite
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    finite = finite_floats(st)
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=300)
+    @hypothesis.given(finite, finite, finite, finite)
+    def finite_or_raise(x1, x2, L, V):
+        got = answer(lambda: x4_from_volume(x1, x2, L, V))
+        if got is not None:
+            assert math.isfinite(got) and got >= 0.0, (x1, x2, L, V)
+        rad = x1 * x1 + 2.0 * x1 * x2 + 2.0 * L * (x1 + x2) - 4.0 * V / SQRT3
+        if math.isfinite(rad):
+            assert (got is None) == (rad < 0.0), (x1, x2, L, V)
+            assert got is None or got.hex() == math.sqrt(rad).hex(), (x1, x2, L, V)
+
+    finite_or_raise()
 
 
 def test_oracle_matches_kissing_minimum():

@@ -378,13 +378,21 @@ def test_fixed_side_walk_matches_its_loop():
         L = rng.uniform(0.01, 20.0) if rng.uniform(0.0, 1.0) < 0.8 else picks[-2 + (rng.uniform(0.0, 1.0) < 0.5)]
         V = L * L * 10.0 ** rng.uniform(-13.0, 1.0)
         walks.append((L, solve_fixed_side(L, V).sides))
-    fast = 0
+    fast = merged = scaled = 0
     for L, sides in walks:
         got, want = fixed_side_vertices(L, sides), _walk_loop(L, sides)
         assert len(got) == len(want), (L, sides)
         assert [(x.hex(), y.hex()) for x, y in got] == [(x.hex(), y.hex()) for x, y in want], (L, sides)
         fast += all(edge <= s <= 16.0 for s in (L, *sides))
+        # a walk's first merge is of two consecutive vertices
+        raw = [(0.0, 0.0)]
+        for s, d in zip((L, *sides), LATTICE_DIRECTIONS):
+            raw.append((raw[-1][0] + s * d.x, raw[-1][1] + s * d.y))
+        merged += any(abs(px - x) <= DEDUP_TOL and abs(py - y) <= DEDUP_TOL
+                      for (px, py), (x, y) in zip(raw, raw[1:]))
+        scaled += max(L, *sides) > 16.0  # the closing test runs at the m/16 scale
     assert fast >= 200 and len(walks) - fast >= 200  # both paths are well covered
+    assert merged >= 200 and scaled >= 200  # and so are the merge and the scaled closing test
 
 
 @pytest.mark.parametrize("V", [1e200, 1e308, sys.float_info.max])
