@@ -335,6 +335,8 @@ def notch_skew_perimeter(L1: float, L2: float, alpha: float, delta: float) -> fl
     check_alpha(alpha)
     if not (math.isfinite(L1) and math.isfinite(L2) and math.isfinite(delta)):
         raise ValueError("notch skew needs finite L1, L2 and delta")
+    if L1 < MIN_SIDE:
+        raise ValueError(f"sides must be >= {MIN_SIDE}")
     if abs(delta) >= min(L1, L2 - L1):
         raise ValueError("skew out of range")
     w60 = (L1 - delta) / 2.0
@@ -342,7 +344,10 @@ def notch_skew_perimeter(L1: float, L2: float, alpha: float, delta: float) -> fl
     # group the symmetric product so delta -> -delta is exact in floats
     vp = 1.0 + SQRT3 * (w60 * w120) / 2.0
     y1 = (8.0 * SQRT3 * vp - 3.0 * L2 * L2) / (12.0 * L2)
-    if y1 < 0.0:
+    # a term overflows only where L2 > L1 + |delta| exceeds 1e153, and there
+    # 3 (L2^2 - L1^2 + delta^2) > 8 sqrt(3) puts the exact y1 below 0, so the
+    # -inf or nan it reads as is infeasible too
+    if not y1 >= 0.0:
         raise ValueError("infeasible: span too large for the volume")
     s = (
         4.0 * SQRT3 * alpha / (3.0 * L1)

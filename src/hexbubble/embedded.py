@@ -112,7 +112,12 @@ def rho2(L1: float, L2: float, alpha: float) -> float:
 
 
 def rho1_optimal_L2(L1: float) -> float:
-    """Argmin of rho1 over L2 for a fixed notch width: sqrt(8 sqrt(3)+3 L1^2)/3."""
+    """Argmin of rho1 over L2 for a fixed notch width: sqrt(8 sqrt(3)+3 L1^2)/3.
+
+    Past _L1_CAP = sqrt(4 sqrt(3)/3) it falls below L1, which no host fits.
+    """
+    if not 0.0 < L1 <= _L1_CAP:
+        raise ValueError(f"notch width must lie in (0, {_L1_CAP!r}]")
     return math.sqrt(_8SQRT3 + 3.0 * L1 * L1) / 3.0
 
 
@@ -219,75 +224,51 @@ def embedded_geometry(
     L1: float, L2: float, outer_volume: float, inner_volume: float
 ) -> tuple[PolyChain, PolyChain, tuple[float, ...], tuple[float, ...]]:
     """(outer chain, inner chain, outer_notched sides, inner_hexagon sides as
-    built), with the outer chain's leftmost-lowest vertex at the origin.
+    built), anchored at the outer chain's west corner, which lands at (0, 0).
 
-    The notch mouth runs from (0, 0) to (0, sqrt(3) L1 / 2) before the
-    anchoring shift; the inner cell pokes east out of it.  On the rho2
-    optimum (outer volume alpha, inner volume 1) the outer chain is not
-    simple for most alpha in [8.3e-13, 9.6e-10]; see rho2_minimum.
+    The notch mouth is vertical, sqrt(3) L1 / 2 long; the inner cell pokes
+    east out of it.  Host vertices merge only where a host side can vanish:
+    y1, or y2 where L2 is near L1.  On the rho2 optimum (outer volume alpha,
+    inner volume 1) the outer chain is not simple for most alpha in
+    [8.3e-13, 9.6e-10]; see rho2_minimum.
     """
     inner_sides, _ = inner_hexagon(L1, inner_volume)
     outer_sides, _ = outer_notched(L1, L2, outer_volume)
     x1, y1, y2 = inner_sides[0], outer_sides[0], outer_sides[1]
     q = L1 / 4.0
     h = SQRT3 * L1 / 4.0  # > DEDUP_TOL, as L1 >= MIN_SIDE
-    short = x1 <= DEDUP_TOL
-    if short:
-        # the vertex merge would drop (x1, 0) and (0, 2h) as duplicates of their
-        # predecessors, tilting the glued sides off the lattice by ~x1/L1;
-        # a side that short is collapsed here instead, in the sides too
-        inner_sides = (0.0, *inner_sides[1:3], 0.0, *inner_sides[4:])
     top = SQRT3 * (L1 + y2) / 2.0
     low = -SQRT3 * y2 / 2.0
     xa = -y2 / 2.0  # x of the two vertices next to the notch
     xb = xa - y1  # x of the far ends of the horizontal sides
-    xl = xb - L2 / 4.0  # x of the west corner
-    # merge_vertices compares each vertex with the last one kept.  The
-    # notch and slant steps (q, h and L2/4 across, h and sqrt(3) L2/4 up,
-    # all >= MIN_SIDE/4) always exceed DEDUP_TOL; the steps to and from
-    # (xa, .) move x by y2/2 and xa - xb.  When both exceed DEDUP_TOL no
-    # vertex merges, and when the west corner is also strictly leftmost it
-    # is the anchor min() would pick, so both passes are skipped.  Each
-    # inner step moves x by x1 or y by h, so no inner vertex merges either.
-    # The anchor is then known before any vertex is, and each vertex is
-    # written in the output frame at once, as its shift x - ox, y - oy
-    # would compute it; the corner itself comes out at (0, 0).
-    if y2 > 2.0 * DEDUP_TOL and xa - xb > DEDUP_TOL and xl < xb:
-        ox, oy = xl, top - SQRT3 * L2 / 4.0
-        x0, y0, xq = 0.0 - ox, 0.0 - oy, -q - ox  # the notch's foot and its apex's x
-        yh, y2h = h - oy, 2.0 * h - oy
-        outer = [
-            (xb - ox, low - oy),
-            (xa - ox, low - oy),
-            (x0, y0),
-            (xq, yh),
-            (x0, y2h),
-            (xa - ox, top - oy),
-            (xb - ox, top - oy),
-            (0.0, 0.0),
-        ]
-        if short:
-            inner = [(x0, y0), (q - ox, yh), (x0, y2h), (xq, yh)]
-        else:
-            x1o = x1 - ox
-            inner = [(x0, y0), (x1o, y0), ((x1 + q) - ox, yh), (x1o, y2h), (x0, y2h), (xq, yh)]
-        return PolyChain(outer, True), PolyChain(inner, True), outer_sides, inner_sides
-    if short:
-        inner = [(0.0, 0.0), (q, h), (0.0, 2.0 * h), (-q, h)]
-    else:
-        inner = [(0.0, 0.0), (x1, 0.0), (x1 + q, h), (x1, 2.0 * h), (0.0, 2.0 * h), (-q, h)]
+    # The mouth runs from (0, 0) to (0, 2h); each vertex is written at once
+    # as x - ox, y - oy from the west corner (ox, oy), the corner as (0, 0).
+    # The notch and slant steps (q, h and L2/4 across, h and sqrt(3) L2/4
+    # up, all >= MIN_SIDE/4) and the inner steps (x1 > DEDUP_TOL across, or
+    # h up) never merge; only the steps to and from (xa, .) can, by y2/2 or
+    # xa - xb across.
+    ox, oy = xb - L2 / 4.0, top - SQRT3 * L2 / 4.0
+    x0, y0, xq = 0.0 - ox, 0.0 - oy, -q - ox  # the notch's foot and its apex's x
+    yh, y2h = h - oy, 2.0 * h - oy
     outer = [
-        (xb, low),
-        (xa, low),
+        (xb - ox, low - oy),
+        (xa - ox, low - oy),
+        (x0, y0),
+        (xq, yh),
+        (x0, y2h),
+        (xa - ox, top - oy),
+        (xb - ox, top - oy),
         (0.0, 0.0),
-        (-q, h),
-        (0.0, 2.0 * h),
-        (xa, top),
-        (xb, top),
-        (xl, top - SQRT3 * L2 / 4.0),
     ]
-    outer = merge_vertices(outer, True)
-    ox, oy = min(outer)  # pairs order by (x, y)
-    outer = PolyChain([(x - ox, y - oy) for x, y in outer], True)
-    inner = PolyChain([(x - ox, y - oy) for x, y in inner], True)
-    return outer, inner, outer_sides, inner_sides
+    if y2 <= 2.0 * DEDUP_TOL or xa - xb <= DEDUP_TOL:
+        outer = merge_vertices(outer, True)
+    if x1 <= DEDUP_TOL:
+        # the vertex merge would drop (x1, 0) and (0, 2h) as duplicates of their
+        # predecessors, tilting the glued sides off the lattice by ~x1/L1;
+        # a side that short is collapsed here instead, in the sides too
+        inner_sides = (0.0, *inner_sides[1:3], 0.0, *inner_sides[4:])
+        inner = [(x0, y0), (q - ox, yh), (x0, y2h), (xq, yh)]
+    else:
+        x1o = x1 - ox
+        inner = [(x0, y0), (x1o, y0), ((x1 + q) - ox, yh), (x1o, y2h), (x0, y2h), (xq, yh)]
+    return PolyChain(outer, True), PolyChain(inner, True), outer_sides, inner_sides

@@ -2,6 +2,7 @@
 assignments, the degenerate-variant check, and the skew-notch invariant."""
 
 import math
+import sys
 
 import pytest
 
@@ -257,6 +258,16 @@ def test_optimal_outer_width():
         # the optimal width makes the horizontal side half the slant
         sides, _ = outer_notched(L1, L2s, 1.0)
         assert abs(sides[0] - L2s / 2.0) <= 1e-12
+    # the widest notch it takes still fits its host
+    assert rho1_optimal_L2(embedded._L1_CAP) >= embedded._L1_CAP
+
+
+@pytest.mark.parametrize("L1", [1e308, math.nan, -1.0, 0.0, math.nextafter(embedded._L1_CAP, 2.0)])
+def test_optimal_outer_width_needs_a_notch_that_fits(L1):
+    # returned inf, nan, or a width for a negative, zero or too wide notch;
+    # past _L1_CAP the width falls below L1, which no host fits
+    with pytest.raises(ValueError, match=r"^notch width must lie in \(0, "):
+        rho1_optimal_L2(L1)
 
 
 def test_minimize_rho1_frozen():
@@ -520,6 +531,42 @@ def test_skew_needs_finite_inputs(which, bad):
         notch_skew_perimeter(args["L1"], args["L2"], 0.5, args["delta"])
 
 
+def test_skew_rejects_a_notch_below_the_side_floor():
+    # was 1.15e300, from a notch narrower than inner_hexagon accepts
+    with pytest.raises(ValueError, match=r"^sides must be >= 1e-08$"):
+        notch_skew_perimeter(1e-300, 1.0, 0.5, 0.0)
+
+
+def test_skew_span_overflow_is_infeasible():
+    # 3 L2^2 and 12 L2 both overflow, and y1 read as inf/inf, a nan, was returned
+    with pytest.raises(ValueError, match="^infeasible: span too large for the volume$"):
+        notch_skew_perimeter(1.0, 1e308, 1.0, 0.5)
+
+
+def test_skew_finite_or_raise_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    finite = finite_floats(st)
+    # besides all finite doubles: notches down to the subnormals, spans up
+    # to the largest double, and small skews, which the range test lets by
+    def decades(lo, hi):
+        return st.floats(min_value=lo, max_value=hi).map(lambda e: min(sys.float_info.max, 10.0**e))
+
+    notches = st.one_of(finite, decades(-320.0, 1.0))
+    spans = st.one_of(finite, decades(-1.0, 308.25))
+    skews = st.one_of(finite, st.floats(min_value=-1.0, max_value=1.0))
+    ratios = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=300)
+    @hypothesis.given(notches, spans, skews, ratios)
+    def finite_or_raise(L1, L2, delta, alpha):
+        got = answer(lambda: notch_skew_perimeter(L1, L2, alpha, delta))
+        assert got is None or (math.isfinite(got) and got > 0.0), (L1, L2, delta, alpha)
+        assert got is None or L1 >= embedded.MIN_SIDE, (L1, L2, delta, alpha)
+
+    finite_or_raise()
+
+
 # ---------------------------------------------------------------- full solution
 
 
@@ -574,6 +621,18 @@ def test_widest_feasible_notch_still_builds():
     outer, inner = embedded_geometry(L1, L2, 1.0, alpha)[:2]
     assert abs(polygon_area(inner) - alpha) <= 1e-9
     assert rho1(L1, L2, alpha) > 0.0
+
+
+def test_host_is_anchored_at_its_west_corner():
+    # y1 is about 1e8 and L2/4 under its ulp, so the west corner's x rounds
+    # onto the horizontal sides' far ends; the corner is still the anchor
+    # rather than the low far end, which shares its x
+    outer, inner = embedded_geometry(1e-8, 1.1e-8, 1.0, 0.5)[:2]
+    first, last = outer.vertices[0], outer.vertices[-1]
+    assert (last.x, last.y) == (0.0, 0.0)
+    assert first.x == 0.0 and first.y < 0.0
+    with pytest.raises(ValueError, match="^shared edge is not along a lattice direction$"):
+        double_bubble_perimeter(outer, inner)
 
 
 def test_alpha_validation():

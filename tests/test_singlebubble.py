@@ -395,6 +395,23 @@ def test_fixed_side_walk_matches_its_loop():
     assert merged >= 200 and scaled >= 200  # and so are the merge and the scaled closing test
 
 
+def test_moderate_cells_close_at_the_walks_scale():
+    # sides from 16 up: a cell's walk ends a rounding residue of a few
+    # DEDUP_TOL from its start, which the closing test at the m/16 scale
+    # drops and one at plain DEDUP_TOL would keep as a fifth or seventh vertex
+    rng = Lcg(89)
+    residues = 0
+    for _ in range(4000):
+        L = 10.0 ** rng.uniform(math.log10(16.0), 6.0)
+        sides = solve_fixed_side(L, L * L * 10.0 ** rng.uniform(-1.5, 0.5)).sides
+        assert len(fixed_side_vertices(L, sides)) in (4, 6), (L, sides)
+        x = y = 0.0
+        for s, d in zip((L, *sides), LATTICE_DIRECTIONS):
+            x, y = x + s * d.x, y + s * d.y
+        residues += abs(x) > DEDUP_TOL or abs(y) > DEDUP_TOL
+    assert residues >= 500
+
+
 @pytest.mark.parametrize("V", [1e200, 1e308, sys.float_info.max])
 def test_huge_cells_close_at_the_walks_scale(V):
     # the walk's rounding residue, 3.7e137 from the first vertex at 1e308,
