@@ -9,6 +9,7 @@ from hexbubble.embedded import (
     inner_hexagon,
     minimize_rho1,
     outer_notched,
+    rho1_minimizer,
     rho1_optimal_L2,
     rho2_minimum,
 )
@@ -33,7 +34,7 @@ def main() -> None:
     print("two volume assignments (host holds 1 vs host holds alpha):")
     print(f"{'alpha':>7}  {'host=1':>14}  {'host=alpha':>14}")
     for a in (0.1, 0.3, 2.0 / 3.0, 0.9, 1.0):
-        v1 = minimize_rho1(a)[2]
+        v1 = rho1_minimizer(a)[1]
         v2 = rho2_minimum(a)[2]
         print(f"{a:7.4f}  {v1:14.10f}  {v2:14.10f}")
     print("the host always prefers the larger volume; at alpha = 1 the two")

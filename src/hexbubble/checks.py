@@ -295,6 +295,9 @@ def case2_report(alpha: float) -> dict[str, dict[str, float | bool]]:
     whether it sits on the L2 = L1 diagonal.  The printed reading sits there
     for every alpha in (0, 1]: it is separable convex, and its unconstrained
     minimizer violates L2 <= L1.
+
+    Nothing in the package calls it yet; the tests do, and ROADMAP item 11
+    gives it a verify check (case2-diagonal).
     """
     check_alpha(alpha)
     objectives = _case2_objectives(alpha)
@@ -331,6 +334,10 @@ def notch_skew_perimeter(L1: float, L2: float, alpha: float, delta: float) -> fl
     x1 + x4, and the outer's through y1.  The exact expansion is
     rho1 + delta^2 (L2 - 2 L1)/(4 L1 L2), so the symmetric notch is a
     strict local minimum iff L2 >= 2 L1.
+
+    Nothing in the package calls it yet; the tests and demo_embedded do,
+    and ROADMAP item 11 gives it verify checks (notch-centred,
+    notch-skew-loses).
     """
     check_alpha(alpha)
     if not (math.isfinite(L1) and math.isfinite(L2) and math.isfinite(delta)):

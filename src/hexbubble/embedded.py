@@ -18,9 +18,11 @@ minimized in L2 at L2*(L1) = sqrt(8 sqrt(3) + 3 L1^2)/3 and then in L1
 in closed form: the stationarity condition of the strictly convex
 sqrt(8 sqrt(3) + 3 L1^2) + L1/2 + 4 sqrt(3) alpha/(3 L1) is a cubic with
 one positive root (see _cubic_min), solved without iteration.
-The solver calls minimize_rho1 alone, which checks the ratio.  rho1 stays
-as the written definition; the tests hold checks._embedded_objective,
-which adds the same parts, to it bit for bit.
+rho1_minimizer gives the minimum's notch width and value, checking the
+ratio, and minimize_rho1 adds the host width; the solver reads the
+former and computes the host width only for a nested cell it builds.
+rho1 stays as the written definition; the tests hold
+checks._embedded_objective, which adds the same parts, to it bit for bit.
 
 rho2 swaps which cell holds which volume.  The paper excludes it, and the
 solver does not evaluate it; it is kept here as that exclusion, for the
@@ -162,11 +164,12 @@ class EmbeddedSolution(NamedTuple):
     perimeter: float
 
 
-def minimize_rho1(alpha: float) -> EmbeddedSolution:
-    """(L1*, L2*, value) minimizing rho1 with L2 = L2*(L1) resolved.
+def rho1_minimizer(alpha: float) -> tuple[float, float]:
+    """(L1*, value) minimizing rho1 with L2 = L2*(L1) resolved.
 
-    The solver's nested minimum, outer cell holding volume 1.  It checks
-    the ratio, so its callers need not.
+    The nested minimum's value and notch width, outer cell holding volume
+    1, with no host width and no record; solver.embedded_value and
+    solver.solve read it.  It checks the ratio, so its callers need not.
 
     The 1-D domain is (0, sqrt(8 sqrt(3) alpha / 3)] (inner feasibility)
     intersected with {L1 <= L2*(L1)}, i.e. L1 <= sqrt(4 sqrt(3)/3); on
@@ -185,7 +188,18 @@ def minimize_rho1(alpha: float) -> EmbeddedSolution:
     hi = math.sqrt(2.0 * c)
     if _L1_CAP < hi:
         hi = _L1_CAP
-    L1, value = _cubic_min(_8SQRT3, c, hi)
+    return _cubic_min(_8SQRT3, c, hi)
+
+
+def minimize_rho1(alpha: float) -> EmbeddedSolution:
+    """(L1*, L2*, value): rho1_minimizer's minimum with its host width
+    rho1_optimal_L2(L1*), as a record.
+
+    Its callers read the record: the checks' oracle and perturbation
+    posings, the tests and the demos.  The solver reads rho1_minimizer
+    and computes L2 only for a nested entry it reports.
+    """
+    L1, value = rho1_minimizer(alpha)
     # tuple.__new__ skips the NamedTuple's Python-level __new__
     return tuple.__new__(EmbeddedSolution, (L1, rho1_optimal_L2(L1), value))
 

@@ -318,6 +318,8 @@ def geodesic_path(p: Sequence[float], q: Sequence[float]) -> PolyChain:
     unit-ball vertices bounding the sector of q - p, and travels the u_k
     leg first.  The D-length a + b equals hex_norm(q - p); a vanishing leg
     gives a single segment, and p = q gives the one-point chain.
+
+    Nothing in the package calls it; the tests and demo_metric do.
     """
     px, py = float(p[0]), float(p[1])
     qx, qy = float(q[0]), float(q[1])
@@ -414,6 +416,8 @@ def circumscribing_hexagon(chain: PolyChain) -> HexRegion:
 
     Each of the six support lines touches the vertex set, so for a convex
     input the region's D-perimeter never exceeds the input's.
+
+    Nothing in the package calls it; the tests and demo_metric do.
     """
     vs = chain.vertices
     if len(vs) < 3:

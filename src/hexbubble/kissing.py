@@ -9,8 +9,9 @@ Popt being the active single-cell regime.  The global optimum is the
 unequal stationary pair below alpha = 1/8 and the minimizer of the
 equal-side branch P3 (both cells six-sided) at or above it; the two agree
 at the handoff.  This module holds only what the solver evaluates: those
-two closed forms in alpha, which call no single-cell routine, and the
-cells they build.  The sum above (checks.kissing_perimeter) and the
+two closed forms in alpha, which call no single-cell routine, the
+minimum's value alone (kissing_value) and as a record (kissing_minimum),
+and the cells they build.  The sum above (checks.kissing_perimeter) and the
 paper's exclusions, the eight-row stationary table in (L1, L2) and the
 diagonal branches P4..P6 that P3 dominates, live with the checker
 (checks.unequal_candidates, checks.equal_perimeters).
@@ -168,8 +169,25 @@ def kissing_geometry(
     return PolyChain(a, True), PolyChain(b, True), sol_a.sides, sol_b.sides
 
 
+def kissing_value(alpha: float) -> float:
+    """The glued pair's minimal perimeter, with no sides and no record.
+
+    kissing_minimum's value, from the same closed form on each side of the
+    same handoff; solver.kissing_value reads it.  Each closed form checks
+    the ratio.
+    """
+    if alpha < _UNEQUAL_BELOW:
+        return small_alpha_closed_form(alpha)
+    return p3_minimizer(alpha)[1]
+
+
 def kissing_minimum(alpha: float) -> KissingSolution:
-    """Global minimum over the glued-pair family.
+    """Global minimum over the glued-pair family, as a record.
+
+    Its callers read a record: solve, for its candidate value and the
+    sides of a glued entry it reports, the checks' oracle and
+    perturbation posings, the tests and the demos.  kissing_value gives
+    the value alone.
 
     Below the handoff ratio 1/8 the unequal candidate wins: both cells are
     six-sided, and cell B's side is the shorter, fully shared one.  Each

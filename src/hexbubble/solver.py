@@ -83,20 +83,21 @@ class DoubleBubbleResult:
 
 
 def embedded_value(alpha: float) -> float:
-    """Embedded-case optimal perimeter (no geometry construction)."""
-    return embedded_mod.minimize_rho1(alpha).perimeter
+    """Embedded-case optimal perimeter (no record, no geometry)."""
+    return embedded_mod.rho1_minimizer(alpha)[1]
 
 
 def kissing_value(alpha: float) -> float:
-    """Kissing-case optimal perimeter (no geometry construction)."""
-    return kissing_mod.kissing_minimum(alpha).perimeter
+    """Kissing-case optimal perimeter (no record, no geometry)."""
+    return kissing_mod.kissing_value(alpha)
 
 
-def _embedded_entry(sol: embedded_mod.EmbeddedSolution, alpha: float) -> SolutionEntry:
+def _embedded_entry(L1: float, alpha: float) -> SolutionEntry:
     # cell A, holding volume 1, is the outer cell; the welded notch sides
     # sum to L1, the joint length
-    cells = embedded_mod.embedded_geometry(sol.L1, sol.L2, 1.0, alpha)
-    return SolutionEntry(CASE_EMBEDDED, *cells, sol.L1, sol.L2, sol.L1)
+    L2 = embedded_mod.rho1_optimal_L2(L1)
+    cells = embedded_mod.embedded_geometry(L1, L2, 1.0, alpha)
+    return SolutionEntry(CASE_EMBEDDED, *cells, L1, L2, L1)
 
 
 def _kissing_entry(sol: kissing_mod.KissingSolution, alpha: float) -> SolutionEntry:
@@ -107,29 +108,29 @@ def _kissing_entry(sol: kissing_mod.KissingSolution, alpha: float) -> SolutionEn
 def solve(alpha: float) -> DoubleBubbleResult:
     """Optimal double bubble at ratio alpha; ties within 1e-9 report both.
 
-    `candidates` holds both cases' minima; cells are built only for the
-    reported entries.  Each case's minimum checks the ratio; the nested one
-    runs first, so a bad alpha raises there.
+    `candidates` holds both cases' minima; the nested host width and the
+    cells are computed only for the reported entries.  Each case's minimum
+    checks the ratio; the nested one runs first, so a bad alpha raises there.
     """
-    emb = embedded_mod.minimize_rho1(alpha)
+    L1, emb = embedded_mod.rho1_minimizer(alpha)
     kis = kissing_mod.kissing_minimum(alpha)
-    diff = emb.perimeter - kis.perimeter
+    diff = emb - kis.perimeter
     if abs(diff) <= TIE_TOL:
         case = CASE_BOTH
-        entries = (_embedded_entry(emb, alpha), _kissing_entry(kis, alpha))
+        entries = (_embedded_entry(L1, alpha), _kissing_entry(kis, alpha))
     elif diff < 0.0:
         case = CASE_EMBEDDED
-        entries = (_embedded_entry(emb, alpha),)
+        entries = (_embedded_entry(L1, alpha),)
     else:
         case = CASE_KISSING
         entries = (_kissing_entry(kis, alpha),)
     return DoubleBubbleResult(
         alpha,
         case,
-        min(emb.perimeter, kis.perimeter),
+        min(emb, kis.perimeter),
         entries,
         entries[0].joint_length,
-        {CASE_EMBEDDED: emb.perimeter, CASE_KISSING: kis.perimeter},
+        {CASE_EMBEDDED: emb, CASE_KISSING: kis.perimeter},
     )
 
 

@@ -391,6 +391,39 @@ def test_solver_cells_skip_the_quadratic_scan(monkeypatch):
             assert entry.geometry_a.certified and entry.geometry_b.certified, alpha
 
 
+def test_value_path_skips_the_records(monkeypatch):
+    # embedded_value and kissing_value read the value routines alone, and
+    # solve computes the nested host width only for a nested entry it
+    # reports; each routine below raises once patched, so a caller that
+    # still reaches it fails here
+    from hexbubble.oracle import Lcg
+
+    def boom(*args):
+        raise AssertionError("the value path built a record or a host width")
+
+    rng = Lcg(97)
+    ratios = [10.0 ** rng.uniform(-300.0, 0.0) for _ in range(400)]
+    expected = [(minimize_rho1(a).perimeter, kissing_minimum(a).perimeter) for a in ratios]
+    mixed = [10.0 ** rng.uniform(-13.0, 0.0) for _ in range(400)]
+    glued = [0.2 + 0.8 * k / 40 for k in range(41)]
+    solved = {a: solve(a) for a in mixed + glued}
+    assert {solved[a].case for a in glued} == {CASE_KISSING}
+
+    with monkeypatch.context() as patch:
+        patch.setattr(embedded, "minimize_rho1", boom)
+        patch.setattr(embedded, "rho1_optimal_L2", boom)
+        patch.setattr(kissing, "kissing_minimum", boom)
+        assert [(embedded_value(a), kissing_value(a)) for a in ratios] == expected
+    with monkeypatch.context() as patch:
+        patch.setattr(embedded, "minimize_rho1", boom)
+        for alpha in mixed:
+            assert solve(alpha) == solved[alpha], alpha
+    with monkeypatch.context() as patch:
+        patch.setattr(embedded, "rho1_optimal_L2", boom)
+        for alpha in glued:
+            assert solve(alpha) == solved[alpha], alpha
+
+
 def test_inner_cells_with_short_sides_are_certified_convex():
     # the ratios where the nested inner cell's horizontal sides lie between
     # DEDUP_TOL and 8 GEOM_TOL, log-uniform: the short-side clause passes

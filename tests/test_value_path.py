@@ -1,10 +1,15 @@
 """The value path against its written formulas, and the minima's records.
 
-minimize_rho1 and kissing_minimum hoist their constants to module level and
-build their records with tuple.__new__.  The reference route below writes
-every expression out in full, with no constant hoisted and min() where the
-modules use a conditional; the two must agree bit for bit, and the records
-must keep the NamedTuple contract.
+Each case's minimum has a value routine and a record routine:
+rho1_minimizer (L1*, value) and minimize_rho1 (L1*, L2*, value) for the
+nested pair, kissing.kissing_value and kissing_minimum (L1, L2, value,
+branch) for the glued pair; solver.embedded_value and solver.kissing_value
+read the value routines.  All of them hoist their constants to module
+level, and the records are built with tuple.__new__.  The reference route
+below writes every expression out in full, with no constant hoisted and
+min() where the modules use a conditional.  Values, records and the
+written route must agree bit for bit, a value routine must raise what its
+record routine raises, and the records must keep the NamedTuple contract.
 """
 
 import math
@@ -12,7 +17,8 @@ import pickle
 
 import pytest
 
-from hexbubble.embedded import EmbeddedSolution, minimize_rho1
+from hexbubble import kissing, solver
+from hexbubble.embedded import EmbeddedSolution, minimize_rho1, rho1_minimizer
 from hexbubble.kissing import (
     BRANCH_EQUAL,
     BRANCH_UNEQUAL,
@@ -136,6 +142,74 @@ def test_value_path_matches_the_written_formulas_property():
         _assert_value_path_matches(alpha)
 
     check()
+
+
+def _assert_values_match_records(alpha):
+    L1, L2, value = _rho1_minimum_written(alpha)
+    record = minimize_rho1(alpha)
+    assert _hex(rho1_minimizer(alpha)) == _hex((record.L1, record.perimeter)) == _hex((L1, value))
+    assert solver.embedded_value(alpha).hex() == value.hex()
+    perimeter = _kissing_minimum_written(alpha)[2]
+    assert kissing_minimum(alpha).perimeter.hex() == perimeter.hex()
+    assert kissing.kissing_value(alpha).hex() == perimeter.hex()
+    assert solver.kissing_value(alpha).hex() == perimeter.hex()
+
+
+def _with_neighbours(*alphas):
+    # each ratio and the doubles next to it that are still ratios
+    out = []
+    for alpha in alphas:
+        for x in (math.nextafter(alpha, 0.0), alpha, math.nextafter(alpha, 2.0)):
+            if x <= 1.0 and x not in out:
+                out.append(x)
+    return out
+
+
+@pytest.mark.parametrize(
+    "alpha", _with_neighbours(_HANDOFF_EDGE, 0.125, solver.ALPHA0, 2.0 / 3.0, 1.0)
+)
+def test_values_match_the_records_at_the_handoffs(alpha):
+    _assert_values_match_records(alpha)
+
+
+def test_values_match_the_records_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    log_uniform = st.floats(min_value=math.log10(5e-324), max_value=0.0).map(
+        lambda e: max(5e-324, 10.0 ** e)
+    )
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=300)
+    @hypothesis.given(log_uniform)
+    def check(alpha):
+        _assert_values_match_records(alpha)
+
+    check()
+
+
+# (value routine, the record routine whose errors it shares)
+_VALUE_ROUTINES = {
+    "rho1_minimizer": (rho1_minimizer, minimize_rho1),
+    "solver.embedded_value": (solver.embedded_value, minimize_rho1),
+    "kissing.kissing_value": (kissing.kissing_value, kissing_minimum),
+    "solver.kissing_value": (solver.kissing_value, kissing_minimum),
+}
+
+
+@pytest.mark.parametrize("which", list(_VALUE_ROUTINES))
+@pytest.mark.parametrize(
+    "alpha",
+    [0.0, -0.0, -1.0, math.nextafter(1.0, 2.0), math.nan, math.inf, -math.inf, True],
+    ids=repr,
+)
+def test_value_routines_raise_what_their_records_raise(which, alpha):
+    value_routine, record_routine = _VALUE_ROUTINES[which]
+    with pytest.raises(ValueError) as expected:
+        record_routine(alpha)
+    with pytest.raises(ValueError) as info:
+        value_routine(alpha)
+    assert type(info.value) is ValueError
+    assert str(info.value) == str(expected.value)
 
 
 class _Ratio(float):
