@@ -40,7 +40,7 @@ from typing import NamedTuple
 from .hexnorm import DEDUP_TOL, SQRT3, PolyChain, merge_vertices
 from .singlebubble import MIN_SIDE, check_alpha
 
-# hoisted from minimize_rho1, where each is evaluated first and on its own
+# hoisted from rho1_minimizer, where each is evaluated first and on its own
 _4SQRT3 = 4.0 * SQRT3
 _8SQRT3 = 8.0 * SQRT3
 _L1_CAP = math.sqrt(4.0 * SQRT3 / 3.0)  # where L2*(L1) = L1
@@ -195,9 +195,10 @@ def minimize_rho1(alpha: float) -> EmbeddedSolution:
     """(L1*, L2*, value): rho1_minimizer's minimum with its host width
     rho1_optimal_L2(L1*), as a record.
 
-    Its callers read the record: the checks' oracle and perturbation
-    posings, the tests and the demos.  The solver reads rho1_minimizer
-    and computes L2 only for a nested entry it reports.
+    Its callers are the checks (the perturbation check reads L1 and L2,
+    the oracle and route-order checks the value), the tests and the
+    demos.  The solver reads rho1_minimizer and computes L2 only for a
+    nested entry it reports.
     """
     L1, value = rho1_minimizer(alpha)
     # tuple.__new__ skips the NamedTuple's Python-level __new__

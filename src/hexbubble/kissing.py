@@ -184,10 +184,10 @@ def kissing_value(alpha: float) -> float:
 def kissing_minimum(alpha: float) -> KissingSolution:
     """Global minimum over the glued-pair family, as a record.
 
-    Its callers read a record: solve, for its candidate value and the
-    sides of a glued entry it reports, the checks' oracle and
-    perturbation posings, the tests and the demos.  kissing_value gives
-    the value alone.
+    Its callers are solve, for its candidate value and the sides of a
+    glued entry it reports, the checks (the perturbation check reads the
+    sides, the oracle check the value), the tests and the demos.
+    kissing_value gives the value alone.
 
     Below the handoff ratio 1/8 the unequal candidate wins: both cells are
     six-sided, and cell B's side is the shorter, fully shared one.  Each
